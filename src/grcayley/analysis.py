@@ -18,22 +18,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cayley import GraphSpec, bfs_distances, spectral_interval_bound
+from .cayley import GraphSpec, _bfs_start, bfs_distances, spectral_interval_bound
 from .errors import IntegrityError, ParameterError
-from .ring import (
-    RingContext,
-    RingElement,
-    coeff_string,
-    is_unit,
-    padic_coords,
-)
+from .ring import RingContext, RingElement, coeff_string, is_unit
 from .spectrum import (
     MERGE_TOL,
-    GaussianInt,
     Spectrum,
+    character_sums,
     full_spectrum,
     trace_basis_matrix,
-    zeta,
 )
 
 WCU_BLOCK_ELEMS = 1 << 22
@@ -111,113 +104,68 @@ def check_interval(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
     return ClaimReport("interval", ok_all, bound, worst, witness)
 
 
-def _character_sum_bound_pieces(ctx: RingContext, gamma: RingElement) -> tuple[int, float]:
-    cap = ctx.p ** (ctx.e - 1 - padic_coords(gamma).valuation)
-    return cap, (cap - 1) * math.sqrt(ctx.p**ctx.r) + 1
+def _teichmuller_trace_basis(ctx: RingContext) -> np.ndarray:
+    """Transposed trace-basis matrix of G1, the summation set of zeta."""
+    g1_idx = np.array([u.index for u in ctx.teichmuller_units], dtype=np.int64)
+    return trace_basis_matrix(ctx, ctx.digits_of(g1_idx)).T.astype(np.float64)
 
 
-def check_wcu(
-    ctx: RingContext, gammas: Optional[Sequence[Union[RingElement, int]]] = None
-) -> list[ClaimReport]:
-    """Character sums over the Teichmuller units obey
-    |zeta(gamma)| <= (N-1)*sqrt(p^r) + 1, N = p^(e-1-valuation(gamma)).
+def _wcu_norm_within_bound(
+    normsq: np.ndarray, val: np.ndarray, p: int, e: int, r: int
+) -> np.ndarray:
+    """Exact elementwise test of sqrt(normsq) <= (N-1)*sqrt(p^r) + 1 with
+    N = p^(e-1-val), for integer norms |zeta|^2.
 
-    One report per gamma; gammas defaults to every nonzero element, which
-    is meant for small rings (use check_wcu_summary for a whole-ring scan).
+    Squaring once leaves lhs = normsq - (N-1)^2 p^r - 1 <= 2(N-1)sqrt(p^r).
+    For an integer lhs >= 0 that holds exactly when lhs <= isqrt(4(N-1)^2 p^r),
+    and for lhs < 0 it always holds, so lhs is never squared and the test
+    cannot overflow int64 for any supported ring.
     """
-    if gammas is None:
-        gammas = range(1, ctx.size)
-    pr = ctx.p**ctx.r
-    reports = []
-    for g in gammas:
-        gamma = ctx.from_index(g) if isinstance(g, int) else g
-        if gamma.is_zero:
-            raise ParameterError("the character sum bound needs gamma != 0")
-        cap, bound = _character_sum_bound_pieces(ctx, gamma)
-        z = zeta(ctx, gamma)
-        if isinstance(z, GaussianInt):
-            lhs = z.norm() - (cap - 1) * (cap - 1) * pr - 1
-            ok = lhs <= 0 or lhs * lhs <= 4 * (cap - 1) * (cap - 1) * pr
-            observed = abs(z)
-        else:
-            observed = abs(z)
-            ok = observed <= bound + MERGE_TOL
-        reports.append(
-            ClaimReport(
-                "wcu", ok, bound, observed, coeff_string(gamma) if not ok else None
-            )
-        )
-    return reports
+    pr = p**r
+    caps = [p ** (e - 1 - v) for v in range(e)]
+    offset = np.array([(c - 1) ** 2 * pr + 1 for c in caps], dtype=np.int64)
+    limit = np.array([math.isqrt(4 * (c - 1) ** 2 * pr) for c in caps], dtype=np.int64)
+    return normsq - offset[val] <= limit[val]
 
 
 def check_wcu_summary(ctx: RingContext) -> ClaimReport:
-    """One report for the character sum bound over every nonzero gamma.
+    """Character sums over the Teichmuller units obey
+    |zeta(gamma)| <= (N-1)*sqrt(p^r) + 1, N = p^(e-1-valuation(gamma)),
+    for every nonzero gamma; one report for the whole ring.
 
     observed_value is the largest float excess |zeta| - bound across the
     ring (at most ~1e-16 noise above zero when the claim holds); for
     p^e = 4 the verdict itself comes from exact integer comparisons.
     """
-    p, e, r, q, n = ctx.p, ctx.e, ctx.r, ctx.q, ctx.size
-    pr = p**r
-    sqrt_pr = math.sqrt(pr)
-    g1_idx = np.array([u.index for u in ctx.teichmuller_units], dtype=np.int64)
-    w_t = trace_basis_matrix(ctx, ctx.digits_of(g1_idx)).T.astype(np.float64)
-    m = g1_idx.size
-    block = max(1, WCU_BLOCK_ELEMS // m)
+    p, e, r, n = ctx.p, ctx.e, ctx.r, ctx.size
+    sqrt_pr = math.sqrt(p**r)
+    w_t = _teichmuller_trace_basis(ctx)
+    block = max(1, WCU_BLOCK_ELEMS // w_t.shape[1])
+    exact = ctx.q == 4
 
-    exact = q == 4
-    if not exact:
-        angles = 2.0 * np.pi * np.arange(q) / q
-        cos_lut, sin_lut = np.cos(angles), np.sin(angles)
-
-    ok_all = True
     worst_excess = -math.inf
-    worst_idx = None
     fail_idx = None
     for lo in range(1, n, block):
         hi = min(lo + block, n)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = ctx.digits_of(idx)
-        val = np.zeros(idx.size, dtype=np.int64)
+        digits = ctx.digits_of(np.arange(lo, hi, dtype=np.int64))
+        val = np.zeros(hi - lo, dtype=np.int64)
         for kk in range(1, e):
             val += np.all(digits % (p**kk) == 0, axis=1)
-        cap = np.power(p, e - 1 - val).astype(np.int64)
-        bounds = (cap - 1) * sqrt_pr + 1.0
+        bounds = (np.power(p, e - 1 - val) - 1) * sqrt_pr + 1.0
 
-        tv = (
-            np.rint(digits.astype(np.float64) @ w_t).astype(np.int64) % q
-        ).astype(np.int32)
+        re, im = character_sums(ctx, w_t, lo, hi)
+        mags = np.hypot(re, im)
         if exact:
-            re = (tv == 0).sum(axis=1) - (tv == 2).sum(axis=1)
-            im = (tv == 1).sum(axis=1) - (tv == 3).sum(axis=1)
-            normsq = re * re + im * im
-            lhs = normsq - (cap - 1) ** 2 * pr - 1
-            rhs = 4 * (cap - 1) ** 2 * pr
-            if r <= 15:
-                ok = (lhs <= 0) | (lhs * lhs <= rhs)
-            else:
-                ok = lhs <= 0
-                for j in np.flatnonzero(~ok):
-                    ok[j] = int(lhs[j]) ** 2 <= int(rhs[j])
-            mags = np.hypot(re, im)
+            ok = _wcu_norm_within_bound(re * re + im * im, val, p, e, r)
         else:
-            re = cos_lut[tv].sum(axis=1)
-            im = sin_lut[tv].sum(axis=1)
-            mags = np.hypot(re, im)
             ok = mags <= bounds + MERGE_TOL
 
-        excess = mags - bounds
-        j = int(np.argmax(excess))
-        if excess[j] > worst_excess:
-            worst_excess = float(excess[j])
-            worst_idx = int(idx[j])
-        if not ok.all():
-            ok_all = False
-            if fail_idx is None:
-                fail_idx = int(idx[int(np.flatnonzero(~ok)[0])])
+        worst_excess = max(worst_excess, float((mags - bounds).max()))
+        if fail_idx is None and not ok.all():
+            fail_idx = lo + int(np.flatnonzero(~ok)[0])
 
     witness = coeff_string(ctx.from_index(fail_idx)) if fail_idx is not None else None
-    return ClaimReport("wcu", ok_all, 0.0, worst_excess, witness)
+    return ClaimReport("wcu", fail_idx is None, 0.0, worst_excess, witness)
 
 
 def check_bhk(ctx: RingContext) -> ClaimReport:
@@ -225,26 +173,19 @@ def check_bhk(ctx: RingContext) -> ClaimReport:
     for nonzero non-units, and zeta(0) = 2^r - 1; checked exhaustively."""
     if ctx.q != 4:
         raise ParameterError("the character sum identity requires p^e = 4")
-    n, q, r = ctx.size, ctx.q, ctx.r
+    n, r = ctx.size, ctx.r
     pr = 2**r
-    g1_idx = np.array([u.index for u in ctx.teichmuller_units], dtype=np.int64)
-    w_t = trace_basis_matrix(ctx, ctx.digits_of(g1_idx)).T.astype(np.float64)
-    block = max(1, WCU_BLOCK_ELEMS // g1_idx.size)
+    w_t = _teichmuller_trace_basis(ctx)
+    block = max(1, WCU_BLOCK_ELEMS // w_t.shape[1])
 
     worst = 0
     witness_idx = None
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = ctx.digits_of(idx)
-        unit = (digits % 2 != 0).any(axis=1)
-        tv = (
-            np.rint(digits.astype(np.float64) @ w_t).astype(np.int64) % q
-        ).astype(np.int32)
-        re = (tv == 0).sum(axis=1) - (tv == 2).sum(axis=1)
-        im = (tv == 1).sum(axis=1) - (tv == 3).sum(axis=1)
+        unit = (ctx.digits_of(np.arange(lo, hi, dtype=np.int64)) % 2 != 0).any(axis=1)
+        re, im = character_sums(ctx, w_t, lo, hi)
 
-        dev = np.zeros(idx.size, dtype=np.int64)
+        dev = np.zeros(hi - lo, dtype=np.int64)
         dev[unit] = np.abs((re[unit] + 1) ** 2 + im[unit] ** 2 - pr)
         nonunit = ~unit
         dev[nonunit] = np.abs(re[nonunit] + 1) + np.abs(im[nonunit])
@@ -252,9 +193,8 @@ def check_bhk(ctx: RingContext) -> ClaimReport:
             dev[0] = abs(re[0] - (pr - 1)) + abs(im[0])
         bad = np.flatnonzero(dev != 0)
         if bad.size and witness_idx is None:
-            witness_idx = int(idx[bad[0]])
-        if dev.max(initial=0) > worst:
-            worst = int(dev.max())
+            witness_idx = lo + int(bad[0])
+        worst = max(worst, int(dev.max()))
     holds = worst == 0
     witness = coeff_string(ctx.from_index(witness_idx)) if witness_idx is not None else None
     return ClaimReport("bhk", holds, 0, worst, witness)
@@ -334,8 +274,7 @@ def girth(spec: GraphSpec) -> Union[int, float]:
     """
     ctx = spec.ctx
     q = ctx.q
-    dist = np.full(spec.n, -1, dtype=np.int64)
-    dist[0] = 0
+    dist = _bfs_start(spec, 0)
     frontier = np.array([0], dtype=np.int64)
     level = 0
     best = math.inf

@@ -18,7 +18,13 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .errors import ContextMismatchError, IntegrityError, ParameterError, RangeError
+from .errors import (
+    ContextMismatchError,
+    IntegrityError,
+    ParameterError,
+    RangeError,
+    SizeError,
+)
 from .ring import (
     MAX_RING_SIZE,
     RingContext,
@@ -32,6 +38,7 @@ from .ring import (
 VertexId = int
 
 EXPORT_BLOCK = 1 << 14
+BFS_CUTOFF = 2**28
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +121,27 @@ def neighbors(spec: GraphSpec, v: VertexId) -> list[VertexId]:
     return sorted(int(t) for t in targets)
 
 
+def _bfs_start(spec: GraphSpec, root: VertexId) -> np.ndarray:
+    """n-sized distance array, -1 except 0 at root.
+
+    Raises SizeError above BFS_CUTOFF vertices, before allocating.
+    """
+    if spec.n > BFS_CUTOFF:
+        raise SizeError(
+            f"breadth-first search on {spec.n} vertices exceeds the cutoff {BFS_CUTOFF}"
+        )
+    dist = np.full(spec.n, -1, dtype=np.int64)
+    dist[root] = 0
+    return dist
+
+
 def bfs_distances(spec: GraphSpec, root: VertexId = 0) -> np.ndarray:
     """Distance from root to every vertex, -1 where unreachable."""
     if not (0 <= root < spec.n):
         raise RangeError(f"vertex {root} outside [0, {spec.n})")
     ctx = spec.ctx
     q = ctx.q
-    dist = np.full(spec.n, -1, dtype=np.int64)
-    dist[root] = 0
+    dist = _bfs_start(spec, root)
     frontier = np.array([root], dtype=np.int64)
     level = 0
     while frontier.size:
@@ -183,6 +203,17 @@ def spectral_interval_bound(p: int, e: int, r: int) -> tuple[int, int, int, floa
     return c, k, pr, c * math.sqrt(pr) + k
 
 
+def parse_delta(delta: Union[Fraction, str, int]) -> Fraction:
+    """The family slope delta as a Fraction, which must lie in (0, 1/2]."""
+    try:
+        delta = Fraction(delta)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"cannot parse delta {delta!r}") from exc
+    if not (0 < delta <= Fraction(1, 2)):
+        raise ParameterError(f"delta must lie in (0, 1/2], got {delta}")
+    return delta
+
+
 def family_params(p: int, delta: Union[Fraction, str, int], r: int) -> dict:
     """Parameters of the family member with e = delta*r at a given r.
 
@@ -192,12 +223,7 @@ def family_params(p: int, delta: Union[Fraction, str, int], r: int) -> dict:
     """
     if not _is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
-    try:
-        delta = Fraction(delta)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse delta {delta!r}") from exc
-    if not (0 < delta <= Fraction(1, 2)):
-        raise ParameterError(f"delta must lie in (0, 1/2], got {delta}")
+    delta = parse_delta(delta)
     if r < 2:
         raise ParameterError(f"r must be at least 2, got {r}")
     e_frac = delta * r

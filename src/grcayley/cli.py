@@ -11,11 +11,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .analysis import verify_graph
-from .cayley import build_graph, export_edges, family_params
+from .cayley import build_graph, export_edges, family_params, parse_delta
 from .errors import (
     ContextMismatchError,
     ModulusError,
@@ -139,12 +138,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_family(cfg: RunConfig) -> int:
-    try:
-        delta = Fraction(cfg.delta)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse delta {cfg.delta!r}") from exc
-    if not (0 < delta <= Fraction(1, 2)):
-        raise ParameterError(f"delta must lie in (0, 1/2], got {delta}")
+    delta = parse_delta(cfg.delta)
     if cfg.r_min > cfg.r_max:
         raise ParameterError(f"empty r range {cfg.r_min}..{cfg.r_max}")
 

@@ -3,23 +3,27 @@
 Eigenvectors of a Cayley graph on an abelian group are the group
 characters.  For the additive group of GR(p^e, p^(er)) the characters are
 psi_gamma(x) = omega^(T(gamma*x)), omega a primitive p^e-th root of unity
-and T the trace, one character per ring element gamma, and the eigenvalue
-attached to gamma is the sum of psi_gamma over the connection set.  Only
-the histogram of trace values T(gamma*s) matters, so the kernels compute
-those values for whole blocks of gamma at once through the linear form
-T(gamma*s) = sum_i a_i * T(x^i * s), where a_i are the coefficients of
-gamma.  The float64 matrix product this uses is exact: its entries are
-bounded by r*(p^e - 1)^2 < 2^53 for every supported ring.
+and T the trace, one character per ring element gamma.  One kernel,
+character_sums, computes every such sum in the package: given a summation
+set S, it returns sum_{s in S} psi_gamma(s) for a block of consecutive
+gamma.  With S the connection set these are the eigenvalues
+(full_spectrum); with S the Teichmuller units they are the sums zeta(gamma)
+behind the wcu and bhk checks.
 
-For p^e = 4 the character values lie in {1, i, -1, -i}, the eigenvalues
-are the integers counts[0] - counts[2], and full spectra are exact.
-Otherwise eigenvalues are floats carrying an imaginary-residue self-check
-of 1e-9 * d.
+The kernel gets the trace values of a whole block at once through the
+linear form T(gamma*s) = sum_i a_i * T(x^i * s), a_i the coefficients of
+gamma, as one float64 product against trace_basis_matrix(S).  That product
+is exact, since its entries are bounded by r*(p^e - 1)^2 < 2^53 for every
+supported ring, so it converts to int64 without rounding.
+
+For p^e = 4 the character values lie in {1, i, -1, -i}, the sums are the
+exact Gaussian integers (counts[0] - counts[2]) + i(counts[1] - counts[3]),
+and full spectra are exact.  Otherwise the sums are float64 cos/sin sums
+and eigenvalues carry an imaginary-residue self-check of 1e-9 * d.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -29,67 +33,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .cayley import GraphSpec
-from .errors import (
-    ContextMismatchError,
-    IntegrityError,
-    ParameterError,
-    SizeError,
-)
-from .ring import RingContext, RingElement, trace
+from .errors import IntegrityError, ParameterError, SizeError
+from .ring import RingContext
 
 IMAG_RESIDUE_TOL = 1e-9
 MERGE_TOL = 1e-6
 ORACLE_CUTOFF = 4096
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
 BLOCK_ELEMS = 1 << 22
-
-
-@dataclass(frozen=True)
-class GaussianInt:
-    """Exact element of Z[i]."""
-
-    re: int
-    im: int
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        """|z|^2, exactly."""
-        return self.re * self.re + self.im * self.im
-
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
-class TraceCounts:
-    """Histogram of T(gamma*s) over the connection set, indexed by residue."""
-
-    gamma_index: int
-    counts: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -151,65 +102,7 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Scalar paths.
-
-
-def trace_counts(spec: GraphSpec, gamma: Union[RingElement, int]) -> TraceCounts:
-    """Histogram of trace values of gamma times the connection set."""
-    ctx = spec.ctx
-    if isinstance(gamma, int):
-        gamma = ctx.from_index(gamma)
-    elif gamma.ctx.key != ctx.key:
-        raise ContextMismatchError("gamma belongs to a different ring")
-    counts = [0] * ctx.q
-    for s in spec.connection_set:
-        counts[trace(gamma * s)] += 1
-    return TraceCounts(gamma_index=gamma.index, counts=tuple(counts))
-
-
-def eigenvalue_exact_char4(tc: TraceCounts) -> int:
-    """Exact eigenvalue for p^e = 4: counts[0] - counts[2]."""
-    if len(tc.counts) != 4:
-        raise ParameterError("exact eigenvalues require p^e = 4")
-    if tc.counts[1] != tc.counts[3]:
-        raise IntegrityError(
-            f"asymmetric trace histogram {tc.counts}: the connection set is "
-            "not negation-closed"
-        )
-    return tc.counts[0] - tc.counts[2]
-
-
-def eigenvalue_numeric(tc: TraceCounts) -> float:
-    """Eigenvalue as a real float, with an imaginary-residue self-check."""
-    q = len(tc.counts)
-    angles = 2.0 * math.pi * np.arange(q) / q
-    counts = np.array(tc.counts, dtype=np.float64)
-    real = float(counts @ np.cos(angles))
-    imag = float(counts @ np.sin(angles))
-    if abs(imag) > IMAG_RESIDUE_TOL * max(tc.degree, 1):
-        raise IntegrityError(f"imaginary residue {imag} exceeds tolerance")
-    return real
-
-
-def zeta(ctx: RingContext, gamma: RingElement) -> Union[GaussianInt, complex]:
-    """Character sum over the Teichmuller units alone.
-
-    Exact GaussianInt when p^e = 4, complex otherwise.
-    """
-    if gamma.ctx.key != ctx.key:
-        raise ContextMismatchError("gamma belongs to a different ring")
-    counts = [0] * ctx.q
-    for u in ctx.teichmuller_units:
-        counts[trace(gamma * u)] += 1
-    if ctx.q == 4:
-        return GaussianInt(counts[0] - counts[2], counts[1] - counts[3])
-    angles = 2.0 * math.pi * np.arange(ctx.q) / ctx.q
-    arr = np.array(counts, dtype=np.float64)
-    return complex(arr @ np.cos(angles), arr @ np.sin(angles))
-
-
-# ---------------------------------------------------------------------------
-# Vectorised kernels.
+# The character-sum kernel.
 
 
 def trace_basis_matrix(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
@@ -230,11 +123,24 @@ def trace_basis_matrix(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_value_block(ctx: RingContext, w_t: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Trace values T(gamma*s) for gamma in [lo, hi) as an (hi-lo, m) int32 array."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    coeffs = ctx.digits_of(idx).astype(np.float64)
-    return (np.rint(coeffs @ w_t).astype(np.int64) % ctx.q).astype(np.int32)
+def character_sums(
+    ctx: RingContext, w_t: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of sum_s omega^(T(gamma*s)) for gamma in [lo, hi).
+
+    w_t is the transposed trace-basis matrix of the summation set, as
+    float64.  Exact int64 parts when p^e = 4, float64 otherwise.
+    """
+    q = ctx.q
+    coeffs = ctx.digits_of(np.arange(lo, hi, dtype=np.int64)).astype(np.float64)
+    tv = (coeffs @ w_t).astype(np.int64)
+    tv %= q
+    if q == 4:
+        re = (tv == 0).sum(axis=1) - (tv == 2).sum(axis=1)
+        im = (tv == 1).sum(axis=1) - (tv == 3).sum(axis=1)
+        return re, im
+    angles = 2.0 * np.pi * np.arange(q) / q
+    return np.cos(angles)[tv].sum(axis=1), np.sin(angles)[tv].sum(axis=1)
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
@@ -253,9 +159,9 @@ def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
     The numeric path is capped at 2^24 vertices.
     """
     ctx = spec.ctx
-    n, d, q = spec.n, spec.d, ctx.q
+    n, d = spec.n, spec.d
     threads = _resolve_threads(threads)
-    exact = q == 4
+    exact = ctx.q == 4
     if not exact and n > NUMERIC_SPECTRUM_CUTOFF:
         raise SizeError(
             f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff"
@@ -263,63 +169,48 @@ def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
 
     w_t = trace_basis_matrix(ctx, spec.s_digits).T.astype(np.float64)
     block = max(1, BLOCK_ELEMS // max(d, 1))
-    starts = list(range(0, n, block))
+    imag_tol = 0 if exact else IMAG_RESIDUE_TOL * d
+    eig = None if exact else np.empty(n, dtype=np.float64)
 
-    if exact:
-        def work(lo: int) -> tuple[np.ndarray, np.ndarray]:
-            tv = _trace_value_block(ctx, w_t, lo, min(lo + block, n))
-            ones = (tv == 1).sum(axis=1)
-            threes = (tv == 3).sum(axis=1)
-            if (ones != threes).any():
-                raise IntegrityError("asymmetric trace histogram in exact kernel")
-            eig = (tv == 0).sum(axis=1) - (tv == 2).sum(axis=1)
-            return np.unique(eig, return_counts=True)
-
-        counter: Counter = Counter()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, starts))
-        else:
-            results = [work(lo) for lo in starts]
-        for vals, cnts in results:
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                counter[int(v)] += int(c)
-        entries = tuple(
-            (v, counter[v]) for v in sorted(counter, reverse=True)
-        )
-        first = sum(v * m for v, m in entries)
-        second = sum(v * v * m for v, m in entries)
-        if first != 0 or second != n * d:
-            raise IntegrityError(
-                f"moment check failed: sum {first}, sum of squares {second} != {n * d}"
-            )
-        return Spectrum(entries=entries, exact=True, n=n, d=d)
-
-    angles = 2.0 * np.pi * np.arange(q) / q
-    cos_lut = np.cos(angles)
-    sin_lut = np.sin(angles)
-    eig = np.empty(n, dtype=np.float64)
-
-    def work_numeric(lo: int) -> None:
+    def work(lo: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
         hi = min(lo + block, n)
-        tv = _trace_value_block(ctx, w_t, lo, hi)
-        imag = sin_lut[tv].sum(axis=1)
-        if np.abs(imag).max() > IMAG_RESIDUE_TOL * d:
-            raise IntegrityError("imaginary residue exceeds tolerance in kernel")
-        eig[lo:hi] = cos_lut[tv].sum(axis=1)
+        re, im = character_sums(ctx, w_t, lo, hi)
+        if np.abs(im).max() > imag_tol:
+            raise IntegrityError(
+                "imaginary part of an eigenvalue exceeds tolerance: the "
+                "connection set is not negation-closed"
+            )
+        if exact:
+            return np.unique(re, return_counts=True)
+        eig[lo:hi] = re
+        return None
 
+    starts = range(0, n, block)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work_numeric, starts))
+            results = list(pool.map(work, starts))
     else:
-        for lo in starts:
-            work_numeric(lo)
+        results = [work(lo) for lo in starts]
 
-    if abs(float(eig.sum())) > MERGE_TOL * n * d or abs(
-        float((eig * eig).sum()) - n * d
-    ) > MERGE_TOL * n * d:
-        raise IntegrityError("numeric moment check failed")
-    return Spectrum(entries=_merge_numeric(eig, MERGE_TOL), exact=False, n=n, d=d)
+    if not exact:
+        if abs(float(eig.sum())) > MERGE_TOL * n * d or abs(
+            float((eig * eig).sum()) - n * d
+        ) > MERGE_TOL * n * d:
+            raise IntegrityError("numeric moment check failed")
+        return Spectrum(entries=_merge_numeric(eig, MERGE_TOL), exact=False, n=n, d=d)
+
+    counter: Counter = Counter()
+    for vals, cnts in results:
+        for v, c in zip(vals.tolist(), cnts.tolist()):
+            counter[int(v)] += int(c)
+    entries = tuple((v, counter[v]) for v in sorted(counter, reverse=True))
+    first = sum(v * m for v, m in entries)
+    second = sum(v * v * m for v, m in entries)
+    if first != 0 or second != n * d:
+        raise IntegrityError(
+            f"moment check failed: sum {first}, sum of squares {second} != {n * d}"
+        )
+    return Spectrum(entries=entries, exact=True, n=n, d=d)
 
 
 def _merge_numeric(

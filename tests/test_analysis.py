@@ -3,19 +3,22 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from char_sum_oracle import character_sum
 from grcayley import (
     ClaimReport,
     IntegrityError,
     ParameterError,
     RingParams,
+    SizeError,
     Spectrum,
+    bfs_distances,
     build_graph,
     check_bhk,
     check_interval,
     check_residue_partition,
-    check_wcu,
     check_wcu_summary,
     connectivity,
     energy_report,
@@ -26,8 +29,11 @@ from grcayley import (
     neighbors,
     oracle_spectrum,
     triangle_count,
+    padic_coords,
     verify_graph,
 )
+from grcayley import cayley
+from grcayley.analysis import _wcu_norm_within_bound
 
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
 
@@ -94,29 +100,57 @@ def test_interval_exact_endpoint():
     assert rep.holds
 
 
+def wcu_bound(ctx, gamma):
+    """(N-1)*sqrt(p^r) + 1 with N = p^(e-1-valuation(gamma))."""
+    cap = ctx.p ** (ctx.e - 1 - padic_coords(gamma).valuation)
+    return (cap - 1) * math.sqrt(ctx.p**ctx.r) + 1
+
+
 def test_wcu_frozen_values(h16):
-    by_gamma = {g: check_wcu(h16.ctx, [g])[0] for g in (1, 2)}
-    assert by_gamma[1].bound_value == pytest.approx(3.0)
-    assert by_gamma[1].observed_value == pytest.approx(math.sqrt(5))
-    assert by_gamma[2].bound_value == pytest.approx(1.0)  # non-unit gamma
-    assert by_gamma[2].observed_value == pytest.approx(1.0)  # bound met exactly
-    assert all(rep.holds for rep in by_gamma.values())
+    ctx = h16.ctx
+    g1 = ctx.teichmuller_units
+    for gamma, bound, normsq in ((1, 3.0, 5), (2, 1.0, 1)):  # 2 is a non-unit
+        z = character_sum(g1, ctx.from_index(gamma))
+        assert z[0] ** 2 + z[1] ** 2 == normsq
+        assert wcu_bound(ctx, ctx.from_index(gamma)) == pytest.approx(bound)
+        val = np.array([padic_coords(ctx.from_index(gamma)).valuation])
+        assert _wcu_norm_within_bound(np.array([normsq]), val, 2, 2, 2).all()
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)
 def test_wcu_exhaustive_and_summary_agree(key):
     ctx = make_ring(RingParams(*key))
-    reports = check_wcu(ctx)
-    assert len(reports) == ctx.size - 1
+    g1 = ctx.teichmuller_units
+    holds = [
+        math.hypot(*character_sum(g1, gamma)) <= wcu_bound(ctx, gamma) + 1e-9
+        for gamma in map(ctx.from_index, range(1, ctx.size))
+    ]
     summary = check_wcu_summary(ctx)
-    assert all(r.holds for r in reports) == summary.holds
+    assert all(holds) == summary.holds
     assert summary.holds
     assert summary.observed_value <= 1e-9
 
 
-def test_wcu_rejects_zero_gamma(h16):
-    with pytest.raises(ParameterError):
-        check_wcu(h16.ctx, [0])
+def test_wcu_exact_comparison_at_r16():
+    # p^r = 2^16, e = 2: the bound on |zeta| is 257 for units (valuation 0)
+    # and 1 for non-units; norms reach (2^16 - 1)^2, where squaring the
+    # excess over the bound would overflow int64
+    p, e, r = 2, 2, 16
+    pr = p**r
+    top = (pr - 1) ** 2
+    boundary = {257**2: True, 257**2 + 1: False, 258**2: False}
+    unit_norms = [0, 1, 256**2, *boundary, 2**31, top - 1, top]
+    cases = [(n, 0) for n in unit_norms] + [(n, 1) for n in (0, 1, 2, 4, top)]
+    normsq = np.array([n for n, _ in cases], dtype=np.int64)
+    val = np.array([v for _, v in cases], dtype=np.int64)
+    got = dict(zip(cases, _wcu_norm_within_bound(normsq, val, p, e, r).tolist()))
+    for (n, v), ok in got.items():
+        cap = p ** (e - 1 - v)
+        lhs = n - (cap - 1) ** 2 * pr - 1
+        assert ok == (lhs <= 0 or lhs * lhs <= 4 * (cap - 1) ** 2 * pr), (n, v)
+    assert {n: got[n, 0] for n in boundary} == boundary
+    assert [got[n, 1] for n in (1, 2)] == [True, False]
+    assert not got[top, 0]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -176,6 +210,17 @@ def test_girth_frozen():
     assert girth(graph_for(2, 2, 2)) == 3
     assert girth(graph_for(2, 2, 3)) == 4
     assert girth(graph_for(2, 2, 5)) == 4
+
+
+def test_bfs_size_guard(monkeypatch):
+    spec = graph_for(2, 2, 3)
+    monkeypatch.setattr(cayley, "BFS_CUTOFF", spec.n - 1)
+    for search in (bfs_distances, girth, connectivity):
+        with pytest.raises(SizeError):
+            search(spec)
+    monkeypatch.setattr(cayley, "BFS_CUTOFF", spec.n)
+    assert girth(spec) == 4
+    assert bfs_distances(spec).max() == connectivity(spec)["diameter"]
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)

@@ -1,26 +1,28 @@
-"""Character-sum eigenvalues against frozen values, the scalar path, and
-the dense eigensolver oracle."""
+"""The character-sum kernel and the spectra built on it, against frozen
+values, the scalar oracle, and the dense eigensolver oracle."""
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from char_sum_oracle import character_sum, trace_counts
 from grcayley import (
-    GaussianInt,
     IntegrityError,
     ParameterError,
     RingParams,
     SizeError,
     Spectrum,
-    TraceCounts,
     build_graph,
-    eigenvalue_exact_char4,
-    eigenvalue_numeric,
+    character_sums,
     full_spectrum,
     make_ring,
     oracle_spectrum,
     spectral_deviation,
-    trace_counts,
-    zeta,
+    trace_basis_matrix,
 )
 
 FROZEN_SPECTRA = {
@@ -45,64 +47,100 @@ def h81():
     return build_graph(make_ring(RingParams(3, 2, 2)))
 
 
-def test_gaussian_int_arithmetic():
-    a = GaussianInt(2, -1)
-    b = GaussianInt(-1, 3)
-    assert a + b == GaussianInt(1, 2)
-    assert a - b == GaussianInt(3, -4)
-    assert a * b == GaussianInt(1, 7)
-    assert -a == GaussianInt(-2, 1)
-    assert a.conjugate() == GaussianInt(2, 1)
-    assert a.norm() == 5
-    assert abs(a) == pytest.approx(5**0.5)
-    assert complex(a) == 2 - 1j
+def w_t_of(ctx, elements):
+    digits = ctx.digits_of(np.array([s.index for s in elements], dtype=np.int64))
+    return trace_basis_matrix(ctx, digits).T.astype(np.float64)
+
+
+def kernel_at(ctx, elements, gamma_index):
+    re, im = character_sums(ctx, w_t_of(ctx, elements), gamma_index, gamma_index + 1)
+    return re[0], im[0]
 
 
 def test_trace_counts_frozen(h16):
-    tc = trace_counts(h16, 1)
-    assert tc.counts == (0, 2, 2, 2)
-    assert tc.degree == 6
-    assert eigenvalue_exact_char4(tc) == -2
-    tc = trace_counts(h16, 6)  # gamma = 2 + x
-    assert tc.counts == (2, 2, 0, 2)
-    assert eigenvalue_exact_char4(tc) == 2
-    tc = trace_counts(h16, 2)  # gamma = 2
-    assert tc.counts == (2, 0, 4, 0)
-    assert eigenvalue_exact_char4(tc) == -2
-    tc = trace_counts(h16, 0)
-    assert tc.counts == (6, 0, 0, 0)
-    assert eigenvalue_exact_char4(tc) == 6
+    ctx, s = h16.ctx, h16.connection_set
+    frozen = {  # gamma index: (trace histogram, eigenvalue)
+        1: ((0, 2, 2, 2), -2),  # gamma = 1
+        6: ((2, 2, 0, 2), 2),  # gamma = 2 + x
+        2: ((2, 0, 4, 0), -2),  # gamma = 2
+        0: ((6, 0, 0, 0), 6),
+    }
+    re, im = character_sums(ctx, w_t_of(ctx, s), 0, h16.n)
+    for gamma, (counts, eig) in frozen.items():
+        assert tuple(trace_counts(s, ctx.from_index(gamma))) == counts
+        assert character_sum(s, ctx.from_index(gamma)) == (eig, 0)
+        assert (re[gamma], im[gamma]) == (eig, 0)
 
 
-def test_eigenvalue_guards(h81):
-    with pytest.raises(ParameterError):
-        eigenvalue_exact_char4(trace_counts(h81, 1))
+def test_eigenvalue_guards(h16):
+    # gamma*G1 without its negation: the sums have nonzero imaginary parts
+    half = h16.connection_set[: h16.d // 2]
+    lopsided = dataclasses.replace(
+        h16, connection_set=half, d=len(half), s_digits=h16.s_digits[: len(half)]
+    )
     with pytest.raises(IntegrityError):
-        eigenvalue_exact_char4(TraceCounts(0, (1, 2, 0, 1)))
+        full_spectrum(lopsided)
 
 
-def test_numeric_matches_exact_on_char4(h16, h64):
+def test_kernel_matches_scalar_oracle_on_char4(h16, h64):
     for spec in (h16, h64):
-        for gamma in range(spec.n):
-            tc = trace_counts(spec, gamma)
-            assert eigenvalue_numeric(tc) == pytest.approx(
-                eigenvalue_exact_char4(tc), abs=1e-9
-            )
+        ctx = spec.ctx
+        for elements in (spec.connection_set, ctx.teichmuller_units):
+            re, im = character_sums(ctx, w_t_of(ctx, elements), 0, spec.n)
+            assert re.dtype == im.dtype == np.int64
+            oracle = [character_sum(elements, ctx.from_index(g)) for g in range(spec.n)]
+            assert list(zip(re.tolist(), im.tolist())) == oracle
 
 
 def test_zeta_frozen(h16):
     ctx = h16.ctx
-    assert zeta(ctx, ctx.zero) == GaussianInt(3, 0)
-    z1 = zeta(ctx, ctx.one)
-    assert z1 == GaussianInt(-1, -2)
-    assert (GaussianInt(1, 0) + z1).norm() == 4
-    assert zeta(ctx, ctx.element([2, 0])) == GaussianInt(-1, 0)
+    g1 = ctx.teichmuller_units
+    frozen = ((ctx.zero, (3, 0)), (ctx.one, (-1, -2)), (ctx.element([2, 0]), (-1, 0)))
+    for gamma, z in frozen:
+        assert kernel_at(ctx, g1, gamma.index) == z
+        assert character_sum(g1, gamma) == z
+    re, im = kernel_at(ctx, g1, ctx.one.index)
+    assert (1 + re) ** 2 + im**2 == 4
 
 
 def test_zeta_odd_p_is_real(h81):
     ctx = h81.ctx
-    z = zeta(ctx, ctx.element([3, 0]))  # nonzero non-unit
-    assert z == pytest.approx(complex(-1.0, 0.0), abs=1e-9)
+    gamma = ctx.element([3, 0])  # nonzero non-unit
+    re, im = kernel_at(ctx, ctx.teichmuller_units, gamma.index)
+    assert (re, im) == pytest.approx((-1.0, 0.0), abs=1e-9)
+    assert character_sum(ctx.teichmuller_units, gamma) == pytest.approx(
+        (-1.0, 0.0), abs=1e-9
+    )
+
+
+RINGS_UP_TO_2_12 = [
+    (p, e, r)
+    for p in (2, 3, 5, 7)
+    for e in range(2, 7)
+    for r in range(2, 7)
+    if p ** (e * r) <= 1 << 12
+]
+
+
+@functools.lru_cache(maxsize=None)
+def graph_of(key):
+    return build_graph(make_ring(RingParams(*key)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(key=st.sampled_from(RINGS_UP_TO_2_12), use_g1=st.booleans(), data=st.data())
+def test_kernel_matches_scalar_oracle_property(key, use_g1, data):
+    spec = graph_of(key)
+    ctx = spec.ctx
+    elements = ctx.teichmuller_units if use_g1 else spec.connection_set
+    gamma = data.draw(st.integers(min_value=0, max_value=spec.n - 1), label="gamma")
+    re, im = kernel_at(ctx, elements, gamma)
+    want = character_sum(elements, ctx.from_index(gamma))
+    if ctx.q == 4:
+        assert (int(re), int(im)) == want
+    else:
+        assert re == pytest.approx(want[0], abs=1e-9)
+        assert im == pytest.approx(want[1], abs=1e-9)
 
 
 @pytest.mark.parametrize("key", sorted(FROZEN_SPECTRA))
@@ -125,13 +163,10 @@ def test_full_spectrum_matches_scalar_path(h64, h81):
     for spec in (h64, h81):
         sp = full_spectrum(spec)
         expanded = sorted(sp.expanded().tolist())
-        scalar = []
-        for gamma in range(spec.n):
-            tc = trace_counts(spec, gamma)
-            if spec.ctx.q == 4:
-                scalar.append(float(eigenvalue_exact_char4(tc)))
-            else:
-                scalar.append(eigenvalue_numeric(tc))
+        scalar = [
+            character_sum(spec.connection_set, spec.ctx.from_index(gamma))[0]
+            for gamma in range(spec.n)
+        ]
         assert np.allclose(sorted(scalar), expanded, atol=1e-9)
 
 
