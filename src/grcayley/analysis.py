@@ -22,14 +22,15 @@ from .cayley import GraphSpec, _bfs_start, bfs_distances, spectral_interval_boun
 from .errors import IntegrityError, ParameterError
 from .ring import RingContext, RingElement, coeff_string, is_unit
 from .spectrum import (
+    BLOCK_ELEMS,
     MERGE_TOL,
     Spectrum,
+    _multiplication_matrix,
     character_sums,
     full_spectrum,
+    orbit_representatives,
     trace_basis_matrix,
 )
-
-WCU_BLOCK_ELEMS = 1 << 22
 
 DEFAULT_CHECKS = (
     "bhk",
@@ -104,10 +105,20 @@ def check_interval(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
     return ClaimReport("interval", ok_all, bound, worst, witness)
 
 
-def _teichmuller_trace_basis(ctx: RingContext) -> np.ndarray:
-    """Transposed trace-basis matrix of G1, the summation set of zeta."""
+def _zeta_on_orbits(ctx: RingContext) -> tuple[np.ndarray, ...]:
+    """zeta(beta) = sum_{u in G1} omega^(T(beta*u)) on one beta per G1-orbit,
+    as (digits, valuation, re, im); zeta is constant on each orbit."""
+    digits, val = orbit_representatives(ctx)
     g1_idx = np.array([u.index for u in ctx.teichmuller_units], dtype=np.int64)
-    return trace_basis_matrix(ctx, ctx.digits_of(g1_idx)).T.astype(np.float64)
+    w_t = trace_basis_matrix(ctx, ctx.digits_of(g1_idx)).T.astype(np.float64)
+    block = max(1, BLOCK_ELEMS // w_t.shape[1])
+    parts = [
+        character_sums(ctx, w_t, digits[lo : lo + block])
+        for lo in range(0, len(val), block)
+    ]
+    re = np.concatenate([part[0] for part in parts])
+    im = np.concatenate([part[1] for part in parts])
+    return digits, val, re, im
 
 
 def _wcu_norm_within_bound(
@@ -133,71 +144,47 @@ def check_wcu_summary(ctx: RingContext) -> ClaimReport:
     |zeta(gamma)| <= (N-1)*sqrt(p^r) + 1, N = p^(e-1-valuation(gamma)),
     for every nonzero gamma; one report for the whole ring.
 
-    observed_value is the largest float excess |zeta| - bound across the
-    ring (at most ~1e-16 noise above zero when the claim holds); for
-    p^e = 4 the verdict itself comes from exact integer comparisons.
+    zeta and the valuation are constant on G1-orbits, so one gamma per
+    orbit decides the claim, and a failure's witness is the coefficient
+    string of the first failing orbit representative.  observed_value is
+    the largest float excess |zeta| - bound across the ring (at most
+    ~1e-16 noise above zero when the claim holds); for p^e = 4 the verdict
+    itself comes from exact integer comparisons.
     """
-    p, e, r, n = ctx.p, ctx.e, ctx.r, ctx.size
-    sqrt_pr = math.sqrt(p**r)
-    w_t = _teichmuller_trace_basis(ctx)
-    block = max(1, WCU_BLOCK_ELEMS // w_t.shape[1])
-    exact = ctx.q == 4
-
-    worst_excess = -math.inf
-    fail_idx = None
-    for lo in range(1, n, block):
-        hi = min(lo + block, n)
-        digits = ctx.digits_of(np.arange(lo, hi, dtype=np.int64))
-        val = np.zeros(hi - lo, dtype=np.int64)
-        for kk in range(1, e):
-            val += np.all(digits % (p**kk) == 0, axis=1)
-        bounds = (np.power(p, e - 1 - val) - 1) * sqrt_pr + 1.0
-
-        re, im = character_sums(ctx, w_t, lo, hi)
-        mags = np.hypot(re, im)
-        if exact:
-            ok = _wcu_norm_within_bound(re * re + im * im, val, p, e, r)
-        else:
-            ok = mags <= bounds + MERGE_TOL
-
-        worst_excess = max(worst_excess, float((mags - bounds).max()))
-        if fail_idx is None and not ok.all():
-            fail_idx = lo + int(np.flatnonzero(~ok)[0])
-
-    witness = coeff_string(ctx.from_index(fail_idx)) if fail_idx is not None else None
-    return ClaimReport("wcu", fail_idx is None, 0.0, worst_excess, witness)
+    p, e, r = ctx.p, ctx.e, ctx.r
+    digits, val, re, im = (a[1:] for a in _zeta_on_orbits(ctx))  # row 0 is zero
+    bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
+    mags = np.hypot(re, im)
+    if ctx.q == 4:
+        ok = _wcu_norm_within_bound(re * re + im * im, val, p, e, r)
+    else:
+        ok = mags <= bounds + MERGE_TOL
+    bad = np.flatnonzero(~ok)
+    witness = coeff_string(ctx.element(digits[bad[0]])) if bad.size else None
+    return ClaimReport("wcu", witness is None, 0.0, float((mags - bounds).max()), witness)
 
 
 def check_bhk(ctx: RingContext) -> ClaimReport:
     """For p^e = 4: |1 + zeta(gamma)|^2 = 2^r for units, zeta(gamma) = -1
-    for nonzero non-units, and zeta(0) = 2^r - 1; checked exhaustively."""
+    for nonzero non-units, and zeta(0) = 2^r - 1; checked exhaustively.
+
+    zeta is constant on G1-orbits, so one gamma per orbit covers the ring,
+    and a failure's witness is the coefficient string of the first failing
+    orbit representative.
+    """
     if ctx.q != 4:
         raise ParameterError("the character sum identity requires p^e = 4")
-    n, r = ctx.size, ctx.r
-    pr = 2**r
-    w_t = _teichmuller_trace_basis(ctx)
-    block = max(1, WCU_BLOCK_ELEMS // w_t.shape[1])
-
-    worst = 0
-    witness_idx = None
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        unit = (ctx.digits_of(np.arange(lo, hi, dtype=np.int64)) % 2 != 0).any(axis=1)
-        re, im = character_sums(ctx, w_t, lo, hi)
-
-        dev = np.zeros(hi - lo, dtype=np.int64)
-        dev[unit] = np.abs((re[unit] + 1) ** 2 + im[unit] ** 2 - pr)
-        nonunit = ~unit
-        dev[nonunit] = np.abs(re[nonunit] + 1) + np.abs(im[nonunit])
-        if lo == 0:
-            dev[0] = abs(re[0] - (pr - 1)) + abs(im[0])
-        bad = np.flatnonzero(dev != 0)
-        if bad.size and witness_idx is None:
-            witness_idx = lo + int(bad[0])
-        worst = max(worst, int(dev.max()))
-    holds = worst == 0
-    witness = coeff_string(ctx.from_index(witness_idx)) if witness_idx is not None else None
-    return ClaimReport("bhk", holds, 0, worst, witness)
+    pr = 2**ctx.r
+    digits, val, re, im = _zeta_on_orbits(ctx)
+    dev = np.where(
+        val == 0,
+        np.abs((re + 1) ** 2 + im**2 - pr),
+        np.abs(re + 1) + np.abs(im),
+    )
+    dev[0] = abs(re[0] - (pr - 1)) + abs(im[0])  # row 0 is zero
+    bad = np.flatnonzero(dev)
+    witness = coeff_string(ctx.element(digits[bad[0]])) if bad.size else None
+    return ClaimReport("bhk", witness is None, 0, int(dev.max()), witness)
 
 
 def check_residue_partition(
@@ -205,7 +192,13 @@ def check_residue_partition(
 ) -> ClaimReport:
     """For p^e = 4 and unit gamma, the cosets gamma*G1, -gamma*G1 and
     (1 - xi^t)*gamma*G1 (t = 1..2^r-2) partition the units, and
-    2*gamma*G1 with 0 adjoined exhausts the non-units."""
+    2*gamma*G1 with 0 adjoined exhausts the non-units.
+
+    Each coset is the orbit of its representative under repeated
+    multiplication by xi.  observed_value counts the elements the unit
+    cosets reach; a failure's witness is the smallest index that the unit
+    cosets or the non-unit set cover a wrong number of times.
+    """
     if ctx.q != 4:
         raise ParameterError("the residue decomposition requires p^e = 4")
     if gamma is None:
@@ -215,41 +208,32 @@ def check_residue_partition(
     if not is_unit(gamma):
         raise ParameterError("the residue decomposition requires a unit gamma")
 
-    g1 = ctx.teichmuller_units
-    order = len(g1)
-    reps = [gamma, -gamma]
-    for t in range(1, order):
-        reps.append((ctx.one - g1[t]) * gamma)
+    q, n, order = ctx.q, ctx.size, 2**ctx.r - 1
+    g1 = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
+    one = g1[:1]
+    # rows gamma, -gamma, (1 - xi^t)*gamma for t = 1..2^r-2, then 2*gamma
+    base = np.vstack([one, (-one) % q, (one - g1[1:]) % q, 2 * one])
+    cur = (base @ _multiplication_matrix(gamma).T) % q
+    m_xi = _multiplication_matrix(ctx.xi).T
+    cosets = np.empty((cur.shape[0], order), dtype=np.int64)
+    for j in range(order):
+        cosets[:, j] = ctx.indices_from_digits(cur)
+        cur = (cur @ m_xi) % q
 
-    cosets = [frozenset((rep * u).index for u in g1) for rep in reps]
-    all_indices = np.arange(ctx.size, dtype=np.int64)
-    digits = ctx.digits_of(all_indices)
-    unit_set = set(map(int, all_indices[(digits % 2 != 0).any(axis=1)]))
-
-    holds = True
-    witness = None
-    covered: set[int] = set()
-    for cs in cosets:
-        if len(cs) != order:
-            holds, witness = False, f"coset of size {len(cs)}"
-            break
-        if covered & cs:
-            holds, witness = False, sorted(covered & cs)[0]
-            break
-        covered |= cs
-    if holds and covered != unit_set:
-        diff = covered.symmetric_difference(unit_set)
-        holds, witness = False, sorted(diff)[0]
-
-    if holds:
-        nonunit_expected = {(gamma.scale(2) * u).index for u in g1} | {0}
-        nonunit_actual = set(map(int, all_indices)) - unit_set
-        if nonunit_expected != nonunit_actual:
-            diff = nonunit_expected.symmetric_difference(nonunit_actual)
-            holds, witness = False, sorted(diff)[0]
-
+    # the non-units are the elements with every coefficient even
+    bits = (np.arange(2**ctx.r)[:, None] >> np.arange(ctx.r)) & 1
+    unit = np.ones(n, dtype=bool)
+    unit[ctx.indices_from_digits(2 * bits)] = False
+    unit_count = np.bincount(cosets[:-1].ravel(), minlength=n)
+    nonunit_count = np.bincount(np.append(cosets[-1], 0), minlength=n)
+    wrong = np.flatnonzero((unit_count != unit) | (nonunit_count != ~unit))
+    holds = wrong.size == 0
     return ClaimReport(
-        "residue", holds, len(unit_set), len(covered), witness
+        "residue",
+        holds,
+        int(unit.sum()),
+        int(np.count_nonzero(unit_count)),
+        None if holds else int(wrong[0]),
     )
 
 

@@ -141,15 +141,32 @@ def bfs_distances(spec: GraphSpec, root: VertexId = 0) -> np.ndarray:
         raise RangeError(f"vertex {root} outside [0, {spec.n})")
     ctx = spec.ctx
     q = ctx.q
+    # indices are linear in the digits: the weights are the unit vectors' indices
+    weights = ctx.indices_from_digits(np.eye(ctx.r, dtype=np.int64))
+    steps = spec.s_digits[:, :, None]
     dist = _bfs_start(spec, root)
     frontier = np.array([root], dtype=np.int64)
     level = 0
     while frontier.size:
-        fd = ctx.digits_of(frontier)
+        # Digit-major (r, F) scratch arrays, filled in place for each
+        # generator: d fresh frontier-sized temporaries per level, each
+        # mapped and unmapped by malloc above its mmap threshold, cost more
+        # than the work itself.  Both summands lie in [0, q), so one
+        # conditional subtraction reduces the sum, far cheaper than `%`.
+        fd = np.ascontiguousarray(ctx.digits_of(frontier).T)
+        nd = np.empty_like(fd)
+        over = np.empty(fd.shape, dtype=bool)
+        t = np.empty(frontier.size, dtype=np.int64)
+        seen = np.empty_like(t)
+        fresh = np.empty(frontier.size, dtype=bool)
         for k in range(spec.d):
-            t = ctx.indices_from_digits((fd + spec.s_digits[k]) % q)
-            fresh = t[dist[t] < 0]
-            dist[fresh] = level + 1
+            np.add(fd, steps[k], out=nd)
+            np.greater_equal(nd, q, out=over)
+            np.subtract(nd, q, out=nd, where=over)
+            np.matmul(weights, nd, out=t)
+            np.take(dist, t, out=seen)
+            np.less(seen, 0, out=fresh)
+            dist[t[fresh]] = level + 1
         level += 1
         frontier = np.flatnonzero(dist == level)
     return dist

@@ -2,18 +2,28 @@
 
 Eigenvectors of a Cayley graph on an abelian group are the group
 characters.  For the additive group of GR(p^e, p^(er)) the characters are
-psi_gamma(x) = omega^(T(gamma*x)), omega a primitive p^e-th root of unity
-and T the trace, one character per ring element gamma.  One kernel,
+psi_beta(x) = omega^(T(beta*x)), omega a primitive p^e-th root of unity
+and T the trace, one character per ring element beta.  One kernel,
 character_sums, computes every such sum in the package: given a summation
-set S, it returns sum_{s in S} psi_gamma(s) for a block of consecutive
-gamma.  With S the connection set these are the eigenvalues
-(full_spectrum); with S the Teichmuller units they are the sums zeta(gamma)
-behind the wcu and bhk checks.
+set S and a block of coefficient rows beta, it returns
+sum_{s in S} psi_beta(s) for each row.  With S the connection set these
+are the eigenvalues (full_spectrum); with S the Teichmuller units they are
+the sums zeta(beta) behind the wcu and bhk checks.
 
-The kernel gets the trace values of a whole block at once through the
-linear form T(gamma*s) = sum_i a_i * T(x^i * s), a_i the coefficients of
-gamma, as one float64 product against trace_basis_matrix(S).  That product
-is exact, since its entries are bounded by r*(p^e - 1)^2 < 2^53 for every
+Both summation sets are fixed by multiplication with any u in G1, so the
+sum at beta*u equals the sum at beta and the kernel only needs one beta
+per G1-orbit.  G1 acts freely on the nonzero elements: an element of
+valuation v is u * p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) for exactly one
+u in G1 and b_i in G1 or zero.  orbit_representatives lists those
+(n-1)/(p^r-1) representatives, each standing for an orbit of p^r - 1
+elements, after beta = 0, an orbit of its own.  full_spectrum weights
+every eigenvalue by its orbit size, so a spectrum costs (n-1)/(p^r-1) + 1
+sums instead of n.
+
+The kernel gets the trace values of a block at once through the linear
+form T(beta*s) = sum_i a_i * T(x^i * s), a_i the coefficients of beta, as
+one float64 product against trace_basis_matrix(S).  That product is
+exact, since its entries are bounded by r*(p^e - 1)^2 < 2^53 for every
 supported ring, so it converts to int64 without rounding.
 
 For p^e = 4 the character values lie in {1, i, -1, -i}, the sums are the
@@ -25,7 +35,6 @@ and eigenvalues carry an imaginary-residue self-check of 1e-9 * d.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -34,13 +43,14 @@ import numpy as np
 
 from .cayley import GraphSpec
 from .errors import IntegrityError, ParameterError, SizeError
-from .ring import RingContext
+from .ring import RingContext, RingElement
 
 IMAG_RESIDUE_TOL = 1e-9
 MERGE_TOL = 1e-6
 ORACLE_CUTOFF = 4096
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
 BLOCK_ELEMS = 1 << 22
+ORBIT_CUTOFF = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -123,17 +133,54 @@ def trace_basis_matrix(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
     return out
 
 
+def _multiplication_matrix(a: RingElement) -> np.ndarray:
+    """(r, r) matrix M with (a*b).coeffs = M @ b.coeffs mod q, from the r
+    products a * x^i."""
+    ctx = a.ctx
+    cols = [(a * ctx.element([0] * i + [1])).coeffs for i in range(ctx.r)]
+    return np.array(cols, dtype=np.int64).T
+
+
+def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
+    """One element per G1-orbit of the ring, as (digits, valuation).
+
+    Row 0 is zero, valuation e, an orbit of one element.  The other rows
+    are p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) with b_i in G1 or zero, for
+    v = 0..e-1; each has valuation v and stands for an orbit of p^r - 1
+    elements.  Raises SizeError above ORBIT_CUTOFF digit entries, before
+    allocating.
+    """
+    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    count = (ctx.size - 1) // (p**r - 1) + 1
+    if count * r > ORBIT_CUTOFF:
+        raise SizeError(
+            f"{count} orbit representatives of {r} digits exceed the cutoff {ORBIT_CUTOFF}"
+        )
+    zero = np.zeros((1, r), dtype=np.int64)
+    table = np.vstack([zero, [u.coeffs for u in ctx.teichmuller_units]])
+    blocks, vals = [zero], [np.array([e])]
+    for v in range(e):
+        rows = zero.copy()
+        rows[0, 0] = p**v
+        for i in range(1, e - v):
+            rows = (rows[:, None, :] + p ** (v + i) * table) % q
+            rows = rows.reshape(-1, r)
+        blocks.append(rows)
+        vals.append(np.full(rows.shape[0], v))
+    return np.concatenate(blocks), np.concatenate(vals).astype(np.int64)
+
+
 def character_sums(
-    ctx: RingContext, w_t: np.ndarray, lo: int, hi: int
+    ctx: RingContext, w_t: np.ndarray, digits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of sum_s omega^(T(gamma*s)) for gamma in [lo, hi).
+    """Real and imaginary parts of sum_s omega^(T(beta*s)), one per
+    coefficient row beta of digits.
 
     w_t is the transposed trace-basis matrix of the summation set, as
     float64.  Exact int64 parts when p^e = 4, float64 otherwise.
     """
     q = ctx.q
-    coeffs = ctx.digits_of(np.arange(lo, hi, dtype=np.int64)).astype(np.float64)
-    tv = (coeffs @ w_t).astype(np.int64)
+    tv = (np.asarray(digits, dtype=np.float64) @ w_t).astype(np.int64)
     tv %= q
     if q == 4:
         re = (tv == 0).sum(axis=1) - (tv == 2).sum(axis=1)
@@ -153,10 +200,13 @@ def _resolve_threads(threads: Optional[int]) -> int:
 
 
 def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
-    """Spectrum of the graph from character sums over every gamma.
+    """Spectrum of the graph from one character sum per G1-orbit.
 
-    Exact integers for p^e = 4; floats at merge tolerance 1e-6 otherwise.
-    The numeric path is capped at 2^24 vertices.
+    Each orbit's eigenvalue counts once per element of the orbit.  Exact
+    integers for p^e = 4; floats at merge tolerance 1e-6 otherwise.  The
+    numeric path is capped at 2^24 vertices.  Raises IntegrityError when
+    the connection set is not closed under multiplication by xi, since the
+    orbit sums only hold for a G1-stable set.
     """
     ctx = spec.ctx
     n, d = spec.n, spec.d
@@ -166,44 +216,49 @@ def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
         raise SizeError(
             f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff"
         )
+    image = (spec.s_digits @ _multiplication_matrix(ctx.xi).T) % ctx.q
+    s_idx = ctx.indices_from_digits(spec.s_digits)
+    if not np.isin(ctx.indices_from_digits(image), s_idx).all():
+        raise IntegrityError(
+            "connection set is not closed under multiplication by xi"
+        )
 
+    digits, val = orbit_representatives(ctx)
+    weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
     w_t = trace_basis_matrix(ctx, spec.s_digits).T.astype(np.float64)
     block = max(1, BLOCK_ELEMS // max(d, 1))
     imag_tol = 0 if exact else IMAG_RESIDUE_TOL * d
-    eig = None if exact else np.empty(n, dtype=np.float64)
+    eig = np.empty(len(val), dtype=np.int64 if exact else np.float64)
 
-    def work(lo: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        hi = min(lo + block, n)
-        re, im = character_sums(ctx, w_t, lo, hi)
+    def work(lo: int) -> None:
+        hi = min(lo + block, len(val))
+        re, im = character_sums(ctx, w_t, digits[lo:hi])
         if np.abs(im).max() > imag_tol:
             raise IntegrityError(
                 "imaginary part of an eigenvalue exceeds tolerance: the "
                 "connection set is not negation-closed"
             )
-        if exact:
-            return np.unique(re, return_counts=True)
         eig[lo:hi] = re
-        return None
 
-    starts = range(0, n, block)
+    starts = range(0, len(val), block)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, starts))
+            list(pool.map(work, starts))
     else:
-        results = [work(lo) for lo in starts]
+        for lo in starts:
+            work(lo)
 
     if not exact:
-        if abs(float(eig.sum())) > MERGE_TOL * n * d or abs(
-            float((eig * eig).sum()) - n * d
-        ) > MERGE_TOL * n * d:
+        first = float(eig @ weights)
+        second = float((eig * eig) @ weights)
+        if abs(first) > MERGE_TOL * n * d or abs(second - n * d) > MERGE_TOL * n * d:
             raise IntegrityError("numeric moment check failed")
-        return Spectrum(entries=_merge_numeric(eig, MERGE_TOL), exact=False, n=n, d=d)
+        entries = _merge_numeric(eig, MERGE_TOL, weights)
+        return Spectrum(entries=entries, exact=False, n=n, d=d)
 
-    counter: Counter = Counter()
-    for vals, cnts in results:
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            counter[int(v)] += int(c)
-    entries = tuple((v, counter[v]) for v in sorted(counter, reverse=True))
+    values, inverse = np.unique(eig, return_inverse=True)
+    mults = np.bincount(inverse, weights=weights).astype(np.int64)
+    entries = tuple(zip(values[::-1].tolist(), mults[::-1].tolist()))
     first = sum(v * m for v, m in entries)
     second = sum(v * v * m for v, m in entries)
     if first != 0 or second != n * d:
@@ -214,18 +269,27 @@ def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
 
 
 def _merge_numeric(
-    values: np.ndarray, tol: float
+    values: np.ndarray, tol: float, weights: Optional[np.ndarray] = None
 ) -> tuple[tuple[Union[int, float], int], ...]:
-    """Group sorted values whose consecutive gaps stay within tol."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
+    """Group sorted values whose consecutive gaps stay within tol.
+
+    Each value counts weights[i] times (once when weights is None); a group
+    reports its weighted mean and total weight.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if weights is None:
+        weights = np.ones(values.size, dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    values, weights = values[order], np.asarray(weights)[order]
     if values.size == 0:
         return ()
     cuts = np.flatnonzero(np.diff(values) > tol)
     starts = np.concatenate(([0], cuts + 1))
     ends = np.concatenate((cuts + 1, [values.size]))
-    entries = [
-        (float(values[s:e].mean()), int(e - s)) for s, e in zip(starts, ends)
-    ]
+    entries = []
+    for s, e in zip(starts, ends):
+        m = int(weights[s:e].sum())
+        entries.append((float((values[s:e] * weights[s:e]).sum() / m), m))
     entries.reverse()
     return tuple(entries)
 

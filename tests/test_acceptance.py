@@ -1,9 +1,10 @@
-"""Acceptance gate: ten criteria, one printed [PASS]/[FAIL] line each.
+"""Acceptance gate: eleven criteria, one printed [PASS]/[FAIL] line each.
 
 Covers exact even-characteristic spectra and the Ramanujan property, unit
 character-sum norms, oracle agreement, odd-characteristic interval bounds,
 the whole-ring character-sum bound, girth, energy, the residue partition,
-connectivity with the spectral diameter bound, and the ring structure maps.
+connectivity with the spectral diameter bound, the ring structure maps,
+and the exact spectral and character-sum claims on 2^24 vertices.
 """
 
 import math
@@ -357,4 +358,28 @@ def test_criterion_10_ring_structure(ring_of):
         "; ".join(failures)
         or f"{len(small)} rings exhaustive, {len(catalog) - len(small)} sampled "
         ">= 10^4 elements each",
+    )
+
+
+def test_criterion_11_exact_claims_at_2_24(ring_of):
+    start = time.perf_counter()
+    ctx = ring_of(2, 2, 12)
+    spec = build_graph(ctx)
+    sp = full_spectrum(spec)
+    reports = [
+        check_interval(spec, sp),
+        is_ramanujan(sp),
+        check_bhk(ctx),
+        check_wcu_summary(ctx),
+    ]
+    elapsed = time.perf_counter() - start
+    failures = [f"{rep.claim_id} fails at {rep.witness}" for rep in reports if not rep.holds]
+    if not sp.exact:
+        failures.append("spectrum not exact")
+    _report(
+        "criterion-11 exact-claims-at-2^24",
+        not failures,
+        "; ".join(failures)
+        or f"n={spec.n}: interval, ramanujan, bhk and wcu exact in {elapsed:.1f}s, "
+        f"spectrum {sp.entries}",
     )

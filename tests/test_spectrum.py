@@ -21,6 +21,7 @@ from grcayley import (
     full_spectrum,
     make_ring,
     oracle_spectrum,
+    orbit_representatives,
     spectral_deviation,
     trace_basis_matrix,
 )
@@ -52,8 +53,14 @@ def w_t_of(ctx, elements):
     return trace_basis_matrix(ctx, digits).T.astype(np.float64)
 
 
+def sweep(ctx, elements, lo, hi):
+    """The kernel on the digit rows of indices [lo, hi)."""
+    rows = ctx.digits_of(np.arange(lo, hi))
+    return character_sums(ctx, w_t_of(ctx, elements), rows)
+
+
 def kernel_at(ctx, elements, gamma_index):
-    re, im = character_sums(ctx, w_t_of(ctx, elements), gamma_index, gamma_index + 1)
+    re, im = sweep(ctx, elements, gamma_index, gamma_index + 1)
     return re[0], im[0]
 
 
@@ -65,7 +72,7 @@ def test_trace_counts_frozen(h16):
         2: ((2, 0, 4, 0), -2),  # gamma = 2
         0: ((6, 0, 0, 0), 6),
     }
-    re, im = character_sums(ctx, w_t_of(ctx, s), 0, h16.n)
+    re, im = sweep(ctx, s, 0, h16.n)
     for gamma, (counts, eig) in frozen.items():
         assert tuple(trace_counts(s, ctx.from_index(gamma))) == counts
         assert character_sum(s, ctx.from_index(gamma)) == (eig, 0)
@@ -86,7 +93,7 @@ def test_kernel_matches_scalar_oracle_on_char4(h16, h64):
     for spec in (h16, h64):
         ctx = spec.ctx
         for elements in (spec.connection_set, ctx.teichmuller_units):
-            re, im = character_sums(ctx, w_t_of(ctx, elements), 0, spec.n)
+            re, im = sweep(ctx, elements, 0, spec.n)
             assert re.dtype == im.dtype == np.int64
             oracle = [character_sum(elements, ctx.from_index(g)) for g in range(spec.n)]
             assert list(zip(re.tolist(), im.tolist())) == oracle
@@ -128,19 +135,30 @@ def graph_of(key):
 
 
 @settings(deadline=None, max_examples=200)
-@given(key=st.sampled_from(RINGS_UP_TO_2_12), use_g1=st.booleans(), data=st.data())
-def test_kernel_matches_scalar_oracle_property(key, use_g1, data):
+@given(
+    key=st.sampled_from(RINGS_UP_TO_2_12),
+    use_g1=st.booleans(),
+    use_rep=st.booleans(),
+    data=st.data(),
+)
+def test_kernel_matches_scalar_oracle_property(key, use_g1, use_rep, data):
     spec = graph_of(key)
     ctx = spec.ctx
     elements = ctx.teichmuller_units if use_g1 else spec.connection_set
-    gamma = data.draw(st.integers(min_value=0, max_value=spec.n - 1), label="gamma")
-    re, im = kernel_at(ctx, elements, gamma)
-    want = character_sum(elements, ctx.from_index(gamma))
-    if ctx.q == 4:
-        assert (int(re), int(im)) == want
+    if use_rep:
+        reps, _ = orbit_representatives(ctx)
+        i = data.draw(st.integers(min_value=0, max_value=len(reps) - 1), label="rep")
+        row = reps[i]
     else:
-        assert re == pytest.approx(want[0], abs=1e-9)
-        assert im == pytest.approx(want[1], abs=1e-9)
+        gamma = data.draw(st.integers(min_value=0, max_value=spec.n - 1), label="gamma")
+        row = ctx.digits_of(np.array([gamma]))[0]
+    re, im = character_sums(ctx, w_t_of(ctx, elements), row[None, :])
+    want = character_sum(elements, ctx.element(row))
+    if ctx.q == 4:
+        assert (int(re[0]), int(im[0])) == want
+    else:
+        assert re[0] == pytest.approx(want[0], abs=1e-9)
+        assert im[0] == pytest.approx(want[1], abs=1e-9)
 
 
 @pytest.mark.parametrize("key", sorted(FROZEN_SPECTRA))
