@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cayley import GraphSpec, _bfs_start, bfs_distances, spectral_interval_bound
+from .cayley import GraphSpec, spectral_interval_bound
 from .errors import IntegrityError, ParameterError
 from .ring import RingContext, RingElement, coeff_string, is_unit
 from .spectrum import (
@@ -26,11 +26,15 @@ from .spectrum import (
     MERGE_TOL,
     Spectrum,
     _multiplication_matrix,
+    _require_xi_stable,
     character_sums,
     full_spectrum,
     orbit_representatives,
+    orbit_row_map,
     trace_basis_matrix,
 )
+
+BFS_BLOCK_ROWS = 1 << 16
 
 DEFAULT_CHECKS = (
     "bhk",
@@ -249,33 +253,34 @@ def is_ramanujan(spectrum: Spectrum) -> ClaimReport:
     return ClaimReport("ramanujan", ok, bound, lam, None if ok else lam)
 
 
-def girth(spec: GraphSpec) -> Union[int, float]:
-    """Length of a shortest cycle, by single-root breadth-first search.
+def girth(spec: GraphSpec) -> int:
+    """Length of a shortest cycle, by a depth-2 search over the pair sums
+    s_i + s_j of the connection set.
 
-    Vertex transitivity makes the single root exact: an odd shortest cycle
-    shows up as a same-level edge and an even one as a double discovery,
-    both at the earliest possible level.  Returns math.inf for forests.
+    Translation carries every cycle through vertex 0, so the girth is 3
+    when some pair sum lies in S (the triangle 0, s_i, s_i + s_j), and
+    otherwise 4 when two different ordered pairs share a nonzero sum (the
+    square 0, a, a + b = c + d, c).  An abelian Cayley graph with d >= 3
+    always has such a square, from (a, b) and (b, a) with b != +-a, so
+    finding none raises IntegrityError.
     """
     ctx = spec.ctx
-    q = ctx.q
-    dist = _bfs_start(spec, 0)
-    frontier = np.array([0], dtype=np.int64)
-    level = 0
-    best = math.inf
-    while frontier.size and 2 * level + 1 < best:
-        fd = ctx.digits_of(frontier)
-        for k in range(spec.d):
-            t = ctx.indices_from_digits((fd + spec.s_digits[k]) % q)
-            prev = dist[t]
-            if (prev == level).any():
-                best = min(best, 2 * level + 1)
-            if (prev == level + 1).any():
-                best = min(best, 2 * level + 2)
-            fresh = t[prev < 0]
-            dist[fresh] = level + 1
-        level += 1
-        frontier = np.flatnonzero(dist == level)
-    return int(best) if math.isfinite(best) else best
+    block = max(1, BFS_BLOCK_ROWS // spec.d)
+    square = False
+    seen = np.empty(0, dtype=np.int64)  # nonzero pair sums, until a repeat
+    for lo in range(0, spec.d, block):
+        sums = ctx.indices_from_digits(
+            (spec.s_digits[lo : lo + block, None, :] + spec.s_digits) % ctx.q
+        )
+        if np.isin(sums, spec.s_indices).any():
+            return 3
+        if not square:
+            both = np.concatenate([seen, sums[sums != 0]])
+            seen = np.unique(both)
+            square = seen.size < both.size
+    if not square:
+        raise IntegrityError("no cycle of length 3 or 4 among the pair sums")
+    return 4
 
 
 def triangle_count(spec: GraphSpec) -> int:
@@ -293,12 +298,57 @@ def triangle_count(spec: GraphSpec) -> int:
     return total // 6
 
 
+def bfs_distances(spec: GraphSpec) -> np.ndarray:
+    """Distance from vertex 0 to each G1-orbit, one per row of
+    orbit_representatives(spec.ctx), -1 where unreachable.
+
+    Multiplication by a Teichmuller unit maps S to itself and fixes 0, so it
+    is a graph automorphism and the distance is constant on each orbit;
+    translation gives the distances from any other root.  Each level maps
+    the neighbours of one representative per frontier orbit, or per
+    unreached orbit when those are fewer, to their orbit rows in blocks of
+    about BFS_BLOCK_ROWS neighbours, and the search stops once the reached
+    orbits hold all n vertices.  Raises IntegrityError when S is not
+    closed under multiplication by xi.
+    """
+    ctx = spec.ctx
+    _require_xi_stable(spec)
+    digits, _ = orbit_representatives(ctx)
+    orbit_of = orbit_row_map(ctx)
+    dist = np.full(len(digits), -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    reached, level = 1, 0
+    block = max(1, BFS_BLOCK_ROWS // spec.d)
+    while frontier.size and reached < spec.n:
+        level += 1
+        unseen = np.flatnonzero(dist < 0)
+        # search from whichever side holds fewer orbits: an unseen orbit is
+        # at this level exactly when a neighbour is at the previous one
+        upward = unseen.size < frontier.size
+        source = unseen if upward else frontier
+        for lo in range(0, source.size, block):
+            part = source[lo : lo + block]
+            nb = digits[part, None, :] + spec.s_digits
+            nb %= ctx.q
+            rows = orbit_of(nb.reshape(-1, ctx.r))
+            if upward:
+                near = (dist[rows] == level - 1).reshape(part.size, spec.d)
+                dist[part[near.any(axis=1)]] = level
+            else:
+                dist[rows[dist[rows] < 0]] = level
+        frontier = np.flatnonzero(dist == level)
+        reached += frontier.size * (ctx.p**ctx.r - 1)
+    return dist
+
+
 def connectivity(spec: GraphSpec, spectrum: Optional[Spectrum] = None) -> dict:
     """Component count, diameter, and the spectral diameter bound
     log(n-1)/log(d/lambda); also flags the sufficient condition e < r/2 + 1."""
     ctx = spec.ctx
-    dist = bfs_distances(spec, 0)
-    reached = int((dist >= 0).sum())
+    dist = bfs_distances(spec)
+    # orbit weights: 1 for zero (row 0), p^r - 1 for every other orbit
+    reached = 1 + int((dist[1:] >= 0).sum()) * (ctx.p**ctx.r - 1)
     if spec.n % reached:
         raise IntegrityError(
             f"component of size {reached} does not divide the vertex count"

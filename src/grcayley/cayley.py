@@ -23,7 +23,6 @@ from .errors import (
     IntegrityError,
     ParameterError,
     RangeError,
-    SizeError,
 )
 from .ring import (
     MAX_RING_SIZE,
@@ -38,7 +37,6 @@ from .ring import (
 VertexId = int
 
 EXPORT_BLOCK = 1 << 14
-BFS_CUTOFF = 2**28
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,57 +117,6 @@ def neighbors(spec: GraphSpec, v: VertexId) -> list[VertexId]:
     vd = ctx.digits_of(np.array([v], dtype=np.int64))
     targets = ctx.indices_from_digits((vd + spec.s_digits) % ctx.q)
     return sorted(int(t) for t in targets)
-
-
-def _bfs_start(spec: GraphSpec, root: VertexId) -> np.ndarray:
-    """n-sized distance array, -1 except 0 at root.
-
-    Raises SizeError above BFS_CUTOFF vertices, before allocating.
-    """
-    if spec.n > BFS_CUTOFF:
-        raise SizeError(
-            f"breadth-first search on {spec.n} vertices exceeds the cutoff {BFS_CUTOFF}"
-        )
-    dist = np.full(spec.n, -1, dtype=np.int64)
-    dist[root] = 0
-    return dist
-
-
-def bfs_distances(spec: GraphSpec, root: VertexId = 0) -> np.ndarray:
-    """Distance from root to every vertex, -1 where unreachable."""
-    if not (0 <= root < spec.n):
-        raise RangeError(f"vertex {root} outside [0, {spec.n})")
-    ctx = spec.ctx
-    q = ctx.q
-    # indices are linear in the digits: the weights are the unit vectors' indices
-    weights = ctx.indices_from_digits(np.eye(ctx.r, dtype=np.int64))
-    steps = spec.s_digits[:, :, None]
-    dist = _bfs_start(spec, root)
-    frontier = np.array([root], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        # Digit-major (r, F) scratch arrays, filled in place for each
-        # generator: d fresh frontier-sized temporaries per level, each
-        # mapped and unmapped by malloc above its mmap threshold, cost more
-        # than the work itself.  Both summands lie in [0, q), so one
-        # conditional subtraction reduces the sum, far cheaper than `%`.
-        fd = np.ascontiguousarray(ctx.digits_of(frontier).T)
-        nd = np.empty_like(fd)
-        over = np.empty(fd.shape, dtype=bool)
-        t = np.empty(frontier.size, dtype=np.int64)
-        seen = np.empty_like(t)
-        fresh = np.empty(frontier.size, dtype=bool)
-        for k in range(spec.d):
-            np.add(fd, steps[k], out=nd)
-            np.greater_equal(nd, q, out=over)
-            np.subtract(nd, q, out=nd, where=over)
-            np.matmul(weights, nd, out=t)
-            np.take(dist, t, out=seen)
-            np.less(seen, 0, out=fresh)
-            dist[t[fresh]] = level + 1
-        level += 1
-        frontier = np.flatnonzero(dist == level)
-    return dist
 
 
 def export_edges(spec: GraphSpec, sink: IO[str]) -> int:

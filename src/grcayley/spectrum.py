@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -141,6 +141,18 @@ def _multiplication_matrix(a: RingElement) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
+def _require_xi_stable(spec: GraphSpec) -> None:
+    """Raise IntegrityError unless the connection set is closed under
+    multiplication by xi, the G1-stability every orbit reduction needs."""
+    ctx = spec.ctx
+    image = (spec.s_digits @ _multiplication_matrix(ctx.xi).T) % ctx.q
+    s_idx = ctx.indices_from_digits(spec.s_digits)
+    if not np.isin(ctx.indices_from_digits(image), s_idx).all():
+        raise IntegrityError(
+            "connection set is not closed under multiplication by xi"
+        )
+
+
 def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
     """One element per G1-orbit of the ring, as (digits, valuation).
 
@@ -168,6 +180,57 @@ def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
         blocks.append(rows)
         vals.append(np.full(rows.shape[0], v))
     return np.concatenate(blocks), np.concatenate(vals).astype(np.int64)
+
+
+def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
+    """Map (m, r) digit rows to the rows of orbit_representatives(ctx)
+    whose G1-orbits hold those elements.
+
+    An element of valuation v has Teichmuller digits x = sum_{i>=v} t_i p^i
+    with t_v != 0, and lies in the orbit of p^v * (1 + sum_{i>v} (t_i/t_v)
+    p^(i-v)).  Its row is therefore the first row of valuation v plus a
+    mixed-radix number over the digit ratios t_i/t_v, each read as 0 for
+    zero and 1 + k for xi^k through a discrete-log table on the residue
+    field.  The digits come from residues mod p and the Teichmuller lift
+    table; no ring multiplication and no n-sized table is involved.
+    """
+    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    pr = p**r
+    units = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
+    place = p ** np.arange(r, dtype=np.int64)
+    residue = (units % p) @ place
+    log = np.full(pr, -1, dtype=np.int64)  # residue index -> k with xi^k
+    log[residue] = np.arange(pr - 1)
+    # residue index -> (t - residue)/p for the Teichmuller digit t over it
+    lift_high = np.zeros((pr, r), dtype=np.int64)
+    lift_high[residue] = units // p
+    start = [1]  # first row of each valuation; zero (valuation e) is row 0
+    for v in range(e - 1):
+        start.append(start[-1] + pr ** (e - 1 - v))
+    start = np.array(start + [0], dtype=np.int64)
+
+    def rows(digits: np.ndarray) -> np.ndarray:
+        x = np.array(digits, dtype=np.int64)
+        row = np.zeros(len(x), dtype=np.int64)
+        lead = np.full(len(x), -1, dtype=np.int64)  # log t_v, -1 before v
+        val = np.full(len(x), e, dtype=np.int64)
+        for i in range(e):
+            high = x // p
+            k = (x - high * p) @ place  # residue index of t_i
+            t = log[k]
+            before = lead < 0
+            ratio = (t - lead) % (pr - 1) + 1
+            ratio[before | (t < 0)] = 0
+            row = row * pr + ratio  # stays 0 up to the leading digit
+            first = before & (t >= 0)
+            lead[first] = t[first]
+            val[first] = i
+            if i + 1 < e:
+                # x <- (x - t_i)/p, coefficientwise mod q/p^(i+1)
+                x = (high - lift_high[k]) % (q // p ** (i + 1))
+        return row + start[val]
+
+    return rows
 
 
 def character_sums(
@@ -216,12 +279,7 @@ def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
         raise SizeError(
             f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff"
         )
-    image = (spec.s_digits @ _multiplication_matrix(ctx.xi).T) % ctx.q
-    s_idx = ctx.indices_from_digits(spec.s_digits)
-    if not np.isin(ctx.indices_from_digits(image), s_idx).all():
-        raise IntegrityError(
-            "connection set is not closed under multiplication by xi"
-        )
+    _require_xi_stable(spec)
 
     digits, val = orbit_representatives(ctx)
     weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)

@@ -1,5 +1,6 @@
 """Claim checks against frozen values and independent graph oracles."""
 
+import dataclasses
 import math
 
 import networkx as nx
@@ -32,7 +33,7 @@ from grcayley import (
     padic_coords,
     verify_graph,
 )
-from grcayley import cayley
+from grcayley import spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
@@ -213,14 +214,50 @@ def test_girth_frozen():
 
 
 def test_bfs_size_guard(monkeypatch):
+    # the BFS holds one entry per orbit representative, guarded by
+    # ORBIT_CUTOFF; girth allocates nothing of that size
     spec = graph_for(2, 2, 3)
-    monkeypatch.setattr(cayley, "BFS_CUTOFF", spec.n - 1)
-    for search in (bfs_distances, girth, connectivity):
+    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * spec.ctx.r - 1)
+    for search in (bfs_distances, connectivity):
         with pytest.raises(SizeError):
             search(spec)
-    monkeypatch.setattr(cayley, "BFS_CUTOFF", spec.n)
     assert girth(spec) == 4
+    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * spec.ctx.r)
     assert bfs_distances(spec).max() == connectivity(spec)["diameter"]
+
+
+# weighted sphere sizes |{v : dist(0, v) = k}|, frozen from a BFS over all
+# n vertices (seed 0, gamma = 1)
+FROZEN_SPHERES = {
+    (2, 2, 8): [1, 510, 65025],
+    (7, 2, 3): [1, 342, 47880, 69426],
+    (2, 4, 5): [1, 62, 1922, 36332, 387314, 621395, 1550],
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_SPHERES))
+def test_bfs_sphere_sizes_frozen(key):
+    spec = graph_for(*key)
+    dist = bfs_distances(spec)
+    weights = np.where(np.arange(len(dist)) == 0, 1, spec.ctx.p**spec.ctx.r - 1)
+    assert (dist >= 0).all()
+    assert np.bincount(dist, weights=weights).astype(int).tolist() == FROZEN_SPHERES[key]
+    rec = connectivity(spec)
+    assert rec["connected"] and rec["diameter"] == len(FROZEN_SPHERES[key]) - 1
+
+
+def test_girth_without_short_cycle_raises():
+    # S = {1, -1} in GR(8, 8^2) spans 8-cycles, so no pair sum closes a
+    # triangle or a square; build_graph never builds a set this small
+    spec = graph_for(2, 3, 2)
+    ctx = spec.ctx
+    pair = (ctx.one, -ctx.one)
+    idx = np.array([s.index for s in pair], dtype=np.int64)
+    cycle = dataclasses.replace(
+        spec, connection_set=pair, d=2, s_indices=idx, s_digits=ctx.digits_of(idx)
+    )
+    with pytest.raises(IntegrityError, match="pair sums"):
+        girth(cycle)
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)

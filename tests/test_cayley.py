@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbit_oracle import vertex_distances
 
 from grcayley import (
     ContextMismatchError,
@@ -17,8 +21,10 @@ from grcayley import (
     build_graph,
     export_edges,
     family_params,
+    is_unit,
     make_ring,
     neighbors,
+    orbit_representatives,
 )
 from grcayley.cayley import spectral_interval_bound
 
@@ -118,14 +124,43 @@ def test_export_deterministic(h16):
 
 
 def test_bfs_distances_match_networkx(h16, h81):
-    for spec in (h16, h81):
-        g = as_networkx(spec)
-        ref = nx.single_source_shortest_path_length(g, 0)
-        dist = bfs_distances(spec, 0)
-        assert all(dist[v] == ref[v] for v in ref)
-        assert (dist >= 0).sum() == len(ref)
-    with pytest.raises(RangeError):
-        bfs_distances(h16, -1)
+    ctx = make_ring(RingParams(2, 2, 3))
+    twisted = build_graph(ctx, ctx.element([3, 1, 2]))
+    for spec in (h16, h81, twisted):
+        ref = nx.single_source_shortest_path_length(as_networkx(spec), 0)
+        dist = bfs_distances(spec)
+        assert vertex_distances(spec, dist) == [ref.get(v, -1) for v in range(spec.n)]
+
+
+RINGS_UP_TO_2_12 = [
+    (p, e, r)
+    for p in (2, 3, 5, 7)
+    for e in range(2, 7)
+    for r in range(2, 7)
+    if p ** (e * r) <= 1 << 12
+]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    key=st.sampled_from(RINGS_UP_TO_2_12),
+    seed=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_bfs_distances_property(key, seed, data):
+    ctx = make_ring(RingParams(*key, seed=seed))
+    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
+    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    spec = build_graph(ctx, gamma)
+    ref = nx.single_source_shortest_path_length(as_networkx(spec), 0)
+    dist = bfs_distances(spec)
+    reps, _ = orbit_representatives(ctx)
+    assert dist.tolist() == [ref.get(int(v), -1) for v in ctx.indices_from_digits(reps)]
+    # each orbit but zero's holds p^r - 1 vertices at the same distance
+    weights = np.where(np.arange(len(dist)) == 0, 1, ctx.p**ctx.r - 1)
+    reached = dist >= 0
+    spheres = np.bincount(dist[reached], weights=weights[reached]).astype(int)
+    assert spheres.tolist() == np.bincount(list(ref.values())).tolist()
 
 
 def test_interval_bound_pieces():

@@ -7,15 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from orbit_oracle import orbit_row_oracle
 from grcayley import (
     IntegrityError,
     RingParams,
     SizeError,
+    bfs_distances,
     build_graph,
     character_sums,
     check_bhk,
     check_residue_partition,
     check_wcu_summary,
+    connectivity,
     full_spectrum,
     make_ring,
     orbit_representatives,
@@ -25,7 +28,7 @@ from grcayley import (
 from grcayley import analysis, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import coeff_string
-from grcayley.spectrum import MERGE_TOL, _merge_numeric
+from grcayley.spectrum import MERGE_TOL, _merge_numeric, orbit_row_map
 
 SWEEP_KEYS = [(2, 2, 8), (2, 4, 4), (2, 3, 5), (3, 2, 4), (5, 2, 3), (7, 2, 2)]
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 4, 2), (5, 2, 2), (3, 3, 2)]
@@ -134,8 +137,17 @@ def test_full_spectrum_rejects_xi_unstable_connection_set():
     unstable = dataclasses.replace(
         spec, connection_set=pair, d=2, s_indices=idx, s_digits=ctx.digits_of(idx)
     )
-    with pytest.raises(IntegrityError, match="xi"):
-        full_spectrum(unstable)
+    for check in (full_spectrum, bfs_distances, connectivity):
+        with pytest.raises(IntegrityError, match="xi"):
+            check(unstable)
+
+
+@pytest.mark.parametrize("key", SMALL_KEYS)
+def test_orbit_row_map_matches_scalar_oracle(key):
+    ctx = make_ring(RingParams(*key))
+    oracle = orbit_row_oracle(ctx)
+    want = [oracle(ctx.from_index(i)) for i in range(ctx.size)]
+    assert orbit_row_map(ctx)(ctx.digits_of(np.arange(ctx.size))).tolist() == want
 
 
 def test_orbit_size_guard(monkeypatch):
