@@ -22,16 +22,14 @@ from .cayley import GraphSpec, spectral_interval_bound
 from .errors import IntegrityError, ParameterError
 from .ring import RingContext, RingElement, coeff_string, is_unit
 from .spectrum import (
-    BLOCK_ELEMS,
     MERGE_TOL,
     Spectrum,
     _multiplication_matrix,
+    _orbit_sums,
     _require_xi_stable,
-    character_sums,
     full_spectrum,
     orbit_representatives,
     orbit_row_map,
-    trace_basis_matrix,
 )
 
 BFS_BLOCK_ROWS = 1 << 16
@@ -109,22 +107,6 @@ def check_interval(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
     return ClaimReport("interval", ok_all, bound, worst, witness)
 
 
-def _zeta_on_orbits(ctx: RingContext) -> tuple[np.ndarray, ...]:
-    """zeta(beta) = sum_{u in G1} omega^(T(beta*u)) on one beta per G1-orbit,
-    as (digits, valuation, re, im); zeta is constant on each orbit."""
-    digits, val = orbit_representatives(ctx)
-    g1_idx = np.array([u.index for u in ctx.teichmuller_units], dtype=np.int64)
-    w_t = trace_basis_matrix(ctx, ctx.digits_of(g1_idx)).T.astype(np.float64)
-    block = max(1, BLOCK_ELEMS // w_t.shape[1])
-    parts = [
-        character_sums(ctx, w_t, digits[lo : lo + block])
-        for lo in range(0, len(val), block)
-    ]
-    re = np.concatenate([part[0] for part in parts])
-    im = np.concatenate([part[1] for part in parts])
-    return digits, val, re, im
-
-
 def _wcu_norm_within_bound(
     normsq: np.ndarray, val: np.ndarray, p: int, e: int, r: int
 ) -> np.ndarray:
@@ -156,7 +138,8 @@ def check_wcu_summary(ctx: RingContext) -> ClaimReport:
     itself comes from exact integer comparisons.
     """
     p, e, r = ctx.p, ctx.e, ctx.r
-    digits, val, re, im = (a[1:] for a in _zeta_on_orbits(ctx))  # row 0 is zero
+    g1 = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
+    digits, val, re, im = (a[1:] for a in _orbit_sums(ctx, g1))  # row 0 is zero
     bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
     mags = np.hypot(re, im)
     if ctx.q == 4:
@@ -179,7 +162,8 @@ def check_bhk(ctx: RingContext) -> ClaimReport:
     if ctx.q != 4:
         raise ParameterError("the character sum identity requires p^e = 4")
     pr = 2**ctx.r
-    digits, val, re, im = _zeta_on_orbits(ctx)
+    g1 = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
+    digits, val, re, im = _orbit_sums(ctx, g1)
     dev = np.where(
         val == 0,
         np.abs((re + 1) ** 2 + im**2 - pr),
@@ -253,6 +237,17 @@ def is_ramanujan(spectrum: Spectrum) -> ClaimReport:
     return ClaimReport("ramanujan", ok, bound, lam, None if ok else lam)
 
 
+def _pair_sums(spec: GraphSpec):
+    """Indices of the pair sums s_i + s_j of the connection set, as (m, d)
+    blocks over consecutive i of about BFS_BLOCK_ROWS sums each."""
+    ctx = spec.ctx
+    block = max(1, BFS_BLOCK_ROWS // spec.d)
+    for lo in range(0, spec.d, block):
+        sums = spec.s_digits[lo : lo + block, None, :] + spec.s_digits
+        sums %= ctx.q
+        yield ctx.indices_from_digits(sums)
+
+
 def girth(spec: GraphSpec) -> int:
     """Length of a shortest cycle, by a depth-2 search over the pair sums
     s_i + s_j of the connection set.
@@ -264,14 +259,9 @@ def girth(spec: GraphSpec) -> int:
     always has such a square, from (a, b) and (b, a) with b != +-a, so
     finding none raises IntegrityError.
     """
-    ctx = spec.ctx
-    block = max(1, BFS_BLOCK_ROWS // spec.d)
     square = False
     seen = np.empty(0, dtype=np.int64)  # nonzero pair sums, until a repeat
-    for lo in range(0, spec.d, block):
-        sums = ctx.indices_from_digits(
-            (spec.s_digits[lo : lo + block, None, :] + spec.s_digits) % ctx.q
-        )
+    for sums in _pair_sums(spec):
         if np.isin(sums, spec.s_indices).any():
             return 3
         if not square:
@@ -284,14 +274,17 @@ def girth(spec: GraphSpec) -> int:
 
 
 def triangle_count(spec: GraphSpec) -> int:
-    """Number of triangles, via per-vertex ordered pair counting."""
-    ctx = spec.ctx
-    q = ctx.q
-    s_sorted = np.sort(spec.s_indices)
-    ordered = 0
-    for k in range(spec.d):
-        t = ctx.indices_from_digits((spec.s_digits - spec.s_digits[k]) % q)
-        ordered += int(np.isin(t, s_sorted).sum())
+    """Number of triangles, from the ordered pairs (s_i, s_j) whose sum lies
+    in S.
+
+    The triangles through vertex 0, as ordered pairs (a, b) of adjacent
+    neighbours, are the pairs with b - a in S; a = s_i and b = s_i + s_j
+    match them one to one with those pair sums.  Each triangle has 3
+    vertices and 2 orders, hence n * count / 6.
+    """
+    ordered = sum(
+        int(np.isin(sums, spec.s_indices).sum()) for sums in _pair_sums(spec)
+    )
     total = spec.n * ordered
     if total % 6:
         raise IntegrityError(f"triangle count {total} is not divisible by 6")
@@ -410,7 +403,6 @@ def energy_report(spectrum: Spectrum) -> dict:
 def verify_graph(
     spec: GraphSpec,
     checks: Optional[Sequence[str]] = None,
-    threads: Optional[int] = None,
 ) -> dict:
     """Run the selected checks and assemble the JSON-ready report."""
     ctx = spec.ctx
@@ -423,7 +415,7 @@ def verify_graph(
             raise ParameterError(f"unknown checks: {sorted(unknown)}")
 
     char4 = ctx.q == 4
-    spectrum = full_spectrum(spec, threads=threads)
+    spectrum = full_spectrum(spec)
     claims: list[ClaimReport] = []
     skipped: list[str] = []
 

@@ -56,7 +56,6 @@ class RunConfig:
     output: Optional[str] = None
     fmt: str = "csv"
     checks: Optional[tuple[str, ...]] = None
-    threads: Optional[int] = None
     delta: str = "1/2"
     r_min: int = 2
     r_max: int = 8
@@ -111,7 +110,7 @@ def _cmd_graph_export(cfg: RunConfig) -> int:
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
     spec = _graph(cfg)
-    sp = full_spectrum(spec, threads=cfg.threads)
+    sp = full_spectrum(spec)
     if cfg.fmt == "json":
         payload = {
             "n": sp.n,
@@ -129,7 +128,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     spec = _graph(cfg)
-    report = verify_graph(spec, checks=cfg.checks, threads=cfg.threads)
+    report = verify_graph(spec, checks=cfg.checks)
     _emit(json.dumps(report, indent=2) + "\n", cfg.output)
     failed = [
         c for c in report["claims"] if c["asserted"] and not c["holds"]
@@ -151,7 +150,7 @@ def _cmd_family(cfg: RunConfig) -> int:
         observed = "-"
         if fam["n"] <= FAMILY_OBSERVED_CUTOFF:
             ctx = make_ring(RingParams(fam["p"], fam["e"], fam["r"], cfg.seed))
-            sp = full_spectrum(build_graph(ctx), threads=cfg.threads)
+            sp = full_spectrum(build_graph(ctx))
             observed = _fmt_value(sp.lambda_g())
         rows.append(
             f"{fam['r']} {fam['e']} {fam['n']} {fam['d']} "
@@ -216,13 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_args(sp)
     _add_gamma_arg(sp)
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("verify", help="run claim checks, report JSON")
     _add_ring_args(sp)
     _add_gamma_arg(sp)
     sp.add_argument("--checks", help="comma-separated subset of checks")
-    sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("family", help="table of family members over a range of r")
     sp.add_argument("-p", type=int, required=True, help="prime p")
@@ -230,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-min", type=int, default=2)
     sp.add_argument("--r-max", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--output", help="output path, - for stdout")
 
     return parser
@@ -243,7 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "p": getattr(args, "p", 2),
         "seed": getattr(args, "seed", 0),
         "output": getattr(args, "output", None),
-        "threads": getattr(args, "threads", None),
     }
     if args.command == "family":
         kwargs.update(

@@ -30,7 +30,6 @@ from .errors import (
 )
 
 MAX_RING_SIZE = 2**32
-TRACE_TABLE_CUTOFF = 2**24
 
 
 def _is_prime(n: int) -> bool:
@@ -444,9 +443,9 @@ class RingContext:
             raise IntegrityError("trace is not scalar-valued; modulus is unusable")
         self.trace_form: tuple[int, ...] = tuple(total[0])
 
+        # Always None: trace_form gives every trace, so no per-element table
+        # is built; the attribute stays because perfbench/workloads.py reads it.
         self.trace_table: Optional[np.ndarray] = None
-        if self.size <= TRACE_TABLE_CUTOFF:
-            self.trace_table = self._build_trace_table()
 
     # -- scalar coefficient arithmetic ------------------------------------
 
@@ -511,22 +510,6 @@ class RingContext:
             raise ParameterError("frobenius power must be non-negative")
         return np.array(self._frob_mats[k % self.r], dtype=np.int64)
 
-    def _build_trace_table(self) -> np.ndarray:
-        if self.q <= 256:
-            dtype = np.uint8
-        elif self.q <= 65536:
-            dtype = np.uint16
-        else:
-            dtype = np.uint32
-        table = np.empty(self.size, dtype=dtype)
-        form = np.array(self.trace_form, dtype=np.int64)
-        block = 1 << 20
-        for lo in range(0, self.size, block):
-            hi = min(lo + block, self.size)
-            digit_block = self.digits_of(np.arange(lo, hi, dtype=np.int64))
-            table[lo:hi] = (digit_block @ form) % self.q
-        return table
-
 
 def _matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
     n = len(a)
@@ -590,8 +573,6 @@ def frobenius(a: RingElement, k: int = 1) -> RingElement:
 def trace(a: RingElement) -> int:
     """Sum of the r Frobenius conjugates, an element of Z_q reported as an int."""
     ctx = a.ctx
-    if ctx.trace_table is not None:
-        return int(ctx.trace_table[a.index])
     return sum(t * c for t, c in zip(ctx.trace_form, a.coeffs)) % ctx.q
 
 

@@ -16,9 +16,11 @@ per G1-orbit.  G1 acts freely on the nonzero elements: an element of
 valuation v is u * p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) for exactly one
 u in G1 and b_i in G1 or zero.  orbit_representatives lists those
 (n-1)/(p^r-1) representatives, each standing for an orbit of p^r - 1
-elements, after beta = 0, an orbit of its own.  full_spectrum weights
-every eigenvalue by its orbit size, so a spectrum costs (n-1)/(p^r-1) + 1
-sums instead of n.
+elements, after beta = 0, an orbit of its own.  One sweep, _orbit_sums,
+runs the kernel over those representatives in blocks, for full_spectrum
+with S the connection set and for the wcu and bhk checks with S = G1.
+full_spectrum weights every eigenvalue by its orbit size, so a spectrum
+costs (n-1)/(p^r-1) + 1 sums instead of n.
 
 The kernel gets the trace values of a block at once through the linear
 form T(beta*s) = sum_i a_i * T(x^i * s), a_i the coefficients of beta, as
@@ -34,8 +36,6 @@ and eigenvalues carry an imaginary-residue self-check of 1e-9 * d.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -253,16 +253,25 @@ def character_sums(
     return np.cos(angles)[tv].sum(axis=1), np.sin(angles)[tv].sum(axis=1)
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        env = os.environ.get("GRCAYLEY_THREADS", "")
-        threads = int(env) if env else 1
-    if not isinstance(threads, int) or threads < 1:
-        raise ParameterError(f"threads must be a positive int, got {threads!r}")
-    return threads
+def _orbit_sums(
+    ctx: RingContext, s_digits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """sum_{s in S} omega^(T(beta*s)) on one beta per G1-orbit, as
+    (digits, valuation, re, im) over the rows of orbit_representatives,
+    for the summation set S given by its (d, r) digit rows s_digits."""
+    digits, val = orbit_representatives(ctx)
+    w_t = trace_basis_matrix(ctx, s_digits).T.astype(np.float64)
+    block = max(1, BLOCK_ELEMS // max(len(s_digits), 1))
+    parts = [
+        character_sums(ctx, w_t, digits[lo : lo + block])
+        for lo in range(0, len(val), block)
+    ]
+    re = np.concatenate([part[0] for part in parts])
+    im = np.concatenate([part[1] for part in parts])
+    return digits, val, re, im
 
 
-def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
+def full_spectrum(spec: GraphSpec) -> Spectrum:
     """Spectrum of the graph from one character sum per G1-orbit.
 
     Each orbit's eigenvalue counts once per element of the orbit.  Exact
@@ -273,7 +282,6 @@ def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
     """
     ctx = spec.ctx
     n, d = spec.n, spec.d
-    threads = _resolve_threads(threads)
     exact = ctx.q == 4
     if not exact and n > NUMERIC_SPECTRUM_CUTOFF:
         raise SizeError(
@@ -281,30 +289,13 @@ def full_spectrum(spec: GraphSpec, threads: Optional[int] = None) -> Spectrum:
         )
     _require_xi_stable(spec)
 
-    digits, val = orbit_representatives(ctx)
+    _, val, eig, im = _orbit_sums(ctx, spec.s_digits)
+    if np.abs(im).max() > (0 if exact else IMAG_RESIDUE_TOL * d):
+        raise IntegrityError(
+            "imaginary part of an eigenvalue exceeds tolerance: the "
+            "connection set is not negation-closed"
+        )
     weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
-    w_t = trace_basis_matrix(ctx, spec.s_digits).T.astype(np.float64)
-    block = max(1, BLOCK_ELEMS // max(d, 1))
-    imag_tol = 0 if exact else IMAG_RESIDUE_TOL * d
-    eig = np.empty(len(val), dtype=np.int64 if exact else np.float64)
-
-    def work(lo: int) -> None:
-        hi = min(lo + block, len(val))
-        re, im = character_sums(ctx, w_t, digits[lo:hi])
-        if np.abs(im).max() > imag_tol:
-            raise IntegrityError(
-                "imaginary part of an eigenvalue exceeds tolerance: the "
-                "connection set is not negation-closed"
-            )
-        eig[lo:hi] = re
-
-    starts = range(0, len(val), block)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for lo in starts:
-            work(lo)
 
     if not exact:
         first = float(eig @ weights)

@@ -291,7 +291,6 @@ def _ring_core_defect(ctx, rng):
         idx = np.unique(rng.integers(0, n, 12000))
     co = ctx.digits_of(idx)
     m1 = ctx.frobenius_matrix(1)
-    tt = ctx.trace_table
 
     cur = co
     for _ in range(r):
@@ -299,12 +298,23 @@ def _ring_core_defect(ctx, rng):
     if not (cur == co).all():
         return "frobenius order != r"
 
-    counts = np.bincount(tt, minlength=q)
+    # T(a) = sum_k frobenius^k(a) must lie in Z_q: coefficients 1..r-1 vanish
+    t_mat = sum(ctx.frobenius_matrix(k) for k in range(r)) % q
+    if t_mat[1:].any():
+        return "trace not scalar-valued"
+
+    def tr(digits):
+        return (digits @ t_mat[0]) % q
+
+    block = 1 << 16
+    counts = sum(
+        np.bincount(tr(ctx.digits_of(np.arange(lo, min(lo + block, n)))), minlength=q)
+        for lo in range(0, n, block)
+    )
     if not (counts == n // q).all():
         return "trace not balanced onto Z_q"
 
-    phi_idx = ctx.indices_from_digits((co @ m1.T) % q)
-    if not (tt[phi_idx] == tt[idx]).all():
+    if not (tr((co @ m1.T) % q) == tr(co)).all():
         return "trace not frobenius-invariant"
 
     if n <= 256:
@@ -313,8 +323,8 @@ def _ring_core_defect(ctx, rng):
     else:
         ia = rng.integers(0, n, 10000)
         ib = rng.integers(0, n, 10000)
-    sums = ctx.indices_from_digits((ctx.digits_of(ia) + ctx.digits_of(ib)) % q)
-    if not (tt[sums] == (tt[ia].astype(np.int64) + tt[ib]) % q).all():
+    da, db = ctx.digits_of(ia), ctx.digits_of(ib)
+    if not (tr((da + db) % q) == (tr(da) + tr(db)) % q).all():
         return "trace not additive"
 
     order = p**r - 1

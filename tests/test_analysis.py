@@ -275,11 +275,13 @@ def test_triangles_match_networkx(key):
 
 def test_triangles_frozen_and_third_moment(h16):
     assert triangle_count(h16) == 32
-    for r in (2, 3, 4):
-        spec = graph_for(2, 2, r)
+    big = graph_for(2, 2, 8)  # d = 510: the pair sums span 4 blocks
+    assert triangle_count(big) == 11_141_120
+    for spec in [graph_for(2, 2, r) for r in (2, 3, 4)] + [big]:
         sp = full_spectrum(spec)
         third = sum(v**3 * m for v, m in sp.entries)
         assert third == 6 * triangle_count(spec)
+    assert triangle_count(graph_for(7, 2, 3)) == 13_411_986  # odd p
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)

@@ -115,12 +115,11 @@ def test_spectrum_numeric_formatting(capsys):
     assert sum(int(line.split(",")[1]) for line in lines[1:]) == 81
 
 
-def test_spectrum_threads_flag(capsys):
-    base = run_cli(capsys, ["spectrum", "-p", "2", "-e", "2", "-r", "3"])
-    threaded = run_cli(
-        capsys, ["spectrum", "-p", "2", "-e", "2", "-r", "3", "--threads", "2"]
-    )
-    assert threaded == base
+def test_threads_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "-p", "2", "-e", "2", "-r", "3", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_spectrum_gamma_twist_same_entries(capsys):

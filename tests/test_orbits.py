@@ -25,7 +25,7 @@ from grcayley import (
     padic_coords,
     trace_basis_matrix,
 )
-from grcayley import analysis, spectrum
+from grcayley import spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import coeff_string
 from grcayley.spectrum import MERGE_TOL, _merge_numeric, orbit_row_map
@@ -168,7 +168,7 @@ def test_failure_witness_is_an_orbit_representative(monkeypatch):
         re, im = character_sums(ctx, w_t, digits)
         return re + 5, im
 
-    monkeypatch.setattr(analysis, "character_sums", shifted)
+    monkeypatch.setattr(spectrum, "character_sums", shifted)
     for check in (check_wcu_summary, check_bhk):
         rep = check(ctx)
         assert not rep.holds

@@ -20,6 +20,7 @@ from grcayley import (
     padic_coords,
     project_residue,
     trace,
+    trace_basis_matrix,
 )
 from grcayley.ring import coeff_string, parse_coeff_string
 
@@ -383,11 +384,12 @@ def test_trace_linear_surjective_balanced(p, e, r):
 
 
 def test_trace_table_matches_scalar_form(ctx33):
-    assert ctx33.trace_table is not None
-    form = np.array(ctx33.trace_form, dtype=np.int64)
+    # no per-element table is built: column 0 of the trace-basis matrix of
+    # every element is the table of traces, and must match the scalar trace
+    assert ctx33.trace_table is None
     digits = ctx33.digits_of(np.arange(ctx33.size, dtype=np.int64))
-    expected = (digits @ form) % ctx33.q
-    assert np.array_equal(ctx33.trace_table.astype(np.int64), expected)
+    expected = [trace(ctx33.from_index(i)) for i in range(ctx33.size)]
+    assert trace_basis_matrix(ctx33, digits)[:, 0].tolist() == expected
 
 
 # ---------------------------------------------------------------------------

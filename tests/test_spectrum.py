@@ -205,20 +205,6 @@ def test_twisted_spectrum_equals_untwisted(h64):
     assert full_spectrum(twisted).entries == full_spectrum(h64).entries
 
 
-def test_threads_do_not_change_results(h64, h81):
-    for spec in (h64, h81):
-        assert full_spectrum(spec, threads=1).entries == full_spectrum(
-            spec, threads=3
-        ).entries
-    with pytest.raises(ParameterError):
-        full_spectrum(h64, threads=0)
-
-
-def test_threads_env_fallback(h16, monkeypatch):
-    monkeypatch.setenv("GRCAYLEY_THREADS", "2")
-    assert full_spectrum(h16).entries == FROZEN_SPECTRA[(2, 2, 2)]
-
-
 def test_spectrum_helpers(h16):
     sp = full_spectrum(h16)
     assert sp.distinct == 3
