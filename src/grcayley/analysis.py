@@ -138,8 +138,8 @@ def check_wcu_summary(ctx: RingContext) -> ClaimReport:
     itself comes from exact integer comparisons.
     """
     p, e, r = ctx.p, ctx.e, ctx.r
-    g1 = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
-    digits, val, re, im = (a[1:] for a in _orbit_sums(ctx, g1))  # row 0 is zero
+    sums = _orbit_sums(ctx, ctx.teich_digits)
+    digits, val, re, im = (a[1:] for a in sums)  # row 0 is zero
     bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
     mags = np.hypot(re, im)
     if ctx.q == 4:
@@ -162,8 +162,7 @@ def check_bhk(ctx: RingContext) -> ClaimReport:
     if ctx.q != 4:
         raise ParameterError("the character sum identity requires p^e = 4")
     pr = 2**ctx.r
-    g1 = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
-    digits, val, re, im = _orbit_sums(ctx, g1)
+    digits, val, re, im = _orbit_sums(ctx, ctx.teich_digits)
     dev = np.where(
         val == 0,
         np.abs((re + 1) ** 2 + im**2 - pr),
@@ -182,10 +181,16 @@ def check_residue_partition(
     (1 - xi^t)*gamma*G1 (t = 1..2^r-2) partition the units, and
     2*gamma*G1 with 0 adjoined exhausts the non-units.
 
-    Each coset is the orbit of its representative under repeated
-    multiplication by xi.  observed_value counts the elements the unit
-    cosets reach; a failure's witness is the smallest index that the unit
-    cosets or the non-unit set cover a wrong number of times.
+    Each coset is the G1-orbit of its representative, and G1 acts freely
+    on the nonzero elements.  So the 2^r unit cosets partition the
+    2^r (2^r - 1) units exactly when their representatives are units in
+    pairwise distinct orbits, and 2*gamma*G1 with 0 is the set of 2^r
+    non-units exactly when 2*gamma lies in the one orbit of valuation 1;
+    one orbit_row_map call on the 2^r + 1 representatives decides both.
+    observed_value counts the units in the distinct unit orbits reached;
+    a failure's witness is the flat index of the first representative
+    that is a non-unit or repeats an earlier orbit, or of 2*gamma when it
+    misses the valuation-1 orbit.
     """
     if ctx.q != 4:
         raise ParameterError("the residue decomposition requires p^e = 4")
@@ -196,32 +201,26 @@ def check_residue_partition(
     if not is_unit(gamma):
         raise ParameterError("the residue decomposition requires a unit gamma")
 
-    q, n, order = ctx.q, ctx.size, 2**ctx.r - 1
-    g1 = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
+    q, pr = ctx.q, 2**ctx.r
+    g1 = ctx.teich_digits
     one = g1[:1]
     # rows gamma, -gamma, (1 - xi^t)*gamma for t = 1..2^r-2, then 2*gamma
     base = np.vstack([one, (-one) % q, (one - g1[1:]) % q, 2 * one])
-    cur = (base @ _multiplication_matrix(gamma).T) % q
-    m_xi = _multiplication_matrix(ctx.xi).T
-    cosets = np.empty((cur.shape[0], order), dtype=np.int64)
-    for j in range(order):
-        cosets[:, j] = ctx.indices_from_digits(cur)
-        cur = (cur @ m_xi) % q
-
-    # the non-units are the elements with every coefficient even
-    bits = (np.arange(2**ctx.r)[:, None] >> np.arange(ctx.r)) & 1
-    unit = np.ones(n, dtype=bool)
-    unit[ctx.indices_from_digits(2 * bits)] = False
-    unit_count = np.bincount(cosets[:-1].ravel(), minlength=n)
-    nonunit_count = np.bincount(np.append(cosets[-1], 0), minlength=n)
-    wrong = np.flatnonzero((unit_count != unit) | (nonunit_count != ~unit))
-    holds = wrong.size == 0
+    reps = (base @ _multiplication_matrix(gamma).T) % q
+    # orbit rows: 0 is zero, 1..2^r the units, 2^r + 1 the nonzero non-units
+    rows = orbit_row_map(ctx)(reps)
+    unit_rows = rows[:-1]
+    # the first representative to reach each unit orbit
+    fresh = np.zeros(pr, dtype=bool)
+    fresh[np.unique(unit_rows, return_index=True)[1]] = True
+    fresh &= (unit_rows > 0) & (unit_rows <= pr)
+    bad = np.flatnonzero(~np.append(fresh, rows[-1] == pr + 1))
     return ClaimReport(
         "residue",
-        holds,
-        int(unit.sum()),
-        int(np.count_nonzero(unit_count)),
-        None if holds else int(wrong[0]),
+        bad.size == 0,
+        ctx.size - pr,
+        int(fresh.sum()) * (pr - 1),
+        int(ctx.indices_from_digits(reps[bad[0]])) if bad.size else None,
     )
 
 
@@ -237,40 +236,19 @@ def is_ramanujan(spectrum: Spectrum) -> ClaimReport:
     return ClaimReport("ramanujan", ok, bound, lam, None if ok else lam)
 
 
-def _pair_sums(spec: GraphSpec):
-    """Indices of the pair sums s_i + s_j of the connection set, as (m, d)
-    blocks over consecutive i of about BFS_BLOCK_ROWS sums each."""
-    ctx = spec.ctx
-    block = max(1, BFS_BLOCK_ROWS // spec.d)
-    for lo in range(0, spec.d, block):
-        sums = spec.s_digits[lo : lo + block, None, :] + spec.s_digits
-        sums %= ctx.q
-        yield ctx.indices_from_digits(sums)
-
-
 def girth(spec: GraphSpec) -> int:
-    """Length of a shortest cycle, by a depth-2 search over the pair sums
-    s_i + s_j of the connection set.
+    """Length of a shortest cycle: 3 when the graph has a triangle, else 4.
 
-    Translation carries every cycle through vertex 0, so the girth is 3
-    when some pair sum lies in S (the triangle 0, s_i, s_i + s_j), and
-    otherwise 4 when two different ordered pairs share a nonzero sum (the
-    square 0, a, a + b = c + d, c).  An abelian Cayley graph with d >= 3
-    always has such a square, from (a, b) and (b, a) with b != +-a, so
-    finding none raises IntegrityError.
+    For a, b in S with b != +-a an abelian Cayley graph has the square
+    0, a, a + b, b.  Such a pair exists once d >= 3, since S = -S, so the
+    girth is never above 4.  With d <= 2 the pair sums need not close any
+    cycle of length 3 or 4, and IntegrityError is raised.
     """
-    square = False
-    seen = np.empty(0, dtype=np.int64)  # nonzero pair sums, until a repeat
-    for sums in _pair_sums(spec):
-        if np.isin(sums, spec.s_indices).any():
-            return 3
-        if not square:
-            both = np.concatenate([seen, sums[sums != 0]])
-            seen = np.unique(both)
-            square = seen.size < both.size
-    if not square:
-        raise IntegrityError("no cycle of length 3 or 4 among the pair sums")
-    return 4
+    if spec.d <= 2:
+        raise IntegrityError(
+            f"with d = {spec.d} the pair sums need not close a cycle of length 3 or 4"
+        )
+    return 3 if triangle_count(spec) else 4
 
 
 def triangle_count(spec: GraphSpec) -> int:
@@ -279,13 +257,21 @@ def triangle_count(spec: GraphSpec) -> int:
 
     The triangles through vertex 0, as ordered pairs (a, b) of adjacent
     neighbours, are the pairs with b - a in S; a = s_i and b = s_i + s_j
-    match them one to one with those pair sums.  Each triangle has 3
-    vertices and 2 orders, hence n * count / 6.
+    match them one to one with those pair sums.  G1 acts freely on the
+    ordered pairs by multiplying both entries and keeps their sum in S, and
+    each orbit of pairs has one pair whose first entry is the head of its
+    G1-orbit of S.  So the pairs number p^r - 1 times those (h, s_j) over
+    one head h per orbit of S: two for p = 2 (gamma and -gamma), one for
+    odd p.  Each triangle has 3 vertices and 2 orders, hence n * count / 6.
+    Raises IntegrityError when S is not closed under multiplication by xi.
     """
-    ordered = sum(
-        int(np.isin(sums, spec.s_indices).sum()) for sums in _pair_sums(spec)
-    )
-    total = spec.n * ordered
+    ctx = spec.ctx
+    _require_xi_stable(spec)
+    _, heads = np.unique(orbit_row_map(ctx)(spec.s_digits), return_index=True)
+    sums = spec.s_digits[heads, None, :] + spec.s_digits
+    sums %= ctx.q
+    hits = int(np.isin(ctx.indices_from_digits(sums), spec.s_indices).sum())
+    total = spec.n * (ctx.p**ctx.r - 1) * hits
     if total % 6:
         raise IntegrityError(f"triangle count {total} is not divisible by 6")
     return total // 6
@@ -438,11 +424,6 @@ def verify_graph(
         claims.append(replace(rep, asserted=char4 and ctx.r >= 4))
     if "girth" in selected:
         g = girth(spec)
-        triangles = triangle_count(spec)
-        if (g == 3) != (triangles > 0):
-            raise IntegrityError(
-                f"girth {g} contradicts triangle count {triangles}"
-            )
         if ctx.p == 2 and ctx.r % 2 == 1:
             expected_exact = ctx.e == 2
             ok = g == 4 if expected_exact else g >= 4

@@ -36,7 +36,7 @@ from .ring import (
 
 VertexId = int
 
-EXPORT_BLOCK = 1 << 14
+EXPORT_BLOCK = 1 << 20  # neighbours formed per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +129,13 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     sink.write(
         f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {spec.n} {spec.d}\n"
     )
-    q = ctx.q
     count = 0
-    for lo in range(0, spec.n, EXPORT_BLOCK):
-        hi = min(lo + EXPORT_BLOCK, spec.n)
-        block = np.arange(lo, hi, dtype=np.int64)
-        bd = ctx.digits_of(block)
-        targets = ctx.indices_from_digits(
-            (bd[:, None, :] + spec.s_digits[None, :, :]) % q
-        )
+    rows = max(1, EXPORT_BLOCK // spec.d)
+    for lo in range(0, spec.n, rows):
+        block = np.arange(lo, min(lo + rows, spec.n), dtype=np.int64)
+        nb = ctx.digits_of(block)[:, None, :] + spec.s_digits
+        nb %= ctx.q
+        targets = ctx.indices_from_digits(nb)
         targets.sort(axis=1)
         for row, u in enumerate(block):
             u = int(u)

@@ -404,15 +404,23 @@ class RingContext:
         self.xi = self.x ** (self.p ** ((self.e - 1) * self.r))
 
         group_order = self.p**self.r - 1
-        units = []
-        g = self.one
-        for _ in range(group_order):
-            units.append(g)
-            g = g * self.xi
-        if g != self.one:
+        # rows of by_xi: x^i * xi, so a @ by_xi holds the digits of a * xi
+        by_xi = np.array(
+            [(self.x**i * self.xi).coeffs for i in range(r)], dtype=np.int64
+        )
+        # xi^0 .. xi^(p^r - 2) by doubling: rows [k, 2k) are rows [0, k) @ M(xi^k)^T
+        teich, step = np.eye(1, r, dtype=np.int64), by_xi
+        while len(teich) < group_order:
+            teich = np.vstack([teich, (teich @ step) % q])
+            step = (step @ step) % q
+        teich = teich[:group_order]
+        if ((teich[-1] @ by_xi) % q != teich[0]).any():
             raise IntegrityError("Teichmuller generator has wrong order")
-        if len({u.coeffs for u in units}) != group_order:
+        if len(set(self.indices_from_digits(teich).tolist())) != group_order:
             raise IntegrityError("Teichmuller powers collide")
+        teich.flags.writeable = False
+        self.teich_digits: np.ndarray = teich
+        units = [RingElement(self, row) for row in map(tuple, teich.tolist())]
         self.teichmuller_units: tuple[RingElement, ...] = tuple(units)
 
         self._teich_by_residue = {
@@ -421,12 +429,8 @@ class RingContext:
         self._teich_by_residue[(0,) * r] = self.zero
 
         # change of basis between the x-power and xi-power coordinates
-        basis = [[units[j].coeffs[i] for j in range(r)] for i in range(r)]
-        basis_inv = _matinv_mod(basis, q, self.p)
-        image = [
-            [units[(self.p * j) % group_order].coeffs[i] for j in range(r)]
-            for i in range(r)
-        ]
+        basis_inv = _matinv_mod(teich[:r].T.tolist(), q, self.p)
+        image = teich[(self.p * np.arange(r)) % group_order].T.tolist()
         frob = _matmul_mod(image, basis_inv, q)
 
         mats = [[[int(i == j) for j in range(r)] for i in range(r)]]

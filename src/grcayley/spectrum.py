@@ -169,7 +169,7 @@ def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
             f"{count} orbit representatives of {r} digits exceed the cutoff {ORBIT_CUTOFF}"
         )
     zero = np.zeros((1, r), dtype=np.int64)
-    table = np.vstack([zero, [u.coeffs for u in ctx.teichmuller_units]])
+    table = np.vstack([zero, ctx.teich_digits])
     blocks, vals = [zero], [np.array([e])]
     for v in range(e):
         rows = zero.copy()
@@ -196,7 +196,7 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     """
     p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
     pr = p**r
-    units = np.array([u.coeffs for u in ctx.teichmuller_units], dtype=np.int64)
+    units = ctx.teich_digits
     place = p ** np.arange(r, dtype=np.int64)
     residue = (units % p) @ place
     log = np.full(pr, -1, dtype=np.int64)  # residue index -> k with xi^k

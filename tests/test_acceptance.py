@@ -1,10 +1,11 @@
-"""Acceptance gate: eleven criteria, one printed [PASS]/[FAIL] line each.
+"""Acceptance gate: twelve criteria, one printed [PASS]/[FAIL] line each.
 
 Covers exact even-characteristic spectra and the Ramanujan property, unit
 character-sum norms, oracle agreement, odd-characteristic interval bounds,
 the whole-ring character-sum bound, girth, energy, the residue partition,
 connectivity with the spectral diameter bound, the ring structure maps,
-and the exact spectral and character-sum claims on 2^24 vertices.
+the exact spectral and character-sum claims on 2^24 vertices, and every
+default check of verify_graph on 2^24 vertices.
 """
 
 import math
@@ -30,7 +31,9 @@ from grcayley import (
     oracle_spectrum,
     spectral_deviation,
     triangle_count,
+    verify_graph,
 )
+from grcayley.analysis import DEFAULT_CHECKS
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -392,4 +395,23 @@ def test_criterion_11_exact_claims_at_2_24(ring_of):
         "; ".join(failures)
         or f"n={spec.n}: interval, ramanujan, bhk and wcu exact in {elapsed:.1f}s, "
         f"spectrum {sp.entries}",
+    )
+
+
+def test_criterion_12_default_verify_at_2_24(ring_of):
+    start = time.perf_counter()
+    spec = build_graph(ring_of(2, 2, 12))
+    report = verify_graph(spec)
+    elapsed = time.perf_counter() - start
+    claims = report["claims"]
+    failures = [
+        f"{c['claim_id']} fails at {c['witness']}" for c in claims if not c["holds"]
+    ]
+    if [c["claim_id"] for c in claims] != sorted(DEFAULT_CHECKS):
+        failures.append(f"claims {[c['claim_id'] for c in claims]}")
+    _report(
+        "criterion-12 default-verify-at-2^24",
+        not failures,
+        "; ".join(failures)
+        or f"n={spec.n}: all {len(claims)} default claims hold in {elapsed:.1f}s",
     )

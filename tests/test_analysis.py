@@ -7,7 +7,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import pair_sum_oracle
 from char_sum_oracle import character_sum
+from residue_oracle import residue_partition
 from grcayley import (
     ClaimReport,
     IntegrityError,
@@ -26,6 +28,7 @@ from grcayley import (
     full_spectrum,
     girth,
     is_ramanujan,
+    is_unit,
     make_ring,
     neighbors,
     oracle_spectrum,
@@ -37,10 +40,26 @@ from grcayley import spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+# every supported ring with n <= 2^17
+PAIR_SUM_KEYS = [
+    (p, e, r)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19)
+    for e in range(2, 18)
+    for r in range(2, 18)
+    if p ** (e * r) <= 1 << 17
+]
 
 
 def graph_for(p, e, r):
     return build_graph(make_ring(RingParams(p, e, r)))
+
+
+def random_unit(ctx, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        gamma = ctx.from_index(int(rng.integers(1, ctx.size)))
+        if is_unit(gamma):
+            return gamma
 
 
 def as_networkx(spec):
@@ -165,14 +184,16 @@ def test_bhk_requires_char4(h81):
         check_bhk(h81.ctx)
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", range(2, 9))
 def test_residue_partition(r):
     ctx = make_ring(RingParams(2, 2, r))
-    for gamma in (ctx.one, ctx.xi):
+    units = ctx.size - ctx.size // (ctx.p**ctx.r)
+    for gamma in (ctx.one, ctx.xi, random_unit(ctx, r)):
         rep = check_residue_partition(ctx, gamma)
-        assert rep.holds
-        units = ctx.size - ctx.size // (ctx.p**ctx.r)
+        want = residue_partition(ctx, gamma)  # the covering-count oracle
+        assert rep.holds and want.holds
         assert rep.bound_value == rep.observed_value == units
+        assert want.bound_value == want.observed_value == units
 
 
 def test_residue_partition_guards(h16, h81):
@@ -215,13 +236,16 @@ def test_girth_frozen():
 
 def test_bfs_size_guard(monkeypatch):
     # the BFS holds one entry per orbit representative, guarded by
-    # ORBIT_CUTOFF; girth allocates nothing of that size
+    # ORBIT_CUTOFF; girth, triangles and the residue partition map a few
+    # rows through orbit_row_map and allocate nothing of that size
     spec = graph_for(2, 2, 3)
     monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * spec.ctx.r - 1)
     for search in (bfs_distances, connectivity):
         with pytest.raises(SizeError):
             search(spec)
     assert girth(spec) == 4
+    assert triangle_count(spec) == 0
+    assert check_residue_partition(spec.ctx, spec.gamma).holds
     monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * spec.ctx.r)
     assert bfs_distances(spec).max() == connectivity(spec)["diameter"]
 
@@ -256,8 +280,18 @@ def test_girth_without_short_cycle_raises():
     cycle = dataclasses.replace(
         spec, connection_set=pair, d=2, s_indices=idx, s_digits=ctx.digits_of(idx)
     )
+    assert pair_sum_oracle.girth(cycle) is None
     with pytest.raises(IntegrityError, match="pair sums"):
         girth(cycle)
+
+
+@pytest.mark.parametrize("key", PAIR_SUM_KEYS)
+def test_girth_and_triangles_match_pair_sum_oracle(key):
+    ctx = make_ring(RingParams(*key))
+    for gamma in (ctx.one, random_unit(ctx, sum(key))):
+        spec = build_graph(ctx, gamma)
+        assert girth(spec) == pair_sum_oracle.girth(spec)
+        assert triangle_count(spec) == pair_sum_oracle.triangle_count(spec)
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)
@@ -275,7 +309,7 @@ def test_triangles_match_networkx(key):
 
 def test_triangles_frozen_and_third_moment(h16):
     assert triangle_count(h16) == 32
-    big = graph_for(2, 2, 8)  # d = 510: the pair sums span 4 blocks
+    big = graph_for(2, 2, 8)  # d = 510
     assert triangle_count(big) == 11_141_120
     for spec in [graph_for(2, 2, r) for r in (2, 3, 4)] + [big]:
         sp = full_spectrum(spec)

@@ -26,6 +26,7 @@ from grcayley import (
     neighbors,
     orbit_representatives,
 )
+from grcayley import cayley
 from grcayley.cayley import spectral_interval_bound
 
 
@@ -116,11 +117,17 @@ def test_export_edge_counts_and_format(p, e, r, edges):
     assert counts.min() == counts.max() == spec.d
 
 
-def test_export_deterministic(h16):
+def test_export_deterministic(h16, monkeypatch):
     a, b = io.StringIO(), io.StringIO()
     export_edges(h16, a)
     export_edges(h16, b)
     assert a.getvalue() == b.getvalue()
+    # blocks of one row and of five rows, the last one short, give the same text
+    for rows in (1, 5):
+        monkeypatch.setattr(cayley, "EXPORT_BLOCK", rows * h16.d)
+        c = io.StringIO()
+        export_edges(h16, c)
+        assert c.getvalue() == a.getvalue()
 
 
 def test_bfs_distances_match_networkx(h16, h81):

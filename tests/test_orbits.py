@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from orbit_oracle import orbit_row_oracle
+from residue_oracle import residue_partition
 from grcayley import (
     IntegrityError,
     RingParams,
@@ -24,8 +25,9 @@ from grcayley import (
     orbit_representatives,
     padic_coords,
     trace_basis_matrix,
+    triangle_count,
 )
-from grcayley import spectrum
+from grcayley import analysis, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import coeff_string
 from grcayley.spectrum import MERGE_TOL, _merge_numeric, orbit_row_map
@@ -137,7 +139,7 @@ def test_full_spectrum_rejects_xi_unstable_connection_set():
     unstable = dataclasses.replace(
         spec, connection_set=pair, d=2, s_indices=idx, s_digits=ctx.digits_of(idx)
     )
-    for check in (full_spectrum, bfs_distances, connectivity):
+    for check in (full_spectrum, bfs_distances, connectivity, triangle_count):
         with pytest.raises(IntegrityError, match="xi"):
             check(unstable)
 
@@ -176,10 +178,23 @@ def test_failure_witness_is_an_orbit_representative(monkeypatch):
 
 
 def test_residue_partition_witness(monkeypatch):
-    # with xi replaced by 1 every coset collapses to a single element
+    # the orbit map is built first, so only the coset representatives change
     ctx = make_ring(RingParams(2, 2, 2))
-    monkeypatch.setattr(ctx, "xi", ctx.one)
+    row_of = orbit_row_map(ctx)
+    monkeypatch.setattr(analysis, "orbit_row_map", lambda _: row_of)
+    one, xi = ctx.teich_digits[:2]
+    # Teichmuller rows 1, xi, xi: (1 - xi^2)*1 repeats the coset of 1 - xi
+    monkeypatch.setattr(ctx, "teich_digits", np.array([one, xi, xi]))
     rep = check_residue_partition(ctx)
     assert not rep.holds
-    assert rep.observed_value == 4 and rep.bound_value == 12
-    assert rep.witness == 1  # the collapsed coset of 1 counts it three times
+    assert rep.bound_value == 12
+    assert rep.observed_value == 9  # the cosets of 1, -1 and 1 - xi
+    assert rep.witness == (ctx.one - ctx.xi).index
+    assert not residue_partition(ctx, ctx.one).holds
+    # every row read as 1: each (1 - xi^t)*1 is 0
+    monkeypatch.setattr(ctx, "teich_digits", np.array([one, one, one]))
+    rep = check_residue_partition(ctx)
+    assert not rep.holds
+    assert rep.observed_value == 6  # only the cosets of 1 and -1 remain
+    assert rep.witness == 0  # (1 - xi)*1, the first representative that fails
+    assert not residue_partition(ctx, ctx.one).holds

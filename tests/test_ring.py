@@ -303,6 +303,13 @@ def test_teichmuller_group_structure(p, e, r):
     assert len(units) == order
     assert len({u.coeffs for u in units}) == order
     assert ctx.xi**order == ctx.one
+    # the doubled digit array lists xi^0 .. xi^(p^r - 2), as scalar products do
+    powers = [ctx.one]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * ctx.xi)
+    assert [u.coeffs for u in units] == [u.coeffs for u in powers]
+    assert ctx.teich_digits.tolist() == [list(u.coeffs) for u in powers]
+    assert not ctx.teich_digits.flags.writeable
     # the set is exactly the roots of u^(p^r) = u away from zero
     for u in units:
         assert u ** (p**r) == u
