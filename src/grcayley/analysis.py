@@ -20,11 +20,10 @@ import numpy as np
 
 from .cayley import GraphSpec, spectral_interval_bound
 from .errors import IntegrityError, ParameterError
-from .ring import RingContext, RingElement, coeff_string, is_unit
+from .ring import RingContext, RingElement, _multiplication_matrix, coeff_string, is_unit
 from .spectrum import (
     MERGE_TOL,
     Spectrum,
-    _multiplication_matrix,
     _orbit_sums,
     _require_xi_stable,
     full_spectrum,

@@ -7,6 +7,10 @@ is disjoint from gamma*G1 (no Teichmuller unit is -1 times another when
 unique order-2 element of the cyclic group G1.  Vertices are the ring
 elements under their flat index, so the graph on p^(er) vertices is
 d-regular with d = 2(p^r - 1) or p^r - 1.
+
+The connection set is only ever held as digit rows: gamma*G1 is
+teich_digits @ M(gamma)^T mod q, M(gamma) the multiplication matrix of
+gamma, and -gamma*G1 follows it for p = 2.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .ring import (
     RingElement,
     RingParams,
     _is_prime,
+    _multiplication_matrix,
     coeff_string,
     is_unit,
 )
@@ -41,12 +46,12 @@ EXPORT_BLOCK = 1 << 20  # neighbours formed per block
 
 @dataclass(frozen=True, eq=False)
 class GraphSpec:
-    """A built graph: context, twist gamma, connection set, and cached
-    digit rows of the connection set for the vectorised kernels."""
+    """A built graph: context, twist gamma, and the connection set as flat
+    indices s_indices and (d, r) digit rows s_digits, in the same order:
+    gamma*xi^k for k = 0..p^r-2, then -gamma*xi^k when p = 2."""
 
     ctx: RingContext
     gamma: RingElement
-    connection_set: tuple[RingElement, ...]
     n: int
     d: int
     s_indices: np.ndarray
@@ -72,41 +77,30 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
             "degenerates to a directed multigraph, which is unsupported"
         )
 
-    half = [gamma * u for u in ctx.teichmuller_units]
+    q = ctx.q
+    half = (ctx.teich_digits @ _multiplication_matrix(gamma).T) % q
+    s_digits = np.vstack([half, (-half) % q]) if ctx.p == 2 else half
+    s_indices = ctx.indices_from_digits(s_digits)
     if ctx.p == 2:
-        mirror = [-s for s in half]
-        overlap = {s.coeffs for s in half} & {s.coeffs for s in mirror}
-        if overlap:
+        h = len(half)
+        if not set(s_indices[:h].tolist()).isdisjoint(s_indices[h:].tolist()):
             raise IntegrityError("gamma*G1 meets its own negation in characteristic 2^e")
-        connection = half + mirror
-    else:
-        connection = half
 
-    seen = {s.coeffs for s in connection}
-    if len(seen) != len(connection):
+    seen = set(s_indices.tolist())
+    if len(seen) != len(s_indices):
         raise IntegrityError("connection set has repeated elements")
-    if any(s.is_zero for s in connection):
+    if 0 in seen:
         raise IntegrityError("connection set contains zero")
-    if any(tuple((-c) % ctx.q for c in s.coeffs) not in seen for s in connection):
+    if not seen.issuperset(ctx.indices_from_digits((-s_digits) % q).tolist()):
         raise IntegrityError("connection set is not closed under negation")
 
     expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
-    if len(connection) != expected_d:
+    if len(s_indices) != expected_d:
         raise IntegrityError(
-            f"connection set has {len(connection)} elements, expected {expected_d}"
+            f"connection set has {len(s_indices)} elements, expected {expected_d}"
         )
 
-    s_indices = np.array([s.index for s in connection], dtype=np.int64)
-    s_digits = ctx.digits_of(s_indices)
-    return GraphSpec(
-        ctx=ctx,
-        gamma=gamma,
-        connection_set=tuple(connection),
-        n=ctx.size,
-        d=expected_d,
-        s_indices=s_indices,
-        s_digits=s_digits,
-    )
+    return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
 
 
 def neighbors(spec: GraphSpec, v: VertexId) -> list[VertexId]:

@@ -5,8 +5,10 @@ over Z_q whose reduction mod p is irreducible and primitive.  Elements are
 residue classes in Z_q[x]/(f), stored as coefficient tuples
 (c_0, ..., c_{r-1}) with 0 <= c_i < q, ascending powers of x.  Primitivity
 of the mod-p reduction makes xi = x^(p^((e-1)r)) a generator of the cyclic
-group of Teichmuller units (order p^r - 1), which the context enumerates
-once at construction time.
+group G1 of Teichmuller units (order p^r - 1).  The context holds G1 as one
+digit array, teich_digits, built by matrix doubling; the units are not
+enumerated as elements at construction, and teichmuller_units builds them
+on first read.
 
 Every element has a flat index sum(c_i * q^i); the graph modules use that
 index as the vertex id.  digits_of / indices_from_digits convert whole
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -394,20 +397,14 @@ class RingContext:
         self._redrows = rows
 
         self.zero = RingElement(self, (0,) * r)
-        one = [0] * r
-        one[0] = 1
-        self.one = RingElement(self, tuple(one))
-        x = [0] * r
-        x[1] = 1
-        self.x = RingElement(self, tuple(x))
+        self.one = self.element([1])
+        self.x = self.element([0, 1])
 
         self.xi = self.x ** (self.p ** ((self.e - 1) * self.r))
 
         group_order = self.p**self.r - 1
-        # rows of by_xi: x^i * xi, so a @ by_xi holds the digits of a * xi
-        by_xi = np.array(
-            [(self.x**i * self.xi).coeffs for i in range(r)], dtype=np.int64
-        )
+        # a @ by_xi holds the digits of a * xi
+        by_xi = _multiplication_matrix(self.xi).T
         # xi^0 .. xi^(p^r - 2) by doubling: rows [k, 2k) are rows [0, k) @ M(xi^k)^T
         teich, step = np.eye(1, r, dtype=np.int64), by_xi
         while len(teich) < group_order:
@@ -420,13 +417,6 @@ class RingContext:
             raise IntegrityError("Teichmuller powers collide")
         teich.flags.writeable = False
         self.teich_digits: np.ndarray = teich
-        units = [RingElement(self, row) for row in map(tuple, teich.tolist())]
-        self.teichmuller_units: tuple[RingElement, ...] = tuple(units)
-
-        self._teich_by_residue = {
-            tuple(c % self.p for c in u.coeffs): u for u in units
-        }
-        self._teich_by_residue[(0,) * r] = self.zero
 
         # change of basis between the x-power and xi-power coordinates
         basis_inv = _matinv_mod(teich[:r].T.tolist(), q, self.p)
@@ -438,11 +428,7 @@ class RingContext:
             mats.append(_matmul_mod(frob, mats[-1], q))
         self._frob_mats = [tuple(tuple(row) for row in m) for m in mats]
 
-        total = [[0] * r for _ in range(r)]
-        for m in mats:
-            for i in range(r):
-                for j in range(r):
-                    total[i][j] = (total[i][j] + m[i][j]) % q
+        total = [[sum(m[i][j] for m in mats) % q for j in range(r)] for i in range(r)]
         if any(v for row in total[1:] for v in row):
             raise IntegrityError("trace is not scalar-valued; modulus is unusable")
         self.trace_form: tuple[int, ...] = tuple(total[0])
@@ -450,6 +436,26 @@ class RingContext:
         # Always None: trace_form gives every trace, so no per-element table
         # is built; the attribute stays because perfbench/workloads.py reads it.
         self.trace_table: Optional[np.ndarray] = None
+
+    @cached_property
+    def teichmuller_units(self) -> tuple[RingElement, ...]:
+        """xi^0 .. xi^(p^r - 2) as elements, built from teich_digits on first read."""
+        rows = map(tuple, self.teich_digits.tolist())
+        return tuple(RingElement(self, row) for row in rows)
+
+    @cached_property
+    def _residue_lift(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, lift) indexed by residue index k = sum((c_i mod p) * p^i):
+        the Teichmuller unit over residue k is xi^log[k] with digits lift[k].
+        At k = 0 log is -1 and lift is zero, the Teichmuller digit of zero."""
+        pr = self.p**self.r
+        units = self.teich_digits
+        residue = (units % self.p) @ (self.p ** np.arange(self.r, dtype=np.int64))
+        log = np.full(pr, -1, dtype=np.int64)
+        log[residue] = np.arange(pr - 1)
+        lift = np.zeros((pr, self.r), dtype=np.int64)
+        lift[residue] = units
+        return log, lift
 
     # -- scalar coefficient arithmetic ------------------------------------
 
@@ -513,6 +519,14 @@ class RingContext:
         if k < 0:
             raise ParameterError("frobenius power must be non-negative")
         return np.array(self._frob_mats[k % self.r], dtype=np.int64)
+
+
+def _multiplication_matrix(a: RingElement) -> np.ndarray:
+    """(r, r) matrix M with (a*b).coeffs = M @ b.coeffs mod q, from the r
+    products a * x^i."""
+    ctx = a.ctx
+    cols = [(a * ctx.element([0] * i + [1])).coeffs for i in range(ctx.r)]
+    return np.array(cols, dtype=np.int64).T
 
 
 def _matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
@@ -594,12 +608,14 @@ def padic_coords(a: RingElement) -> PAdicCoords:
     """Teichmuller digit expansion a = sum(b_i p^i), b_i in G1 or zero."""
     ctx = a.ctx
     p = ctx.p
+    _, lift = ctx._residue_lift
     digits = []
     valuation = ctx.e
     vec = list(a.coeffs)
     mod = ctx.q
     for i in range(ctx.e):
-        digit = ctx._teich_by_residue[tuple(c % p for c in vec)]
+        k = sum((c % p) * p**j for j, c in enumerate(vec))
+        digit = RingElement(ctx, tuple(lift[k].tolist()))
         if not digit.is_zero and valuation == ctx.e:
             valuation = i
         digits.append(digit)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .cayley import GraphSpec
 from .errors import IntegrityError, ParameterError, SizeError
-from .ring import RingContext, RingElement
+from .ring import RingContext, _multiplication_matrix
 
 IMAG_RESIDUE_TOL = 1e-9
 MERGE_TOL = 1e-6
@@ -133,14 +133,6 @@ def trace_basis_matrix(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplication_matrix(a: RingElement) -> np.ndarray:
-    """(r, r) matrix M with (a*b).coeffs = M @ b.coeffs mod q, from the r
-    products a * x^i."""
-    ctx = a.ctx
-    cols = [(a * ctx.element([0] * i + [1])).coeffs for i in range(ctx.r)]
-    return np.array(cols, dtype=np.int64).T
-
-
 def _require_xi_stable(spec: GraphSpec) -> None:
     """Raise IntegrityError unless the connection set is closed under
     multiplication by xi, the G1-stability every orbit reduction needs."""
@@ -191,19 +183,16 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     p^(i-v)).  Its row is therefore the first row of valuation v plus a
     mixed-radix number over the digit ratios t_i/t_v, each read as 0 for
     zero and 1 + k for xi^k through a discrete-log table on the residue
-    field.  The digits come from residues mod p and the Teichmuller lift
-    table; no ring multiplication and no n-sized table is involved.
+    field.  The digits come from residues mod p and the ring's lift table,
+    ctx._residue_lift; no ring multiplication and no n-sized table is
+    involved.
     """
     p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
     pr = p**r
-    units = ctx.teich_digits
     place = p ** np.arange(r, dtype=np.int64)
-    residue = (units % p) @ place
-    log = np.full(pr, -1, dtype=np.int64)  # residue index -> k with xi^k
-    log[residue] = np.arange(pr - 1)
+    log, lift = ctx._residue_lift
     # residue index -> (t - residue)/p for the Teichmuller digit t over it
-    lift_high = np.zeros((pr, r), dtype=np.int64)
-    lift_high[residue] = units // p
+    lift_high = lift // p
     start = [1]  # first row of each valuation; zero (valuation e) is row 0
     for v in range(e - 1):
         start.append(start[-1] + pr ** (e - 1 - v))

@@ -8,7 +8,7 @@ the non-unit set reach each one; it uses no orbit rows.
 import numpy as np
 
 from grcayley import ClaimReport
-from grcayley.spectrum import _multiplication_matrix
+from grcayley.ring import _multiplication_matrix
 
 
 def residue_partition(ctx, gamma):

@@ -277,9 +277,7 @@ def test_girth_without_short_cycle_raises():
     ctx = spec.ctx
     pair = (ctx.one, -ctx.one)
     idx = np.array([s.index for s in pair], dtype=np.int64)
-    cycle = dataclasses.replace(
-        spec, connection_set=pair, d=2, s_indices=idx, s_digits=ctx.digits_of(idx)
-    )
+    cycle = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
     assert pair_sum_oracle.girth(cycle) is None
     with pytest.raises(IntegrityError, match="pair sums"):
         girth(cycle)

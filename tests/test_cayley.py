@@ -10,10 +10,12 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connection_oracle import connection_rows, connection_set
 from orbit_oracle import vertex_distances
 
 from grcayley import (
     ContextMismatchError,
+    IntegrityError,
     ParameterError,
     RangeError,
     RingParams,
@@ -25,6 +27,7 @@ from grcayley import (
     make_ring,
     neighbors,
     orbit_representatives,
+    verify_graph,
 )
 from grcayley import cayley
 from grcayley.cayley import spectral_interval_bound
@@ -65,15 +68,63 @@ def test_h81_structure(h81):
     # connection set closed under negation with no doubles
     s = {int(i) for i in h81.s_indices}
     assert len(s) == 8
-    for u in h81.connection_set:
-        assert (-u).index in s
+    for i in h81.s_indices:
+        assert (-h81.ctx.from_index(int(i))).index in s
 
 
 @pytest.mark.parametrize("r,expected_d", [(2, 6), (3, 14), (4, 30)])
 def test_degree_formula_p2(r, expected_d):
     spec = build_graph(make_ring(RingParams(2, 2, r)))
     assert spec.d == expected_d
-    assert len(spec.connection_set) == expected_d
+    assert spec.s_digits.shape == (expected_d, r)
+
+
+def assert_matches_connection_oracle(spec):
+    indices, rows = connection_rows(spec.ctx, spec.gamma)
+    assert spec.s_indices.tolist() == indices
+    assert spec.s_digits.tolist() == rows
+
+
+def random_unit(ctx, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        gamma = ctx.element(rng.integers(0, ctx.q, ctx.r).tolist())
+        if is_unit(gamma):
+            return gamma
+
+
+@pytest.mark.parametrize("key", [(2, 2, 12), (3, 2, 7)])
+def test_connection_set_matches_oracle_on_large_rings(key):
+    ctx = make_ring(RingParams(*key))
+    for gamma in (ctx.one, random_unit(ctx, sum(key))):
+        assert_matches_connection_oracle(build_graph(ctx, gamma))
+
+
+@pytest.mark.parametrize(
+    "key,edit,message",
+    [
+        ((2, 2, 3), lambda t: np.vstack([t[:1], t[:-1]]), "repeated elements"),
+        ((3, 2, 2), lambda t: np.vstack([t[:-1], 0 * t[:1]]), "contains zero"),
+        ((2, 2, 3), lambda t: np.vstack([t[:-1], (-t[:1]) % 4]), "meets its own negation"),
+        # xi^7 is missing, so -xi^3 = xi^7 has no negation partner
+        ((3, 2, 2), lambda t: t[:-1], "not closed under negation"),
+    ],
+    ids=["repeated", "zero", "mirror", "unclosed"],
+)
+def test_build_graph_integrity_failures(monkeypatch, key, edit, message):
+    ctx = make_ring(RingParams(*key))
+    monkeypatch.setattr(ctx, "teich_digits", edit(ctx.teich_digits))
+    with pytest.raises(IntegrityError, match=message):
+        build_graph(ctx)
+
+
+def test_setup_and_default_verify_build_no_unit_elements():
+    ctx = make_ring(RingParams(2, 2, 4))
+    verify_graph(build_graph(ctx))
+    assert "teichmuller_units" not in vars(ctx)
+    assert not hasattr(ctx, "_teich_by_residue")
+    # gamma = 1 makes the oracle's first p^r - 1 elements the scalar xi powers
+    assert list(ctx.teichmuller_units) == connection_set(ctx, ctx.one)[: ctx.p**ctx.r - 1]
 
 
 def test_nonunit_gamma_rejected(h16):
@@ -168,6 +219,19 @@ def test_bfs_distances_property(key, seed, data):
     reached = dist >= 0
     spheres = np.bincount(dist[reached], weights=weights[reached]).astype(int)
     assert spheres.tolist() == np.bincount(list(ref.values())).tolist()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    key=st.sampled_from(RINGS_UP_TO_2_12),
+    seed=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_connection_set_matches_oracle_property(key, seed, data):
+    ctx = make_ring(RingParams(*key, seed=seed))
+    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
+    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    assert_matches_connection_oracle(build_graph(ctx, gamma))
 
 
 def test_interval_bound_pieces():

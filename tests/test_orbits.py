@@ -58,7 +58,7 @@ def sweep_valuations(ctx):
 
 
 def sweep_spectrum(spec):
-    re, _ = sweep(spec.ctx, spec.connection_set)
+    re, _ = sweep(spec.ctx, [spec.ctx.from_index(int(i)) for i in spec.s_indices])
     if spec.ctx.q == 4:
         values, counts = np.unique(re, return_counts=True)
         return tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
@@ -136,9 +136,7 @@ def test_full_spectrum_rejects_xi_unstable_connection_set():
     ctx = spec.ctx
     pair = (ctx.one, -ctx.one)
     idx = np.array([s.index for s in pair], dtype=np.int64)
-    unstable = dataclasses.replace(
-        spec, connection_set=pair, d=2, s_indices=idx, s_digits=ctx.digits_of(idx)
-    )
+    unstable = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
     for check in (full_spectrum, bfs_distances, connectivity, triangle_count):
         with pytest.raises(IntegrityError, match="xi"):
             check(unstable)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from char_sum_oracle import character_sum, trace_counts
+from connection_oracle import connection_set
 from grcayley import (
     IntegrityError,
     ParameterError,
@@ -65,7 +66,8 @@ def kernel_at(ctx, elements, gamma_index):
 
 
 def test_trace_counts_frozen(h16):
-    ctx, s = h16.ctx, h16.connection_set
+    ctx = h16.ctx
+    s = connection_set(ctx, h16.gamma)
     frozen = {  # gamma index: (trace histogram, eigenvalue)
         1: ((0, 2, 2, 2), -2),  # gamma = 1
         6: ((2, 2, 0, 2), 2),  # gamma = 2 + x
@@ -81,10 +83,8 @@ def test_trace_counts_frozen(h16):
 
 def test_eigenvalue_guards(h16):
     # gamma*G1 without its negation: the sums have nonzero imaginary parts
-    half = h16.connection_set[: h16.d // 2]
-    lopsided = dataclasses.replace(
-        h16, connection_set=half, d=len(half), s_digits=h16.s_digits[: len(half)]
-    )
+    half = h16.d // 2
+    lopsided = dataclasses.replace(h16, d=half, s_digits=h16.s_digits[:half])
     with pytest.raises(IntegrityError):
         full_spectrum(lopsided)
 
@@ -92,7 +92,7 @@ def test_eigenvalue_guards(h16):
 def test_kernel_matches_scalar_oracle_on_char4(h16, h64):
     for spec in (h16, h64):
         ctx = spec.ctx
-        for elements in (spec.connection_set, ctx.teichmuller_units):
+        for elements in (connection_set(ctx, spec.gamma), ctx.teichmuller_units):
             re, im = sweep(ctx, elements, 0, spec.n)
             assert re.dtype == im.dtype == np.int64
             oracle = [character_sum(elements, ctx.from_index(g)) for g in range(spec.n)]
@@ -144,7 +144,7 @@ def graph_of(key):
 def test_kernel_matches_scalar_oracle_property(key, use_g1, use_rep, data):
     spec = graph_of(key)
     ctx = spec.ctx
-    elements = ctx.teichmuller_units if use_g1 else spec.connection_set
+    elements = ctx.teichmuller_units if use_g1 else connection_set(ctx, spec.gamma)
     if use_rep:
         reps, _ = orbit_representatives(ctx)
         i = data.draw(st.integers(min_value=0, max_value=len(reps) - 1), label="rep")
@@ -181,9 +181,9 @@ def test_full_spectrum_matches_scalar_path(h64, h81):
     for spec in (h64, h81):
         sp = full_spectrum(spec)
         expanded = sorted(sp.expanded().tolist())
+        elements = connection_set(spec.ctx, spec.gamma)
         scalar = [
-            character_sum(spec.connection_set, spec.ctx.from_index(gamma))[0]
-            for gamma in range(spec.n)
+            character_sum(elements, spec.ctx.from_index(gamma))[0] for gamma in range(spec.n)
         ]
         assert np.allclose(sorted(scalar), expanded, atol=1e-9)
 
