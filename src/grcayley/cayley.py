@@ -103,41 +103,99 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
     return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
 
 
+def _digit_tables(spec: GraphSpec) -> list[np.ndarray]:
+    """Per digit i, the (q, d) table ((a + s_i) mod q) * q^i over digit values a.
+
+    The flat index of u + s is the sum over i of table i at u's digit i
+    (_neighbour_indices).  The tables hold q*d*r entries, whatever n is,
+    as uint32: every flat index is below n <= MAX_RING_SIZE = 2^32.
+    """
+    q = np.uint32(spec.ctx.q)
+    a = np.arange(q, dtype=np.uint32)[:, None]
+    columns = spec.s_digits.T.astype(np.uint32)
+    return [(a + s) % q * np.uint32(w) for s, w in zip(columns, spec.ctx._weights)]
+
+
+def _neighbour_indices(tables: list[np.ndarray], digits: np.ndarray) -> np.ndarray:
+    """(m, d) uint32 flat indices of u + S, in connection-set order, for the
+    (m, r) digit rows of m vertices u."""
+    targets = tables[0][digits[:, 0]]
+    for i in range(1, len(tables)):
+        targets += tables[i][digits[:, i]]
+    return targets
+
+
 def neighbors(spec: GraphSpec, v: VertexId) -> list[VertexId]:
     """The d neighbours of vertex v, ascending."""
     if not (0 <= v < spec.n):
         raise RangeError(f"vertex {v} outside [0, {spec.n})")
-    ctx = spec.ctx
-    vd = ctx.digits_of(np.array([v], dtype=np.int64))
-    targets = ctx.indices_from_digits((vd + spec.s_digits) % ctx.q)
-    return sorted(int(t) for t in targets)
+    vd = spec.ctx.digits_of(np.array([v], dtype=np.int64))
+    return np.sort(_neighbour_indices(_digit_tables(spec), vd)[0]).tolist()
+
+
+def _decimal_chunks() -> np.ndarray:
+    """Four ASCII bytes per chunk value c < 10^4, as one uint32 word each.
+
+    Entry c writes c with leading zeros, for a chunk with a nonzero chunk
+    above it.  Entry 10^4 + c writes NUL bytes in place of those zeros (0 is
+    all NUL), for a chunk with none above it; entry 2*10^4 + c is the same
+    but writes 0 as "0", for the lowest chunk with none above it.
+    """
+    c = np.arange(10_000)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    padded = c // place % 10 + ord("0")
+    leading = np.where(c >= place, padded, 0)
+    lowest = np.where((c >= place) | (place == 1), padded, 0)
+    return np.vstack([padded, leading, lowest]).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _decimal(x: np.ndarray, words: int, chunks: np.ndarray) -> np.ndarray:
+    """(m, words) uint32 chunk words of the decimal ASCII of m integers in
+    [0, min(10^(4*words), 2^32)), right aligned, NUL bytes in place of
+    leading zeros."""
+    x = x.astype(np.uint32, copy=False)
+    out = np.empty((len(x), words), dtype=np.uint32)
+    for k in range(words - 1, -1, -1):
+        x, low = np.divmod(x, np.uint32(10_000))
+        lead = 20_000 if k == words - 1 else 10_000
+        out[:, k] = chunks[np.where(x, low, low + lead)]
+    return out
 
 
 def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     """Write the undirected edge list as text and return the edge count.
 
     One header line `# p e r gamma n d`, then one `u v` line per edge with
-    u < v, sorted by u then v.
+    u < v, sorted by u then v.  The edges are formed, sorted and formatted
+    a block of about EXPORT_BLOCK neighbours at a time: each line is laid
+    out at a fixed width with NUL bytes for leading zeros, which are then
+    dropped, so no Python code runs per edge.
     """
     ctx = spec.ctx
     sink.write(
         f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {spec.n} {spec.d}\n"
     )
+    tables = _digit_tables(spec)
+    chunks = _decimal_chunks()
+    width = len(str(spec.n - 1))
+    words = -(-width // 4)
+    field = slice(4 * words - width, None)
     count = 0
     rows = max(1, EXPORT_BLOCK // spec.d)
     for lo in range(0, spec.n, rows):
         block = np.arange(lo, min(lo + rows, spec.n), dtype=np.int64)
-        nb = ctx.digits_of(block)[:, None, :] + spec.s_digits
-        nb %= ctx.q
-        targets = ctx.indices_from_digits(nb)
+        targets = _neighbour_indices(tables, ctx.digits_of(block))
         targets.sort(axis=1)
-        for row, u in enumerate(block):
-            u = int(u)
-            for w in targets[row]:
-                w = int(w)
-                if w > u:
-                    sink.write(f"{u} {w}\n")
-                    count += 1
+        later = targets > block[:, None]
+        ws = targets[later]
+        us = np.repeat(_decimal(block, words, chunks), later.sum(axis=1), axis=0)
+        line = np.empty((len(ws), 2 * width + 2), dtype=np.uint8)
+        line[:, :width] = us.view(np.uint8)[:, field]
+        line[:, width] = ord(" ")
+        line[:, width + 1 : -1] = _decimal(ws, words, chunks).view(np.uint8)[:, field]
+        line[:, -1] = ord("\n")
+        sink.write(line.tobytes().translate(None, b"\0").decode("ascii"))
+        count += len(ws)
     expected = spec.n * spec.d // 2
     if count != expected:
         raise IntegrityError(f"wrote {count} edges, expected {expected}")

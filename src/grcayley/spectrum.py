@@ -41,7 +41,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cayley import GraphSpec
+from .cayley import GraphSpec, _digit_tables, _neighbour_indices
 from .errors import IntegrityError, ParameterError, SizeError
 from .ring import RingContext, _multiplication_matrix
 
@@ -341,13 +341,10 @@ def oracle_spectrum(spec: GraphSpec) -> Spectrum:
     n = spec.n
     if n > ORACLE_CUTOFF:
         raise SizeError(f"oracle eigensolve on {n} vertices exceeds the 4096 cutoff")
-    ctx = spec.ctx
     idx = np.arange(n, dtype=np.int64)
-    digits = ctx.digits_of(idx)
     adj = np.zeros((n, n), dtype=np.float64)
-    for k in range(spec.d):
-        t = ctx.indices_from_digits((digits + spec.s_digits[k]) % ctx.q)
-        adj[idx, t] = 1.0
+    targets = _neighbour_indices(_digit_tables(spec), spec.ctx.digits_of(idx))
+    adj[idx[:, None], targets] = 1.0
     if not np.array_equal(adj, adj.T):
         raise IntegrityError("adjacency matrix is not symmetric")
     vals = np.linalg.eigvalsh(adj)

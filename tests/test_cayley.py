@@ -2,6 +2,7 @@
 
 import io
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connection_oracle import connection_rows, connection_set
+import export_oracle
 from orbit_oracle import vertex_distances
 
 from grcayley import (
@@ -145,9 +147,14 @@ def test_twisted_graph_same_degree(h16):
 
 
 def test_neighbors_match_adjacency(h81):
-    g = as_networkx(h81)
-    for v in range(0, h81.n, 7):
-        assert sorted(g.neighbors(v)) == neighbors(h81, v)
+    ctx = make_ring(RingParams(2, 2, 3))
+    for spec in (h81, build_graph(ctx, ctx.element([3, 1, 2]))):
+        g = as_networkx(spec)
+        s = connection_set(spec.ctx, spec.gamma)
+        for v in range(0, spec.n, 7):
+            assert sorted(g.neighbors(v)) == neighbors(spec, v)
+            u = spec.ctx.from_index(v)
+            assert sorted((u + t).index for t in s) == neighbors(spec, v)
 
 
 @pytest.mark.parametrize("p,e,r,edges", [(2, 2, 2, 48), (2, 2, 4, 3840), (3, 2, 2, 324)])
@@ -179,6 +186,47 @@ def test_export_deterministic(h16, monkeypatch):
         c = io.StringIO()
         export_edges(h16, c)
         assert c.getvalue() == a.getvalue()
+
+
+def assert_same_text(got, want):
+    """Equal texts; on a mismatch, report the first differing line, not a
+    diff of megabytes."""
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next(
+            (i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b))
+        )
+        pytest.fail(f"line {i}: {a[i:i + 1]} != {b[i:i + 1]} of {len(a)}, {len(b)} lines")
+
+
+def assert_export_matches_oracle(spec, block_rows=(1, 5, None)):
+    ref = io.StringIO()
+    count = export_oracle.export_edges(spec, ref)
+    for rows in block_rows:
+        block = cayley.EXPORT_BLOCK if rows is None else rows * spec.d
+        buf = io.StringIO()
+        with mock.patch.object(cayley, "EXPORT_BLOCK", block):
+            assert export_edges(spec, buf) == count
+        assert_same_text(buf.getvalue(), ref.getvalue())
+
+
+@pytest.mark.parametrize("key", [(2, 7, 2), (2, 5, 3)])
+def test_export_matches_oracle_past_four_digits(key):
+    # n = 16384 and 32768: five-digit vertex ids span two decimal chunks
+    ctx = make_ring(RingParams(*key))
+    assert_export_matches_oracle(build_graph(ctx, random_unit(ctx, 1)), (5, None))
+
+
+def test_decimal_words_match_str():
+    chunks = cayley._decimal_chunks()
+    x = np.array([0, 1, 9, 10, 999, 1000, 9999, 10_000, 10_001, 99_999_999,
+                  100_000_000, 100_000_001, 2**32 - 1], dtype=np.int64)
+    for words in (1, 2, 3):
+        fits = x[x < 10 ** (4 * words)]
+        text = cayley._decimal(fits, words, chunks).view(np.uint8)
+        assert [bytes(t).replace(b"\0", b"").decode() for t in text] == [
+            str(v) for v in fits.tolist()
+        ]
 
 
 def test_bfs_distances_match_networkx(h16, h81):
@@ -232,6 +280,19 @@ def test_connection_set_matches_oracle_property(key, seed, data):
     units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
     gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
     assert_matches_connection_oracle(build_graph(ctx, gamma))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    key=st.sampled_from(RINGS_UP_TO_2_12),
+    seed=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_export_matches_oracle_property(key, seed, data):
+    ctx = make_ring(RingParams(*key, seed=seed))
+    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
+    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    assert_export_matches_oracle(build_graph(ctx, gamma))
 
 
 def test_interval_bound_pieces():

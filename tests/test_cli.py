@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, option wiring."""
 
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,24 @@ def test_graph_export_stdout_matches_file(capsys, tmp_path):
     )
     assert code == 0
     assert out == path.read_text()
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        # 4128 rows per export block: four blocks
+        (["-p", "2", "-e", "2", "-r", "7"],
+         "b40c30333b8ad5fd01cc2c8d0a6e1c2553b0718f134223ed9a592a3882f87f37"),
+        (["-p", "3", "-e", "2", "-r", "4", "--gamma", "1,2,0,1"],
+         "135f7198f476e83b2113d22068b04807ed67ca61c9c1f1f319ec0b3d08b1c6cd"),
+    ],
+    ids=["gr4-7", "gr9-4-twisted"],
+)
+def test_graph_export_frozen_digest(capsys, tmp_path, args, digest):
+    path = tmp_path / "edges.txt"
+    code, _, _ = run_cli(capsys, ["graph-export", *args, "--output", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_spectrum_csv_frozen(capsys):
