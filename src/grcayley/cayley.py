@@ -103,25 +103,24 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
     return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
 
 
-def _digit_tables(spec: GraphSpec) -> list[np.ndarray]:
-    """Per digit i, the (q, d) table ((a + s_i) mod q) * q^i over digit values a.
+def _neighbour_indices(spec: GraphSpec, digits: np.ndarray) -> np.ndarray:
+    """(m, d) uint32 flat indices of u + S, in connection-set order, for the
+    (m, r) digit rows of m vertices u.
 
-    The flat index of u + s is the sum over i of table i at u's digit i
-    (_neighbour_indices).  The tables hold q*d*r entries, whatever n is,
-    as uint32: every flat index is below n <= MAX_RING_SIZE = 2^32.
+    The sum is formed digit by digit on two (m, d) arrays, whatever q is;
+    uint32 holds it, since every flat index is below n <= MAX_RING_SIZE =
+    2^32 and every digit sum below 2q <= 2^17.
     """
     q = np.uint32(spec.ctx.q)
-    a = np.arange(q, dtype=np.uint32)[:, None]
-    columns = spec.s_digits.T.astype(np.uint32)
-    return [(a + s) % q * np.uint32(w) for s, w in zip(columns, spec.ctx._weights)]
-
-
-def _neighbour_indices(tables: list[np.ndarray], digits: np.ndarray) -> np.ndarray:
-    """(m, d) uint32 flat indices of u + S, in connection-set order, for the
-    (m, r) digit rows of m vertices u."""
-    targets = tables[0][digits[:, 0]]
-    for i in range(1, len(tables)):
-        targets += tables[i][digits[:, i]]
+    u = digits.astype(np.uint32)
+    s = spec.s_digits.astype(np.uint32)
+    targets = np.zeros((len(u), spec.d), dtype=np.uint32)
+    digit = np.empty_like(targets)
+    for i, w in enumerate(spec.ctx._weights):
+        np.add(u[:, i, None], s[:, i], out=digit)
+        digit %= q
+        digit *= np.uint32(w)
+        targets += digit
     return targets
 
 
@@ -130,7 +129,7 @@ def neighbors(spec: GraphSpec, v: VertexId) -> list[VertexId]:
     if not (0 <= v < spec.n):
         raise RangeError(f"vertex {v} outside [0, {spec.n})")
     vd = spec.ctx.digits_of(np.array([v], dtype=np.int64))
-    return np.sort(_neighbour_indices(_digit_tables(spec), vd)[0]).tolist()
+    return np.sort(_neighbour_indices(spec, vd)[0]).tolist()
 
 
 def _decimal_chunks() -> np.ndarray:
@@ -175,7 +174,6 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     sink.write(
         f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {spec.n} {spec.d}\n"
     )
-    tables = _digit_tables(spec)
     chunks = _decimal_chunks()
     width = len(str(spec.n - 1))
     words = -(-width // 4)
@@ -184,7 +182,7 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     rows = max(1, EXPORT_BLOCK // spec.d)
     for lo in range(0, spec.n, rows):
         block = np.arange(lo, min(lo + rows, spec.n), dtype=np.int64)
-        targets = _neighbour_indices(tables, ctx.digits_of(block))
+        targets = _neighbour_indices(spec, ctx.digits_of(block))
         targets.sort(axis=1)
         later = targets > block[:, None]
         ws = targets[later]

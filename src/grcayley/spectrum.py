@@ -41,7 +41,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cayley import GraphSpec, _digit_tables, _neighbour_indices
+from .cayley import GraphSpec, _neighbour_indices
 from .errors import IntegrityError, ParameterError, SizeError
 from .ring import RingContext, _multiplication_matrix
 
@@ -343,7 +343,7 @@ def oracle_spectrum(spec: GraphSpec) -> Spectrum:
         raise SizeError(f"oracle eigensolve on {n} vertices exceeds the 4096 cutoff")
     idx = np.arange(n, dtype=np.int64)
     adj = np.zeros((n, n), dtype=np.float64)
-    targets = _neighbour_indices(_digit_tables(spec), spec.ctx.digits_of(idx))
+    targets = _neighbour_indices(spec, spec.ctx.digits_of(idx))
     adj[idx[:, None], targets] = 1.0
     if not np.array_equal(adj, adj.T):
         raise IntegrityError("adjacency matrix is not symmetric")

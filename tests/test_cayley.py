@@ -1,6 +1,7 @@
 """Graph construction, neighbours, export format, and families."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -155,6 +156,24 @@ def test_neighbors_match_adjacency(h81):
             assert sorted(g.neighbors(v)) == neighbors(spec, v)
             u = spec.ctx.from_index(v)
             assert sorted((u + t).index for t in s) == neighbors(spec, v)
+
+
+def test_neighbors_on_large_q_ring_stay_small():
+    # q = 63001 and d = 63000 on 251^4 vertices: u + S is formed on (1, d)
+    # arrays, so nothing sized by q*d (16 GB as uint32) is allocated.
+    spec = build_graph(make_ring(RingParams(251, 2, 2)))
+    ctx = spec.ctx
+    v = spec.n - 2
+    tracemalloc.start()
+    try:
+        got = neighbors(spec, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    weights = np.array(ctx._weights, dtype=np.int64)
+    expected = (ctx.digits_of(np.array([v])) + spec.s_digits) % ctx.q @ weights
+    assert got == sorted(expected.tolist())
 
 
 @pytest.mark.parametrize("p,e,r,edges", [(2, 2, 2, 48), (2, 2, 4, 3840), (3, 2, 2, 324)])
