@@ -282,41 +282,64 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
 
     Multiplication by a Teichmuller unit maps S to itself and fixes 0, so it
     is a graph automorphism and the distance is constant on each orbit;
-    translation gives the distances from any other root.  Each level maps
-    the neighbours of one representative per frontier orbit, or per
-    unreached orbit when those are fewer, to their orbit rows in blocks of
-    about BFS_BLOCK_ROWS neighbours, and the search stops once the reached
-    orbits hold all n vertices.  Raises IntegrityError when S is not
-    closed under multiplication by xi.
+    translation gives the distances from any other root.
+
+    Each level maps neighbours to their orbit rows, in blocks of at most
+    BFS_BLOCK_ROWS neighbours, from whichever side costs fewer maps.
+    Top-down maps all d neighbours of one representative per frontier
+    orbit.  Bottom-up maps neighbours of the unseen orbits, expected to
+    take min(d, n / f) tries each before one lands in the f frontier
+    vertices; it goes through S in column chunks of width 1, 2, 4, ...
+    and drops a row from the search at its first neighbour on the previous
+    level.  That early exit is exact: an unseen row is at least this level
+    away, so one such neighbour fixes its distance, and a row with none
+    among all d stays unseen.  The search stops once the reached orbits
+    hold all n vertices.  Raises IntegrityError when S is not closed under
+    multiplication by xi.
     """
     ctx = spec.ctx
     _require_xi_stable(spec)
     digits, _ = orbit_representatives(ctx)
     orbit_of = orbit_row_map(ctx)
+    d, q, r, orbit = spec.d, ctx.q, ctx.r, ctx.p**ctx.r - 1
     dist = np.full(len(digits), -1, dtype=np.int64)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
-    reached, level = 1, 0
-    block = max(1, BFS_BLOCK_ROWS // spec.d)
+    unseen, frontier_vertices, reached, level = len(dist) - 1, 1, 1, 0
+
+    def neighbour_blocks(part: np.ndarray, s_digits: np.ndarray):
+        # orbit rows of u + s over u in part and s in s_digits, one
+        # (rows, len(s_digits)) block of at most BFS_BLOCK_ROWS at a time
+        step = max(1, BFS_BLOCK_ROWS // len(s_digits))
+        for i in range(0, part.size, step):
+            nb = digits[part[i : i + step], None, :] + s_digits
+            nb %= q
+            yield orbit_of(nb.reshape(-1, r)).reshape(-1, len(s_digits))
+
     while frontier.size and reached < spec.n:
         level += 1
-        unseen = np.flatnonzero(dist < 0)
-        # search from whichever side holds fewer orbits: an unseen orbit is
-        # at this level exactly when a neighbour is at the previous one
-        upward = unseen.size < frontier.size
-        source = unseen if upward else frontier
-        for lo in range(0, source.size, block):
-            part = source[lo : lo + block]
-            nb = digits[part, None, :] + spec.s_digits
-            nb %= ctx.q
-            rows = orbit_of(nb.reshape(-1, ctx.r))
-            if upward:
-                near = (dist[rows] == level - 1).reshape(part.size, spec.d)
-                dist[part[near.any(axis=1)]] = level
-            else:
-                dist[rows[dist[rows] < 0]] = level
-        frontier = np.flatnonzero(dist == level)
-        reached += frontier.size * (ctx.p**ctx.r - 1)
+        found = []
+        if unseen * min(d, spec.n / frontier_vertices) < frontier.size * d:
+            pending, lo, width = np.flatnonzero(dist < 0), 0, 1
+            while pending.size and lo < d:
+                chunk = spec.s_digits[lo : lo + width]
+                blocks = neighbour_blocks(pending, chunk)
+                near = np.concatenate(
+                    [(dist[nb] == level - 1).any(axis=1) for nb in blocks]
+                )
+                found.append(pending[near])
+                dist[found[-1]] = level
+                pending = pending[~near]
+                lo += width
+                width *= 2
+        else:
+            for nb in neighbour_blocks(frontier, spec.s_digits):
+                found.append(np.unique(nb[dist[nb] < 0]))
+                dist[found[-1]] = level
+        frontier = np.concatenate(found)
+        unseen -= frontier.size
+        frontier_vertices = frontier.size * orbit
+        reached += frontier_vertices
     return dist
 
 

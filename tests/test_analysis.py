@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import bfs_oracle
 import pair_sum_oracle
 from char_sum_oracle import character_sum
 from residue_oracle import residue_partition
@@ -36,7 +37,7 @@ from grcayley import (
     padic_coords,
     verify_graph,
 )
-from grcayley import spectrum
+from grcayley import analysis, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
@@ -47,6 +48,14 @@ PAIR_SUM_KEYS = [
     for e in range(2, 18)
     for r in range(2, 18)
     if p ** (e * r) <= 1 << 17
+]
+# every supported ring with n <= 2^20
+BFS_ORACLE_KEYS = [
+    (p, e, r)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    for e in range(2, 21)
+    for r in range(2, 21)
+    if p ** (e * r) <= 1 << 20
 ]
 
 
@@ -251,11 +260,14 @@ def test_bfs_size_guard(monkeypatch):
 
 
 # weighted sphere sizes |{v : dist(0, v) = k}|, frozen from a BFS over all
-# n vertices (seed 0, gamma = 1)
+# n vertices (seed 0, gamma = 1); the last two were frozen once from
+# tests/bfs_oracle.py, which takes 8-12 s on each
 FROZEN_SPHERES = {
     (2, 2, 8): [1, 510, 65025],
     (7, 2, 3): [1, 342, 47880, 69426],
     (2, 4, 5): [1, 62, 1922, 36332, 387314, 621395, 1550],
+    (3, 2, 8): [1, 6560, 21516800, 21523360],
+    (2, 4, 6): [1, 126, 7812, 309078, 6742638, 9717561],
 }
 
 
@@ -268,6 +280,37 @@ def test_bfs_sphere_sizes_frozen(key):
     assert np.bincount(dist, weights=weights).astype(int).tolist() == FROZEN_SPHERES[key]
     rec = connectivity(spec)
     assert rec["connected"] and rec["diameter"] == len(FROZEN_SPHERES[key]) - 1
+
+
+@pytest.mark.parametrize("key", BFS_ORACLE_KEYS)
+def test_bfs_distances_match_oracle(key):
+    # covers bottom-up levels whose last chunk leaves rows without a parent:
+    # on (2, 4, 5) the 50 rows at distance 6 find none at distance 4
+    ctx = make_ring(RingParams(*key))
+    for gamma in (ctx.one, random_unit(ctx, sum(key))):
+        spec = build_graph(ctx, gamma)
+        assert np.array_equal(bfs_distances(spec), bfs_oracle.bfs_distances(spec))
+
+
+def test_bfs_work_guard(monkeypatch):
+    # rows mapped, not seconds: the bottom-up levels stop each row at its
+    # first parent, where mapping every neighbour of (2, 4, 5) takes ~0.85 M
+    spec = graph_for(2, 4, 5)
+    mapped = []
+    row_map = analysis.orbit_row_map
+
+    def counting(ctx):
+        rows = row_map(ctx)
+
+        def count(digits):
+            mapped.append(len(digits))
+            return rows(digits)
+
+        return count
+
+    monkeypatch.setattr(analysis, "orbit_row_map", counting)
+    bfs_distances(spec)
+    assert 0 < sum(mapped) <= 200_000
 
 
 def test_girth_without_short_cycle_raises():
