@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cayley import GraphSpec, spectral_interval_bound
+from .cayley import BLOCK_PAIRS, GraphSpec, spectral_interval_bound
 from .errors import IntegrityError, ParameterError
 from .ring import RingContext, RingElement, _multiplication_matrix, coeff_string, is_unit
 from .spectrum import (
@@ -30,20 +30,6 @@ from .spectrum import (
     orbit_representatives,
     orbit_row_map,
 )
-
-BFS_BLOCK_ROWS = 1 << 16
-
-DEFAULT_CHECKS = (
-    "bhk",
-    "connectivity",
-    "energy",
-    "girth",
-    "interval",
-    "ramanujan",
-    "residue",
-    "wcu",
-)
-
 
 @dataclass(frozen=True)
 class ClaimReport:
@@ -285,7 +271,7 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
     translation gives the distances from any other root.
 
     Each level maps neighbours to their orbit rows, in blocks of at most
-    BFS_BLOCK_ROWS neighbours, from whichever side costs fewer maps.
+    BLOCK_PAIRS neighbours, from whichever side costs fewer maps.
     Top-down maps all d neighbours of one representative per frontier
     orbit.  Bottom-up maps neighbours of the unseen orbits, expected to
     take min(d, n / f) tries each before one lands in the f frontier
@@ -309,8 +295,8 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
 
     def neighbour_blocks(part: np.ndarray, s_digits: np.ndarray):
         # orbit rows of u + s over u in part and s in s_digits, one
-        # (rows, len(s_digits)) block of at most BFS_BLOCK_ROWS at a time
-        step = max(1, BFS_BLOCK_ROWS // len(s_digits))
+        # (rows, len(s_digits)) block of at most BLOCK_PAIRS at a time
+        step = max(1, BLOCK_PAIRS // len(s_digits))
         for i in range(0, part.size, step):
             nb = digits[part[i : i + step], None, :] + s_digits
             nb %= q
@@ -387,18 +373,15 @@ def energy_report(spectrum: Spectrum) -> dict:
     n, d = spectrum.n, spectrum.d
     energy = spectrum.energy()
     threshold = 2 * (n - 1)
-    if spectrum.exact:
-        integral = True
-        hyper = energy > threshold
-    else:
-        integral = all(abs(v - round(v)) <= MERGE_TOL for v, _ in spectrum.entries)
-        hyper = energy > threshold
+    integral = spectrum.exact or all(
+        abs(v - round(v)) <= MERGE_TOL for v, _ in spectrum.entries
+    )
     record = {
         "n": n,
         "d": d,
         "energy": energy,
         "integral": integral,
-        "hyperenergetic": hyper,
+        "hyperenergetic": energy > threshold,
         "threshold": threshold,
     }
     if spectrum.exact:
@@ -408,93 +391,75 @@ def energy_report(spectrum: Spectrum) -> dict:
     return record
 
 
+def _girth_claim(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
+    """Girth 4 is asserted for p = 2 and odd r; elsewhere it is reported."""
+    g = girth(spec)
+    if spec.ctx.p == 2 and spec.ctx.r % 2 == 1:
+        return ClaimReport("girth", g == 4, 4, g, None if g == 4 else g)
+    return ClaimReport("girth", True, None, g, asserted=False)
+
+
+def _connectivity_claim(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
+    """BFS agrees with e < r/2 + 1, the multiplicity of d and Chung's bound."""
+    rec = connectivity(spec, spectrum)
+    ok = (
+        rec["consistent_with_condition"]
+        and rec["degree_multiplicity_matches_components"]
+        and rec.get("diameter_within_chung", True)
+    )
+    observed = rec["components"] if rec["diameter"] is None else rec["diameter"]
+    return ClaimReport(
+        "connectivity", ok, rec.get("chung_bound"), observed, None if ok else rec
+    )
+
+
+def _energy_claim(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
+    """Integral and hyperenergetic, asserted for p^e = 4 only."""
+    rec = energy_report(spectrum)
+    if spec.ctx.q != 4:
+        return ClaimReport(
+            "energy", True, rec["threshold"], rec["energy"], asserted=False
+        )
+    ok = rec["integral"] and rec["hyperenergetic"]
+    return ClaimReport(
+        "energy", ok, rec["threshold"], rec["energy"], None if ok else rec
+    )
+
+
+# Claim id -> check on (spec, spectrum); None skips a claim that needs
+# p^e = 4.  The lambdas look each check up in this module when called, so a
+# wrapper set on the module attribute sees every call.
+CLAIMS: dict[str, Callable[[GraphSpec, Spectrum], Optional[ClaimReport]]] = {
+    "bhk": lambda spec, sp: check_bhk(spec.ctx) if spec.ctx.q == 4 else None,
+    "connectivity": _connectivity_claim,
+    "energy": _energy_claim,
+    "girth": _girth_claim,
+    "interval": lambda spec, sp: check_interval(spec, sp),
+    "ramanujan": lambda spec, sp: replace(
+        is_ramanujan(sp), asserted=spec.ctx.q == 4 and spec.ctx.r >= 4
+    ),
+    "residue": lambda spec, sp: (
+        check_residue_partition(spec.ctx, spec.gamma) if spec.ctx.q == 4 else None
+    ),
+    "wcu": lambda spec, sp: check_wcu_summary(spec.ctx),
+}
+DEFAULT_CHECKS = tuple(CLAIMS)
+
+
 def verify_graph(
     spec: GraphSpec,
     checks: Optional[Sequence[str]] = None,
 ) -> dict:
-    """Run the selected checks and assemble the JSON-ready report."""
+    """Run the selected claims of CLAIMS, all by default, and assemble the
+    JSON-ready report."""
     ctx = spec.ctx
-    if checks is None:
-        selected = set(DEFAULT_CHECKS)
-    else:
-        selected = set(checks)
-        unknown = selected - set(DEFAULT_CHECKS)
-        if unknown:
-            raise ParameterError(f"unknown checks: {sorted(unknown)}")
+    selected = sorted(set(DEFAULT_CHECKS if checks is None else checks))
+    unknown = [c for c in selected if c not in CLAIMS]
+    if unknown:
+        raise ParameterError(f"unknown checks: {unknown}")
 
-    char4 = ctx.q == 4
     spectrum = full_spectrum(spec)
-    claims: list[ClaimReport] = []
-    skipped: list[str] = []
-
-    if "interval" in selected:
-        claims.append(check_interval(spec, spectrum))
-    if "wcu" in selected:
-        claims.append(check_wcu_summary(ctx))
-    if "bhk" in selected:
-        if char4:
-            claims.append(check_bhk(ctx))
-        else:
-            skipped.append("bhk")
-    if "residue" in selected:
-        if char4:
-            claims.append(check_residue_partition(ctx, spec.gamma))
-        else:
-            skipped.append("residue")
-    if "ramanujan" in selected:
-        rep = is_ramanujan(spectrum)
-        claims.append(replace(rep, asserted=char4 and ctx.r >= 4))
-    if "girth" in selected:
-        g = girth(spec)
-        if ctx.p == 2 and ctx.r % 2 == 1:
-            expected_exact = ctx.e == 2
-            ok = g == 4 if expected_exact else g >= 4
-            claims.append(
-                ClaimReport(
-                    "girth", ok, 4, g, None if ok else g, asserted=True
-                )
-            )
-        else:
-            claims.append(ClaimReport("girth", True, None, g, asserted=False))
-    if "connectivity" in selected:
-        rec = connectivity(spec, spectrum)
-        ok = (
-            rec["consistent_with_condition"]
-            and rec.get("degree_multiplicity_matches_components", True)
-            and rec.get("diameter_within_chung", True)
-        )
-        claims.append(
-            ClaimReport(
-                "connectivity",
-                ok,
-                rec.get("chung_bound"),
-                rec["diameter"] if rec["diameter"] is not None else rec["components"],
-                None if ok else rec,
-            )
-        )
-    if "energy" in selected:
-        rec = energy_report(spectrum)
-        if char4:
-            ok = rec["integral"] and rec["hyperenergetic"]
-            claims.append(
-                ClaimReport(
-                    "energy",
-                    ok,
-                    rec["threshold"],
-                    rec["energy"],
-                    None if ok else rec,
-                    asserted=True,
-                )
-            )
-        else:
-            claims.append(
-                ClaimReport(
-                    "energy", True, rec["threshold"], rec["energy"], asserted=False
-                )
-            )
-
-    claims.sort(key=lambda c: c.claim_id)
-    lam = spectrum.lambda_g()
+    reports = {c: CLAIMS[c](spec, spectrum) for c in selected}
     return {
         "graph": {
             "p": ctx.p,
@@ -504,12 +469,12 @@ def verify_graph(
             "n": spec.n,
             "d": spec.d,
         },
-        "claims": [c.to_dict() for c in claims],
-        "skipped": sorted(skipped),
+        "claims": [rep.to_dict() for rep in reports.values() if rep is not None],
+        "skipped": [c for c, rep in reports.items() if rep is None],
         "spectrum_summary": {
             "distinct": spectrum.distinct,
             "min": spectrum.min_value,
             "max": spectrum.max_value,
-            "lambda_G": lam,
+            "lambda_G": spectrum.lambda_g(),
         },
     }

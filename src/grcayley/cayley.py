@@ -41,7 +41,7 @@ from .ring import (
 
 VertexId = int
 
-EXPORT_BLOCK = 1 << 20  # neighbours formed per block
+BLOCK_PAIRS = 1 << 16  # (row, s) pairs formed per block by every sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +166,7 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
 
     One header line `# p e r gamma n d`, then one `u v` line per edge with
     u < v, sorted by u then v.  The edges are formed, sorted and formatted
-    a block of about EXPORT_BLOCK neighbours at a time: each line is laid
+    a block of about BLOCK_PAIRS neighbours at a time: each line is laid
     out at a fixed width with NUL bytes for leading zeros, which are then
     dropped, so no Python code runs per edge.
     """
@@ -179,7 +179,7 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     words = -(-width // 4)
     field = slice(4 * words - width, None)
     count = 0
-    rows = max(1, EXPORT_BLOCK // spec.d)
+    rows = max(1, BLOCK_PAIRS // spec.d)
     for lo in range(0, spec.n, rows):
         block = np.arange(lo, min(lo + rows, spec.n), dtype=np.int64)
         targets = _neighbour_indices(spec, ctx.digits_of(block))

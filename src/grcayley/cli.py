@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .analysis import verify_graph
@@ -42,34 +41,15 @@ USAGE_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; produced by main's arg parsing."""
-
-    command: str
-    p: int = 2
-    e: int = 2
-    r: int = 2
-    seed: int = 0
-    modulus: Optional[str] = None
-    gamma: Optional[str] = None
-    output: Optional[str] = None
-    fmt: str = "csv"
-    checks: Optional[tuple[str, ...]] = None
-    delta: str = "1/2"
-    r_min: int = 2
-    r_max: int = 8
-
-
-def _context(cfg: RunConfig):
-    params = RingParams(cfg.p, cfg.e, cfg.r, cfg.seed)
-    modulus = ModulusPoly.parse(cfg.modulus) if cfg.modulus else None
+def _context(args: argparse.Namespace):
+    params = RingParams(args.p, args.e, args.r, args.seed)
+    modulus = ModulusPoly.parse(args.modulus) if args.modulus else None
     return make_ring(params, modulus)
 
 
-def _graph(cfg: RunConfig):
-    ctx = _context(cfg)
-    gamma = parse_coeff_string(ctx, cfg.gamma) if cfg.gamma else None
+def _graph(args: argparse.Namespace):
+    ctx = _context(args)
+    gamma = parse_coeff_string(ctx, args.gamma) if args.gamma else None
     return build_graph(ctx, gamma)
 
 
@@ -85,8 +65,8 @@ def _fmt_value(v: Union[int, float]) -> str:
     return str(v) if isinstance(v, int) else format(v, ".12g")
 
 
-def _cmd_ring_info(cfg: RunConfig) -> int:
-    ctx = _context(cfg)
+def _cmd_ring_info(args: argparse.Namespace) -> int:
+    ctx = _context(args)
     payload = {
         "p": ctx.p,
         "e": ctx.e,
@@ -94,62 +74,65 @@ def _cmd_ring_info(cfg: RunConfig) -> int:
         "modulus": ctx.modulus.serialize(),
         "xi": coeff_string(ctx.xi),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+    _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
 
-def _cmd_graph_export(cfg: RunConfig) -> int:
-    spec = _graph(cfg)
-    if cfg.output and cfg.output != "-":
-        with open(cfg.output, "w", encoding="utf-8") as f:
+def _cmd_graph_export(args: argparse.Namespace) -> int:
+    spec = _graph(args)
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as f:
             export_edges(spec, f)
     else:
         export_edges(spec, sys.stdout)
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    spec = _graph(cfg)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    spec = _graph(args)
     sp = full_spectrum(spec)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "n": sp.n,
             "d": sp.d,
             "exact": sp.exact,
             "entries": [[v, m] for v, m in sp.entries],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
         lines = ["eigenvalue,multiplicity"]
         lines.extend(f"{_fmt_value(v)},{m}" for v, m in sp.entries)
-        _emit("\n".join(lines) + "\n", cfg.output)
+        _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    spec = _graph(cfg)
-    report = verify_graph(spec, checks=cfg.checks)
-    _emit(json.dumps(report, indent=2) + "\n", cfg.output)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    spec = _graph(args)
+    checks = None
+    if args.checks:
+        checks = [part.strip() for part in args.checks.split(",") if part.strip()]
+    report = verify_graph(spec, checks=checks)
+    _emit(json.dumps(report, indent=2) + "\n", args.output)
     failed = [
         c for c in report["claims"] if c["asserted"] and not c["holds"]
     ]
     return 1 if failed else 0
 
 
-def _cmd_family(cfg: RunConfig) -> int:
-    delta = parse_delta(cfg.delta)
-    if cfg.r_min > cfg.r_max:
-        raise ParameterError(f"empty r range {cfg.r_min}..{cfg.r_max}")
+def _cmd_family(args: argparse.Namespace) -> int:
+    delta = parse_delta(args.delta)
+    if args.r_min > args.r_max:
+        raise ParameterError(f"empty r range {args.r_min}..{args.r_max}")
 
     rows = []
-    for r in range(cfg.r_min, cfg.r_max + 1):
-        try:
-            fam = family_params(cfg.p, delta, r)
-        except ParameterError:
-            continue
+    for r in range(args.r_min, args.r_max + 1):
+        e = delta * r
+        if e.denominator != 1 or e < 2:
+            continue  # no member at this r; a bad p still raises below
+        fam = family_params(args.p, delta, r)
         observed = "-"
         if fam["n"] <= FAMILY_OBSERVED_CUTOFF:
-            ctx = make_ring(RingParams(fam["p"], fam["e"], fam["r"], cfg.seed))
+            ctx = make_ring(RingParams(fam["p"], fam["e"], fam["r"], args.seed))
             sp = full_spectrum(build_graph(ctx))
             observed = _fmt_value(sp.lambda_g())
         rows.append(
@@ -158,10 +141,10 @@ def _cmd_family(cfg: RunConfig) -> int:
         )
     if not rows:
         raise ParameterError(
-            f"no family members with integral e = {delta}*r in {cfg.r_min}..{cfg.r_max}"
+            f"no family members with integral e = {delta}*r in {args.r_min}..{args.r_max}"
         )
     header = "r e n d lambda_bound observed_lambda"
-    _emit("\n".join([header] + rows) + "\n", cfg.output)
+    _emit("\n".join([header] + rows) + "\n", args.output)
     return 0
 
 
@@ -172,15 +155,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "family": _cmd_family,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
-    try:
-        return _COMMANDS[config.command](config)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _add_ring_args(sp: argparse.ArgumentParser) -> None:
@@ -234,32 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    kwargs = {
-        "command": args.command,
-        "p": getattr(args, "p", 2),
-        "seed": getattr(args, "seed", 0),
-        "output": getattr(args, "output", None),
-    }
-    if args.command == "family":
-        kwargs.update(
-            delta=args.delta, r_min=args.r_min, r_max=args.r_max
-        )
-    else:
-        kwargs.update(e=args.e, r=args.r, modulus=args.modulus)
-    if hasattr(args, "gamma"):
-        kwargs["gamma"] = args.gamma
-    if hasattr(args, "fmt"):
-        kwargs["fmt"] = args.fmt
-    if getattr(args, "checks", None):
-        kwargs["checks"] = tuple(
-            part.strip() for part in args.checks.split(",") if part.strip()
-        )
     try:
-        config = RunConfig(**kwargs)
+        return _COMMANDS[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -329,11 +329,6 @@ class RingElement:
             exponent >>= 1
         return result
 
-    def scale(self, k: int) -> "RingElement":
-        """Multiply by the integer k (image of k in the ring)."""
-        q = self.ctx.q
-        return RingElement(self.ctx, tuple((k * a) % q for a in self.coeffs))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -569,23 +564,12 @@ def make_ring(params: RingParams, modulus: Optional[ModulusPoly] = None) -> Ring
 def frobenius(a: RingElement, k: int = 1) -> RingElement:
     """k-th power of the coefficient-permuting ring automorphism.
 
-    On the Teichmuller expansion sum(b_i p^i) it acts by b_i -> b_i^p;
-    implemented as a cached linear map on x-power coefficients.
+    On the Teichmuller expansion sum(b_i p^i) it acts by b_i -> b_i^p; on
+    x-power coefficients it is the linear map ctx.frobenius_matrix(k).
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterError(f"k must be an int, got {k!r}")
-    if k < 0:
-        raise ParameterError("frobenius power must be non-negative")
     ctx = a.ctx
-    mat = ctx._frob_mats[k % ctx.r]
-    q = ctx.q
-    return RingElement(
-        ctx,
-        tuple(
-            sum(mat[i][j] * a.coeffs[j] for j in range(ctx.r)) % q
-            for i in range(ctx.r)
-        ),
-    )
+    coeffs = ctx.frobenius_matrix(k) @ np.array(a.coeffs, dtype=np.int64) % ctx.q
+    return RingElement(ctx, tuple(coeffs.tolist()))
 
 
 def trace(a: RingElement) -> int:

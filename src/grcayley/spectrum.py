@@ -41,7 +41,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cayley import GraphSpec, _neighbour_indices
+from .cayley import BLOCK_PAIRS, GraphSpec, _neighbour_indices
 from .errors import IntegrityError, ParameterError, SizeError
 from .ring import RingContext, _multiplication_matrix
 
@@ -49,7 +49,6 @@ IMAG_RESIDUE_TOL = 1e-9
 MERGE_TOL = 1e-6
 ORACLE_CUTOFF = 4096
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
-BLOCK_ELEMS = 1 << 22
 ORBIT_CUTOFF = 1 << 26
 
 
@@ -250,7 +249,7 @@ def _orbit_sums(
     for the summation set S given by its (d, r) digit rows s_digits."""
     digits, val = orbit_representatives(ctx)
     w_t = trace_basis_matrix(ctx, s_digits).T.astype(np.float64)
-    block = max(1, BLOCK_ELEMS // max(len(s_digits), 1))
+    block = max(1, BLOCK_PAIRS // max(len(s_digits), 1))
     parts = [
         character_sums(ctx, w_t, digits[lo : lo + block])
         for lo in range(0, len(val), block)

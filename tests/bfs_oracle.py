@@ -8,7 +8,7 @@ cheaper.
 
 import numpy as np
 
-from grcayley.analysis import BFS_BLOCK_ROWS
+from grcayley.cayley import BLOCK_PAIRS
 from grcayley.spectrum import orbit_representatives, orbit_row_map
 
 
@@ -22,7 +22,7 @@ def bfs_distances(spec):
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
     reached, level = 1, 0
-    block = max(1, BFS_BLOCK_ROWS // spec.d)
+    block = max(1, BLOCK_PAIRS // spec.d)
     while frontier.size and reached < spec.n:
         level += 1
         unseen = np.flatnonzero(dist < 0)

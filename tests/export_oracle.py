@@ -8,7 +8,7 @@ the decimal formatting of the vectorised writer it checks.
 
 import numpy as np
 
-from grcayley.cayley import EXPORT_BLOCK
+from grcayley.cayley import BLOCK_PAIRS
 from grcayley.errors import IntegrityError
 from grcayley.ring import coeff_string
 
@@ -24,7 +24,7 @@ def export_edges(spec, sink):
         f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {spec.n} {spec.d}\n"
     )
     count = 0
-    rows = max(1, EXPORT_BLOCK // spec.d)
+    rows = max(1, BLOCK_PAIRS // spec.d)
     for lo in range(0, spec.n, rows):
         block = np.arange(lo, min(lo + rows, spec.n), dtype=np.int64)
         nb = ctx.digits_of(block)[:, None, :] + spec.s_digits

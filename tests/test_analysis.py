@@ -458,3 +458,32 @@ def test_verify_graph_checks_subset(h16):
 def test_verify_graph_unknown_check(h16):
     with pytest.raises(ParameterError):
         verify_graph(h16, checks=["interval", "nope"])
+
+
+def test_verify_graph_calls_checks_through_module_attributes(monkeypatch):
+    # a tracer wraps these module attributes, so verify_graph must look each
+    # one up when it runs, and call it once
+    names = (
+        "full_spectrum",
+        "check_wcu_summary",
+        "check_bhk",
+        "check_residue_partition",
+        "girth",
+        "connectivity",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(analysis, name, counting(name))
+    report = verify_graph(graph_for(2, 2, 3))
+    assert all(c["holds"] for c in report["claims"])
+    assert calls == dict.fromkeys(names, 1)

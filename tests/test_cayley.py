@@ -201,7 +201,7 @@ def test_export_deterministic(h16, monkeypatch):
     assert a.getvalue() == b.getvalue()
     # blocks of one row and of five rows, the last one short, give the same text
     for rows in (1, 5):
-        monkeypatch.setattr(cayley, "EXPORT_BLOCK", rows * h16.d)
+        monkeypatch.setattr(cayley, "BLOCK_PAIRS", rows * h16.d)
         c = io.StringIO()
         export_edges(h16, c)
         assert c.getvalue() == a.getvalue()
@@ -222,9 +222,9 @@ def assert_export_matches_oracle(spec, block_rows=(1, 5, None)):
     ref = io.StringIO()
     count = export_oracle.export_edges(spec, ref)
     for rows in block_rows:
-        block = cayley.EXPORT_BLOCK if rows is None else rows * spec.d
+        block = cayley.BLOCK_PAIRS if rows is None else rows * spec.d
         buf = io.StringIO()
-        with mock.patch.object(cayley, "EXPORT_BLOCK", block):
+        with mock.patch.object(cayley, "BLOCK_PAIRS", block):
             assert export_edges(spec, buf) == count
         assert_same_text(buf.getvalue(), ref.getvalue())
 

@@ -83,7 +83,7 @@ def test_graph_export_stdout_matches_file(capsys, tmp_path):
 @pytest.mark.parametrize(
     "args,digest",
     [
-        # 4128 rows per export block: four blocks
+        # 258 rows per export block: 64 blocks
         (["-p", "2", "-e", "2", "-r", "7"],
          "b40c30333b8ad5fd01cc2c8d0a6e1c2553b0718f134223ed9a592a3882f87f37"),
         (["-p", "3", "-e", "2", "-r", "4", "--gamma", "1,2,0,1"],
@@ -96,6 +96,29 @@ def test_graph_export_frozen_digest(capsys, tmp_path, args, digest):
     code, _, _ = run_cli(capsys, ["graph-export", *args, "--output", str(path)])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["-p", "2", "-e", "2", "-r", "4", "--seed", "5"],
+         "8b768c6b80e4cda03c4e8e126ed649f6b2e72aed18f6b33182cca7f36fbb27a8"),
+        (["-p", "3", "-e", "2", "-r", "2", "--seed", "5"],
+         "76d9dd0e6a9ffe0589d10c9a9bbd8f82b4ab7e4ddf1ecf692a96e882e4f7c286"),
+        (["-p", "7", "-e", "2", "-r", "3", "--seed", "5"],
+         "7e4126e99f901fbe1ac1e324de31ea32f72971be13b5399bc4cd35423380e253"),
+        (["-p", "2", "-e", "3", "-r", "3", "--seed", "5"],
+         "fd5a1b3b14815cd94ab94d31346f47413aeafb8d3a9b5b37132cef5bd71e6b19"),
+        # bhk is skipped for p^e = 9
+        (["-p", "3", "-e", "2", "-r", "2", "--checks", "girth,bhk,wcu"],
+         "c7f062710f92f98c843c6f482b4a160b31c7f783f93bd665a10c83e4e9fd9e9b"),
+    ],
+    ids=["gr4-4", "gr9-2", "gr49-3", "gr8-3", "gr9-2-subset"],
+)
+def test_verify_frozen_digest(capsys, args, digest):
+    code, out, _ = run_cli(capsys, ["verify", *args])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_spectrum_csv_frozen(capsys):
@@ -243,6 +266,9 @@ def test_family_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+    if argv == ["family", "-p", "4"]:
+        # a bad p is reported as such, not as an empty range of r
+        assert err == "error: p must be prime, got 4\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):
