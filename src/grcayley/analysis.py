@@ -24,11 +24,11 @@ from .ring import RingContext, RingElement, _multiplication_matrix, coeff_string
 from .spectrum import (
     MERGE_TOL,
     Spectrum,
-    _orbit_sums,
-    _require_xi_stable,
+    ZetaSums,
     full_spectrum,
     orbit_representatives,
     orbit_row_map,
+    zeta_sums,
 )
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def _wcu_norm_within_bound(
     return normsq - offset[val] <= limit[val]
 
 
-def check_wcu_summary(ctx: RingContext) -> ClaimReport:
+def check_wcu_summary(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> ClaimReport:
     """Character sums over the Teichmuller units obey
     |zeta(gamma)| <= (N-1)*sqrt(p^r) + 1, N = p^(e-1-valuation(gamma)),
     for every nonzero gamma; one report for the whole ring.
@@ -123,7 +123,7 @@ def check_wcu_summary(ctx: RingContext) -> ClaimReport:
     itself comes from exact integer comparisons.
     """
     p, e, r = ctx.p, ctx.e, ctx.r
-    sums = _orbit_sums(ctx, ctx.teich_digits)
+    sums = zeta_sums(ctx) if zeta is None else zeta
     digits, val, re, im = (a[1:] for a in sums)  # row 0 is zero
     bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
     mags = np.hypot(re, im)
@@ -136,7 +136,7 @@ def check_wcu_summary(ctx: RingContext) -> ClaimReport:
     return ClaimReport("wcu", witness is None, 0.0, float((mags - bounds).max()), witness)
 
 
-def check_bhk(ctx: RingContext) -> ClaimReport:
+def check_bhk(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> ClaimReport:
     """For p^e = 4: |1 + zeta(gamma)|^2 = 2^r for units, zeta(gamma) = -1
     for nonzero non-units, and zeta(0) = 2^r - 1; checked exhaustively.
 
@@ -147,7 +147,7 @@ def check_bhk(ctx: RingContext) -> ClaimReport:
     if ctx.q != 4:
         raise ParameterError("the character sum identity requires p^e = 4")
     pr = 2**ctx.r
-    digits, val, re, im = _orbit_sums(ctx, ctx.teich_digits)
+    digits, val, re, im = zeta_sums(ctx) if zeta is None else zeta
     dev = np.where(
         val == 0,
         np.abs((re + 1) ** 2 + im**2 - pr),
@@ -234,6 +234,15 @@ def girth(spec: GraphSpec) -> int:
             f"with d = {spec.d} the pair sums need not close a cycle of length 3 or 4"
         )
     return 3 if triangle_count(spec) else 4
+
+
+def _require_xi_stable(spec: GraphSpec) -> None:
+    """Raise IntegrityError unless the connection set is closed under
+    multiplication by xi, the G1-stability every orbit reduction needs."""
+    ctx = spec.ctx
+    image = (spec.s_digits @ _multiplication_matrix(ctx.xi).T) % ctx.q
+    if not np.isin(ctx.indices_from_digits(image), spec.s_indices).all():
+        raise IntegrityError("connection set is not closed under multiplication by xi")
 
 
 def triangle_count(spec: GraphSpec) -> int:
@@ -426,22 +435,22 @@ def _energy_claim(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
     )
 
 
-# Claim id -> check on (spec, spectrum); None skips a claim that needs
-# p^e = 4.  The lambdas look each check up in this module when called, so a
-# wrapper set on the module attribute sees every call.
-CLAIMS: dict[str, Callable[[GraphSpec, Spectrum], Optional[ClaimReport]]] = {
-    "bhk": lambda spec, sp: check_bhk(spec.ctx) if spec.ctx.q == 4 else None,
-    "connectivity": _connectivity_claim,
-    "energy": _energy_claim,
-    "girth": _girth_claim,
-    "interval": lambda spec, sp: check_interval(spec, sp),
-    "ramanujan": lambda spec, sp: replace(
+# Claim id -> check on (spec, spectrum, zeta sums); None skips a claim that
+# needs p^e = 4.  The lambdas look each check up in this module when called,
+# so a wrapper set on the module attribute sees every call.
+CLAIMS: dict[str, Callable[[GraphSpec, Spectrum, ZetaSums], Optional[ClaimReport]]] = {
+    "bhk": lambda spec, sp, z: check_bhk(spec.ctx, z) if spec.ctx.q == 4 else None,
+    "connectivity": lambda spec, sp, z: _connectivity_claim(spec, sp),
+    "energy": lambda spec, sp, z: _energy_claim(spec, sp),
+    "girth": lambda spec, sp, z: _girth_claim(spec, sp),
+    "interval": lambda spec, sp, z: check_interval(spec, sp),
+    "ramanujan": lambda spec, sp, z: replace(
         is_ramanujan(sp), asserted=spec.ctx.q == 4 and spec.ctx.r >= 4
     ),
-    "residue": lambda spec, sp: (
+    "residue": lambda spec, sp, z: (
         check_residue_partition(spec.ctx, spec.gamma) if spec.ctx.q == 4 else None
     ),
-    "wcu": lambda spec, sp: check_wcu_summary(spec.ctx),
+    "wcu": lambda spec, sp, z: check_wcu_summary(spec.ctx, z),
 }
 DEFAULT_CHECKS = tuple(CLAIMS)
 
@@ -451,15 +460,17 @@ def verify_graph(
     checks: Optional[Sequence[str]] = None,
 ) -> dict:
     """Run the selected claims of CLAIMS, all by default, and assemble the
-    JSON-ready report."""
+    JSON-ready report.  One zeta_sums sweep serves the spectrum, wcu and
+    bhk."""
     ctx = spec.ctx
     selected = sorted(set(DEFAULT_CHECKS if checks is None else checks))
     unknown = [c for c in selected if c not in CLAIMS]
     if unknown:
         raise ParameterError(f"unknown checks: {unknown}")
 
-    spectrum = full_spectrum(spec)
-    reports = {c: CLAIMS[c](spec, spectrum) for c in selected}
+    zeta = zeta_sums(ctx)
+    spectrum = full_spectrum(spec, zeta)
+    reports = {c: CLAIMS[c](spec, spectrum, zeta) for c in selected}
     return {
         "graph": {
             "p": ctx.p,

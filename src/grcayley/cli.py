@@ -24,6 +24,7 @@ from .errors import (
 from .ring import (
     ModulusPoly,
     RingParams,
+    _is_prime,
     coeff_string,
     make_ring,
     parse_coeff_string,
@@ -121,6 +122,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     delta = parse_delta(args.delta)
+    if not _is_prime(args.p):
+        raise ParameterError(f"p must be prime, got {args.p}")
     if args.r_min > args.r_max:
         raise ParameterError(f"empty r range {args.r_min}..{args.r_max}")
 
@@ -128,7 +131,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     for r in range(args.r_min, args.r_max + 1):
         e = delta * r
         if e.denominator != 1 or e < 2:
-            continue  # no member at this r; a bad p still raises below
+            continue  # no member at this r
         fam = family_params(args.p, delta, r)
         observed = "-"
         if fam["n"] <= FAMILY_OBSERVED_CUTOFF:

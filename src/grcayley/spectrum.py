@@ -6,21 +6,24 @@ psi_beta(x) = omega^(T(beta*x)), omega a primitive p^e-th root of unity
 and T the trace, one character per ring element beta.  One kernel,
 character_sums, computes every such sum in the package: given a summation
 set S and a block of coefficient rows beta, it returns
-sum_{s in S} psi_beta(s) for each row.  With S the connection set these
-are the eigenvalues (full_spectrum); with S the Teichmuller units they are
-the sums zeta(beta) behind the wcu and bhk checks.
+sum_{s in S} psi_beta(s) for each row.  The package sums over one set
+only, the Teichmuller units G1: zeta(beta) = sum_{u in G1} psi_beta(u),
+the sums behind the wcu and bhk checks and the spectrum.
 
-Both summation sets are fixed by multiplication with any u in G1, so the
-sum at beta*u equals the sum at beta and the kernel only needs one beta
-per G1-orbit.  G1 acts freely on the nonzero elements: an element of
-valuation v is u * p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) for exactly one
-u in G1 and b_i in G1 or zero.  orbit_representatives lists those
-(n-1)/(p^r-1) representatives, each standing for an orbit of p^r - 1
-elements, after beta = 0, an orbit of its own.  One sweep, _orbit_sums,
-runs the kernel over those representatives in blocks, for full_spectrum
-with S the connection set and for the wcu and bhk checks with S = G1.
-full_spectrum weights every eigenvalue by its orbit size, so a spectrum
-costs (n-1)/(p^r-1) + 1 sums instead of n.
+x -> gamma*x takes +-G1 onto the connection set, so the eigenvalue at beta
+is zeta(beta*gamma) + zeta(-beta*gamma): 2 Re zeta(beta*gamma) for p = 2,
+and zeta(beta*gamma) for odd p, where -1 lies in G1.  As beta*gamma runs
+over the ring with beta, the spectrum is the same for every unit gamma.
+
+G1 is fixed by multiplication with any u in G1, so zeta(beta*u) =
+zeta(beta) and the kernel only needs one beta per G1-orbit.  G1 acts
+freely on the nonzero elements: an element of valuation v is
+u * p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) for exactly one u in G1 and b_i
+in G1 or zero.  orbit_representatives lists those (n-1)/(p^r-1)
+representatives, each standing for an orbit of p^r - 1 elements, after
+beta = 0, an orbit of its own.  One sweep, zeta_sums, runs the kernel over
+those representatives in blocks, and full_spectrum weights every value by
+its orbit size, so a spectrum costs (n-1)/(p^r-1) + 1 sums instead of n.
 
 The kernel gets the trace values of a block at once through the linear
 form T(beta*s) = sum_i a_i * T(x^i * s), a_i the coefficients of beta, as
@@ -30,8 +33,7 @@ supported ring, so it converts to int64 without rounding.
 
 For p^e = 4 the character values lie in {1, i, -1, -i}, the sums are the
 exact Gaussian integers (counts[0] - counts[2]) + i(counts[1] - counts[3]),
-and full spectra are exact.  Otherwise the sums are float64 cos/sin sums
-and eigenvalues carry an imaginary-residue self-check of 1e-9 * d.
+and full spectra are exact.  Otherwise the sums are float64 cos/sin sums.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ import numpy as np
 
 from .cayley import BLOCK_PAIRS, GraphSpec, _neighbour_indices
 from .errors import IntegrityError, ParameterError, SizeError
-from .ring import RingContext, _multiplication_matrix
+from .ring import RingContext
 
-IMAG_RESIDUE_TOL = 1e-9
 MERGE_TOL = 1e-6
 ORACLE_CUTOFF = 4096
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
@@ -132,18 +133,6 @@ def trace_basis_matrix(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_xi_stable(spec: GraphSpec) -> None:
-    """Raise IntegrityError unless the connection set is closed under
-    multiplication by xi, the G1-stability every orbit reduction needs."""
-    ctx = spec.ctx
-    image = (spec.s_digits @ _multiplication_matrix(ctx.xi).T) % ctx.q
-    s_idx = ctx.indices_from_digits(spec.s_digits)
-    if not np.isin(ctx.indices_from_digits(image), s_idx).all():
-        raise IntegrityError(
-            "connection set is not closed under multiplication by xi"
-        )
-
-
 def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
     """One element per G1-orbit of the ring, as (digits, valuation).
 
@@ -204,7 +193,8 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
         val = np.full(len(x), e, dtype=np.int64)
         for i in range(e):
             high = x // p
-            k = (x - high * p) @ place  # residue index of t_i
+            x -= high * p  # in place here and below: fewer block-sized temporaries
+            k = x @ place  # residue index of t_i
             t = log[k]
             before = lead < 0
             ratio = (t - lead) % (pr - 1) + 1
@@ -215,7 +205,8 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
             val[first] = i
             if i + 1 < e:
                 # x <- (x - t_i)/p, coefficientwise mod q/p^(i+1)
-                x = (high - lift_high[k]) % (q // p ** (i + 1))
+                high -= lift_high[k]
+                x = np.remainder(high, q // p ** (i + 1), out=high)
         return row + start[val]
 
     return rows
@@ -241,48 +232,41 @@ def character_sums(
     return np.cos(angles)[tv].sum(axis=1), np.sin(angles)[tv].sum(axis=1)
 
 
-def _orbit_sums(
-    ctx: RingContext, s_digits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """sum_{s in S} omega^(T(beta*s)) on one beta per G1-orbit, as
-    (digits, valuation, re, im) over the rows of orbit_representatives,
-    for the summation set S given by its (d, r) digit rows s_digits."""
+ZetaSums = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def zeta_sums(ctx: RingContext) -> ZetaSums:
+    """zeta(beta) = sum_{u in G1} omega^(T(beta*u)) on one beta per
+    G1-orbit, as (digits, valuation, re, im) over the rows of
+    orbit_representatives."""
     digits, val = orbit_representatives(ctx)
-    w_t = trace_basis_matrix(ctx, s_digits).T.astype(np.float64)
-    block = max(1, BLOCK_PAIRS // max(len(s_digits), 1))
+    w_t = trace_basis_matrix(ctx, ctx.teich_digits).T.astype(np.float64)
+    block = max(1, BLOCK_PAIRS // len(ctx.teich_digits))
     parts = [
         character_sums(ctx, w_t, digits[lo : lo + block])
         for lo in range(0, len(val), block)
     ]
-    re = np.concatenate([part[0] for part in parts])
-    im = np.concatenate([part[1] for part in parts])
+    re, im = (np.concatenate(part) for part in zip(*parts))
     return digits, val, re, im
 
 
-def full_spectrum(spec: GraphSpec) -> Spectrum:
-    """Spectrum of the graph from one character sum per G1-orbit.
+def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
+    """Spectrum of the graph from zeta_sums(spec.ctx), swept here unless
+    given as zeta.
 
-    Each orbit's eigenvalue counts once per element of the orbit.  Exact
-    integers for p^e = 4; floats at merge tolerance 1e-6 otherwise.  The
-    numeric path is capped at 2^24 vertices.  Raises IntegrityError when
-    the connection set is not closed under multiplication by xi, since the
-    orbit sums only hold for a G1-stable set.
+    Each orbit's eigenvalue, 2 Re zeta for p = 2 and zeta for odd p, counts
+    once per element of the orbit; of the connection set only d is read.
+    Exact integers for p^e = 4; floats at merge tolerance 1e-6 otherwise.
+    The numeric path is capped at 2^24 vertices.  Raises IntegrityError
+    when the moments disagree with n and d.
     """
     ctx = spec.ctx
     n, d = spec.n, spec.d
     exact = ctx.q == 4
     if not exact and n > NUMERIC_SPECTRUM_CUTOFF:
-        raise SizeError(
-            f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff"
-        )
-    _require_xi_stable(spec)
-
-    _, val, eig, im = _orbit_sums(ctx, spec.s_digits)
-    if np.abs(im).max() > (0 if exact else IMAG_RESIDUE_TOL * d):
-        raise IntegrityError(
-            "imaginary part of an eigenvalue exceeds tolerance: the "
-            "connection set is not negation-closed"
-        )
+        raise SizeError(f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff")
+    _, val, re, _ = zeta_sums(ctx) if zeta is None else zeta
+    eig = 2 * re if ctx.p == 2 else re
     weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
 
     if not exact:

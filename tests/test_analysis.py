@@ -464,6 +464,7 @@ def test_verify_graph_calls_checks_through_module_attributes(monkeypatch):
     # a tracer wraps these module attributes, so verify_graph must look each
     # one up when it runs, and call it once
     names = (
+        "zeta_sums",
         "full_spectrum",
         "check_wcu_summary",
         "check_bhk",

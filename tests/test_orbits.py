@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbit_oracle import orbit_row_oracle
 from residue_oracle import residue_partition
@@ -21,6 +23,7 @@ from grcayley import (
     check_wcu_summary,
     connectivity,
     full_spectrum,
+    is_unit,
     make_ring,
     orbit_representatives,
     padic_coords,
@@ -34,6 +37,13 @@ from grcayley.spectrum import MERGE_TOL, _merge_numeric, orbit_row_map
 
 SWEEP_KEYS = [(2, 2, 8), (2, 4, 4), (2, 3, 5), (3, 2, 4), (5, 2, 3), (7, 2, 2)]
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 4, 2), (5, 2, 2), (3, 3, 2)]
+RINGS_UP_TO_2_12 = [
+    (p, e, r)
+    for p in (2, 3, 5, 7)
+    for e in range(2, 7)
+    for r in range(2, 7)
+    if p ** (e * r) <= 1 << 12
+]
 
 
 def sweep(ctx, elements):
@@ -106,9 +116,10 @@ def test_representatives_partition_the_ring(key):
     assert (covered == 1).all()
 
 
-@pytest.mark.parametrize("key", SWEEP_KEYS)
-def test_orbit_spectrum_matches_sweep(key):
-    spec = build_graph(make_ring(RingParams(*key)))
+def assert_spectrum_matches_sweep(spec):
+    """full_spectrum, from zeta over G1, against the kernel swept over S at
+    every element: entry for entry for p^e = 4, else equal multiplicities
+    and values within 1e-9."""
     got = full_spectrum(spec).entries
     want = sweep_spectrum(spec)
     if spec.ctx.q == 4:
@@ -116,6 +127,25 @@ def test_orbit_spectrum_matches_sweep(key):
     else:
         assert [m for _, m in got] == [m for _, m in want]
         assert np.allclose([v for v, _ in got], [v for v, _ in want], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("key", SWEEP_KEYS)
+def test_orbit_spectrum_matches_sweep(key):
+    assert_spectrum_matches_sweep(build_graph(make_ring(RingParams(*key))))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    key=st.sampled_from(RINGS_UP_TO_2_12),
+    seed=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_zeta_spectrum_matches_sweep_property(key, seed, data):
+    # the spectrum never reads S, so a twisted S checks the gamma-invariance
+    ctx = make_ring(RingParams(*key, seed=seed))
+    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
+    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    assert_spectrum_matches_sweep(build_graph(ctx, gamma))
 
 
 @pytest.mark.parametrize("key", SWEEP_KEYS)
@@ -137,9 +167,12 @@ def test_full_spectrum_rejects_xi_unstable_connection_set():
     pair = (ctx.one, -ctx.one)
     idx = np.array([s.index for s in pair], dtype=np.int64)
     unstable = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
-    for check in (full_spectrum, bfs_distances, connectivity, triangle_count):
+    for check in (bfs_distances, connectivity, triangle_count):
         with pytest.raises(IntegrityError, match="xi"):
             check(unstable)
+    # full_spectrum reads only d of S; d = 2 is not the ring's 14
+    with pytest.raises(IntegrityError, match="moment"):
+        full_spectrum(unstable)
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)

@@ -82,10 +82,11 @@ def test_trace_counts_frozen(h16):
 
 
 def test_eigenvalue_guards(h16):
-    # gamma*G1 without its negation: the sums have nonzero imaginary parts
+    # gamma*G1 without its negation: full_spectrum reads only d = 3 of S,
+    # which is not the ring's 6, so the second moment check fails
     half = h16.d // 2
     lopsided = dataclasses.replace(h16, d=half, s_digits=h16.s_digits[:half])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="moment"):
         full_spectrum(lopsided)
 
 
