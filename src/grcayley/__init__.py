@@ -11,33 +11,25 @@ from .errors import (
 )
 from .ring import (
     ModulusPoly,
-    PAdicCoords,
     RingContext,
     RingElement,
     RingParams,
     find_basic_irreducible,
-    frobenius,
     is_unit,
     make_ring,
-    padic_coords,
-    project_residue,
-    trace,
 )
 from .cayley import (
     GraphSpec,
     build_graph,
     export_edges,
     family_params,
-    neighbors,
     spectral_interval_bound,
 )
 from .spectrum import (
     Spectrum,
     character_sums,
     full_spectrum,
-    oracle_spectrum,
     orbit_representatives,
-    spectral_deviation,
     trace_basis_matrix,
 )
 from .analysis import (
@@ -63,7 +55,6 @@ __all__ = [
     "IntegrityError",
     "ModulusError",
     "ModulusPoly",
-    "PAdicCoords",
     "ParameterError",
     "RangeError",
     "RingContext",
@@ -83,20 +74,13 @@ __all__ = [
     "export_edges",
     "family_params",
     "find_basic_irreducible",
-    "frobenius",
     "full_spectrum",
     "girth",
     "is_ramanujan",
     "is_unit",
     "make_ring",
-    "neighbors",
-    "oracle_spectrum",
     "orbit_representatives",
-    "padic_coords",
-    "project_residue",
-    "spectral_deviation",
     "spectral_interval_bound",
-    "trace",
     "trace_basis_matrix",
     "triangle_count",
     "verify_graph",

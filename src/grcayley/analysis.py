@@ -437,8 +437,13 @@ def _energy_claim(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
 
 # Claim id -> check on (spec, spectrum, zeta sums); None skips a claim that
 # needs p^e = 4.  The lambdas look each check up in this module when called,
-# so a wrapper set on the module attribute sees every call.
-CLAIMS: dict[str, Callable[[GraphSpec, Spectrum, ZetaSums], Optional[ClaimReport]]] = {
+# so a wrapper set on the module attribute sees every call.  The spectrum is
+# None unless a claim of SPECTRUM_CLAIMS is selected, and the zeta sums are
+# None unless one of ZETA_CLAIMS is (bhk only counts when p^e = 4, as it
+# is skipped otherwise).
+CLAIMS: dict[
+    str, Callable[[GraphSpec, Optional[Spectrum], Optional[ZetaSums]], Optional[ClaimReport]]
+] = {
     "bhk": lambda spec, sp, z: check_bhk(spec.ctx, z) if spec.ctx.q == 4 else None,
     "connectivity": lambda spec, sp, z: _connectivity_claim(spec, sp),
     "energy": lambda spec, sp, z: _energy_claim(spec, sp),
@@ -453,6 +458,8 @@ CLAIMS: dict[str, Callable[[GraphSpec, Spectrum, ZetaSums], Optional[ClaimReport
     "wcu": lambda spec, sp, z: check_wcu_summary(spec.ctx, z),
 }
 DEFAULT_CHECKS = tuple(CLAIMS)
+SPECTRUM_CLAIMS = frozenset({"connectivity", "energy", "interval", "ramanujan"})
+ZETA_CLAIMS = SPECTRUM_CLAIMS | {"bhk", "wcu"}
 
 
 def verify_graph(
@@ -461,15 +468,17 @@ def verify_graph(
 ) -> dict:
     """Run the selected claims of CLAIMS, all by default, and assemble the
     JSON-ready report.  One zeta_sums sweep serves the spectrum, wcu and
-    bhk."""
+    bhk; it runs only when one of them is selected, and the spectrum is
+    built, and summarised, only for a claim of SPECTRUM_CLAIMS."""
     ctx = spec.ctx
     selected = sorted(set(DEFAULT_CHECKS if checks is None else checks))
     unknown = [c for c in selected if c not in CLAIMS]
     if unknown:
         raise ParameterError(f"unknown checks: {unknown}")
 
-    zeta = zeta_sums(ctx)
-    spectrum = full_spectrum(spec, zeta)
+    reads_zeta = ZETA_CLAIMS if ctx.q == 4 else ZETA_CLAIMS - {"bhk"}
+    zeta = zeta_sums(ctx) if reads_zeta.intersection(selected) else None
+    spectrum = full_spectrum(spec, zeta) if SPECTRUM_CLAIMS.intersection(selected) else None
     reports = {c: CLAIMS[c](spec, spectrum, zeta) for c in selected}
     return {
         "graph": {
@@ -482,7 +491,9 @@ def verify_graph(
         },
         "claims": [rep.to_dict() for rep in reports.values() if rep is not None],
         "skipped": [c for c, rep in reports.items() if rep is None],
-        "spectrum_summary": {
+        "spectrum_summary": None
+        if spectrum is None
+        else {
             "distinct": spectrum.distinct,
             "min": spectrum.min_value,
             "max": spectrum.max_value,

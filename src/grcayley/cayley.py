@@ -22,12 +22,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    ContextMismatchError,
-    IntegrityError,
-    ParameterError,
-    RangeError,
-)
+from .errors import ContextMismatchError, IntegrityError, ParameterError
 from .ring import (
     MAX_RING_SIZE,
     RingContext,
@@ -38,8 +33,6 @@ from .ring import (
     coeff_string,
     is_unit,
 )
-
-VertexId = int
 
 BLOCK_PAIRS = 1 << 16  # (row, s) pairs formed per block by every sweep
 
@@ -122,14 +115,6 @@ def _neighbour_indices(spec: GraphSpec, digits: np.ndarray) -> np.ndarray:
         digit *= np.uint32(w)
         targets += digit
     return targets
-
-
-def neighbors(spec: GraphSpec, v: VertexId) -> list[VertexId]:
-    """The d neighbours of vertex v, ascending."""
-    if not (0 <= v < spec.n):
-        raise RangeError(f"vertex {v} outside [0, {spec.n})")
-    vd = spec.ctx.digits_of(np.array([v], dtype=np.int64))
-    return np.sort(_neighbour_indices(spec, vd)[0]).tolist()
 
 
 def _decimal_chunks() -> np.ndarray:

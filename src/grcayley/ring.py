@@ -1,14 +1,21 @@
 """Exact arithmetic in Galois rings GR(p^e, p^(er)).
 
 A ring context fixes a modulus q = p^e and a monic degree-r polynomial f
-over Z_q whose reduction mod p is irreducible and primitive.  Elements are
-residue classes in Z_q[x]/(f), stored as coefficient tuples
-(c_0, ..., c_{r-1}) with 0 <= c_i < q, ascending powers of x.  Primitivity
-of the mod-p reduction makes xi = x^(p^((e-1)r)) a generator of the cyclic
-group G1 of Teichmuller units (order p^r - 1).  The context holds G1 as one
-digit array, teich_digits, built by matrix doubling; the units are not
-enumerated as elements at construction, and teichmuller_units builds them
-on first read.
+over Z_q whose reduction mod p is primitive: x has order p^r - 1 mod p.
+That is one test, on the companion matrix C of f, and it also makes the
+reduction irreducible, since F_p[x]/(f) has p^r - 1 units only when it is
+a field.  Elements are residue classes in Z_q[x]/(f), stored as
+coefficient tuples (c_0, ..., c_{r-1}) with 0 <= c_i < q, ascending
+powers of x.  Primitivity makes xi = x^(p^((e-1)r)) a generator of the
+cyclic group G1 of Teichmuller units (order p^r - 1); its multiplication
+matrix is C^(p^((e-1)r)) mod q.  The context holds G1 as one digit array,
+teich_digits, built by matrix doubling; the units are not enumerated as
+elements at construction, and teichmuller_units builds them on first read.
+
+The trace T(a) is the sum of the r Frobenius conjugates of a, and the
+conjugates of x are the roots of f.  So T(x^j) is the j-th power sum of
+those roots, which Newton's identities give from the coefficients of f;
+trace_form holds T(x^0), ..., T(x^(r-1)).
 
 Every element has a flat index sum(c_i * q^i); the graph modules use that
 index as the vertex id.  digits_of / indices_from_digits convert whole
@@ -65,85 +72,42 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over F_p, used only to vet modulus candidates.  Coefficients
-# ascending, trailing zeros trimmed, always nonempty.
+def _matpow(m: np.ndarray, k: int, mod: int) -> np.ndarray:
+    """m^k mod `mod` for a square int64 matrix, by repeated squaring.
+
+    Entries stay below mod <= 2^16, so every product fits in int64."""
+    out = np.eye(len(m), dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64) % mod
+    while k:
+        if k & 1:
+            out = out @ m % mod
+        m = m @ m % mod
+        k >>= 1
+    return out
 
 
-def _fp_trim(a: list[int]) -> tuple[int, ...]:
-    k = len(a)
-    while k > 1 and a[k - 1] == 0:
-        k -= 1
-    return tuple(a[:k])
+def _companion(coeffs: Sequence[int], mod: int) -> np.ndarray:
+    """Matrix of multiplication by x on the basis 1, x, ..., x^(r-1) of
+    Z_mod[x]/(f), f monic with ascending coefficients; its column j is
+    x^(j+1) mod f, and column j of its k-th power is x^(k+j) mod f."""
+    r = len(coeffs) - 1
+    c = np.eye(r, k=-1, dtype=np.int64)
+    c[:, -1] = [(-a) % mod for a in coeffs[:r]]
+    return c
 
 
-def _fp_mod(a: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
-    """a mod f over F_p; f need not be monic."""
-    a = list(a)
-    df = len(f) - 1
-    inv = pow(f[df], -1, p)
-    for m in range(len(a) - 1, df - 1, -1):
-        c = a[m] % p
-        if c:
-            c = (c * inv) % p
-            for i in range(df + 1):
-                a[m - df + i] = (a[m - df + i] - c * f[i]) % p
-    return _fp_trim([c % p for c in a[:df]] or [0])
+def _x_is_primitive(f: Sequence[int], p: int) -> bool:
+    """Whether x has order p^r - 1 in F_p[x]/(f), f monic of degree r, as
+    the order of the companion matrix of f mod p.
 
-
-def _fp_mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-    return _fp_mod([c % p for c in conv], f, p)
-
-
-def _fp_powmod(base: Sequence[int], exp: int, f: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    acc = _fp_mod(base, f, p)
-    while exp:
-        if exp & 1:
-            result = _fp_mulmod(result, acc, f, p)
-        acc = _fp_mulmod(acc, acc, f, p)
-        exp >>= 1
-    return result
-
-
-def _fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b != (0,):
-        a, b = b, _fp_mod(a, b, p)
-    return a
-
-
-def _fp_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's test for a polynomial of degree >= 1 over F_p."""
-    r = len(f) - 1
-    x = (0, 1)
-    xq = _fp_powmod(x, p**r, f, p)
-    if xq != _fp_mod(x, f, p):
+    That also makes f irreducible mod p: for a reducible f the quotient is
+    not a field and has fewer than p^r - 1 units."""
+    c = _companion(f, p)
+    eye = np.eye(len(c), dtype=np.int64)
+    order = p ** len(c) - 1
+    if not (_matpow(c, order, p) == eye).all():
         return False
-    for d in _prime_factors(r):
-        h = _fp_powmod(x, p ** (r // d), f, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(diff, f, p)
-        if len(g) > 1:
-            return False
-    return True
-
-
-def _fp_x_is_primitive(f: Sequence[int], p: int) -> bool:
-    """Whether x generates the multiplicative group of F_p[x]/(f), f irreducible."""
-    order = p ** (len(f) - 1) - 1
-    if _fp_powmod((0, 1), order, f, p) != (1,):
-        return False
-    for d in _prime_factors(order):
-        if _fp_powmod((0, 1), order // d, f, p) == (1,):
-            return False
-    return True
+    return not any((_matpow(c, order // d, p) == eye).all() for d in _prime_factors(order))
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +194,11 @@ class ModulusPoly:
             )
         if any(c >= params.q for c in self.coeffs):
             raise ModulusError(f"modulus coefficients must lie in [0, {params.q})")
-        fbar = self.reduced_mod(params.p)
-        if fbar[-1] != 1:
-            raise ModulusError("modulus reduction mod p must stay monic")
-        if not _fp_is_irreducible(fbar, params.p):
+        if not _x_is_primitive(self.coeffs, params.p):
             raise ModulusError(
-                f"modulus {self.serialize()} is reducible mod {params.p}"
-            )
-        if not _fp_x_is_primitive(fbar, params.p):
-            raise ModulusError(
-                f"modulus {self.serialize()} is irreducible but x is not a "
-                f"multiplicative generator mod {params.p}; a primitive reduction "
-                f"is required so that x^(p^((e-1)r)) generates the Teichmuller units"
+                f"modulus {self.serialize()} is not primitive mod {params.p}: x must "
+                f"have order p^r - 1 mod p, so that the reduction is irreducible and "
+                f"x^(p^((e-1)r)) generates the Teichmuller units"
             )
 
 
@@ -257,17 +214,9 @@ def find_basic_irreducible(params: RingParams) -> ModulusPoly:
     offset = random.Random(params.seed).randrange(count)
     for step in range(count):
         k = (offset + step) % count
-        low = []
-        kk = k
-        for _ in range(r):
-            low.append(kk % p)
-            kk //= p
-        cand = tuple(low) + (1,)
-        if not _fp_is_irreducible(cand, p):
-            continue
-        if not _fp_x_is_primitive(cand, p):
-            continue
-        return ModulusPoly(cand)
+        cand = tuple((k // p**i) % p for i in range(r)) + (1,)
+        if _x_is_primitive(cand, p):
+            return ModulusPoly(cand)
     raise IntegrityError(f"no primitive degree-{r} polynomial found mod {p}")
 
 
@@ -353,15 +302,6 @@ class RingElement:
         return f"RingElement({self.coeffs!r})"
 
 
-@dataclass(frozen=True)
-class PAdicCoords:
-    """Digits (b_0, ..., b_{e-1}) of a = sum b_i p^i, each a Teichmuller
-    unit or zero; valuation is the first index with b_i != 0, or e for a = 0."""
-
-    digits: tuple[RingElement, ...]
-    valuation: int
-
-
 class RingContext:
     """All per-ring derived structure; build through make_ring."""
 
@@ -377,29 +317,23 @@ class RingContext:
         self.key = (self.p, self.e, self.r, modulus.coeffs)
         self._weights = tuple(self.q**i for i in range(self.r))
 
-        r, q = self.r, self.q
-        # rows[m - r] = coefficient vector of x^m mod f, for m = r .. 2r-2
-        rows = [tuple((-c) % q for c in modulus.coeffs[:r])]
-        for _ in range(r - 2):
-            prev = rows[-1]
-            top = prev[r - 1]
-            rows.append(
-                tuple(
-                    ((prev[i - 1] if i else 0) + top * rows[0][i]) % q
-                    for i in range(r)
-                )
-            )
-        self._redrows = rows
+        p, e, r, q = self.p, self.e, self.r, self.q
+        comp = _companion(modulus.coeffs, q)
+        # column j of comp^(r-1) is x^(r-1+j) mod f, so row m - r below is
+        # x^m mod f for m = r .. 2r-2, the rows that _mul reduces with
+        high = _matpow(comp, r - 1, q)[:, 1:].T
+        self._redrows = [tuple(row) for row in high.tolist()]
 
         self.zero = RingElement(self, (0,) * r)
         self.one = self.element([1])
         self.x = self.element([0, 1])
 
-        self.xi = self.x ** (self.p ** ((self.e - 1) * self.r))
+        m_xi = _matpow(comp, p ** ((e - 1) * r), q)  # multiplication by xi
+        self.xi = RingElement(self, tuple(m_xi[:, 0].tolist()))
 
-        group_order = self.p**self.r - 1
+        group_order = p**r - 1
         # a @ by_xi holds the digits of a * xi
-        by_xi = _multiplication_matrix(self.xi).T
+        by_xi = m_xi.T
         # xi^0 .. xi^(p^r - 2) by doubling: rows [k, 2k) are rows [0, k) @ M(xi^k)^T
         teich, step = np.eye(1, r, dtype=np.int64), by_xi
         while len(teich) < group_order:
@@ -413,20 +347,14 @@ class RingContext:
         teich.flags.writeable = False
         self.teich_digits: np.ndarray = teich
 
-        # change of basis between the x-power and xi-power coordinates
-        basis_inv = _matinv_mod(teich[:r].T.tolist(), q, self.p)
-        image = teich[(self.p * np.arange(r)) % group_order].T.tolist()
-        frob = _matmul_mod(image, basis_inv, q)
-
-        mats = [[[int(i == j) for j in range(r)] for i in range(r)]]
-        for _ in range(r - 1):
-            mats.append(_matmul_mod(frob, mats[-1], q))
-        self._frob_mats = [tuple(tuple(row) for row in m) for m in mats]
-
-        total = [[sum(m[i][j] for m in mats) % q for j in range(r)] for i in range(r)]
-        if any(v for row in total[1:] for v in row):
-            raise IntegrityError("trace is not scalar-valued; modulus is unusable")
-        self.trace_form: tuple[int, ...] = tuple(total[0])
+        # T(x^j) is the j-th power sum of the roots of f, the r conjugates of
+        # x; Newton's identities give it from f = x^r + sum a_i x^i
+        a = modulus.coeffs
+        sums = [r % q]
+        for j in range(1, r):
+            s = -j * a[r - j] - sum(a[r - i] * sums[j - i] for i in range(1, j))
+            sums.append(s % q)
+        self.trace_form: tuple[int, ...] = tuple(sums)
 
         # Always None: trace_form gives every trace, so no per-element table
         # is built; the attribute stays because perfbench/workloads.py reads it.
@@ -506,48 +434,12 @@ class RingContext:
         weights = np.array(self._weights, dtype=np.int64)
         return np.asarray(digits, dtype=np.int64) @ weights
 
-    def frobenius_matrix(self, k: int = 1) -> np.ndarray:
-        """(r, r) matrix of the k-th Frobenius power on coefficient vectors:
-        frobenius(a, k).coeffs equals matrix @ a.coeffs mod q."""
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ParameterError(f"k must be an int, got {k!r}")
-        if k < 0:
-            raise ParameterError("frobenius power must be non-negative")
-        return np.array(self._frob_mats[k % self.r], dtype=np.int64)
-
-
 def _multiplication_matrix(a: RingElement) -> np.ndarray:
     """(r, r) matrix M with (a*b).coeffs = M @ b.coeffs mod q, from the r
     products a * x^i."""
     ctx = a.ctx
     cols = [(a * ctx.element([0] * i + [1])).coeffs for i in range(ctx.r)]
     return np.array(cols, dtype=np.int64).T
-
-
-def _matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _matinv_mod(mat: Sequence[Sequence[int]], q: int, p: int) -> list[list[int]]:
-    """Inverse of a matrix over Z_q, q = p^e; pivots must be units."""
-    n = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] % p), None)
-        if piv is None:
-            raise IntegrityError("basis matrix is singular over the ring")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [(v * inv) % q for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(vi - f * vc) % q for vi, vc in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def make_ring(params: RingParams, modulus: Optional[ModulusPoly] = None) -> RingContext:
@@ -558,54 +450,12 @@ def make_ring(params: RingParams, modulus: Optional[ModulusPoly] = None) -> Ring
 
 
 # ---------------------------------------------------------------------------
-# Structure maps.
-
-
-def frobenius(a: RingElement, k: int = 1) -> RingElement:
-    """k-th power of the coefficient-permuting ring automorphism.
-
-    On the Teichmuller expansion sum(b_i p^i) it acts by b_i -> b_i^p; on
-    x-power coefficients it is the linear map ctx.frobenius_matrix(k).
-    """
-    ctx = a.ctx
-    coeffs = ctx.frobenius_matrix(k) @ np.array(a.coeffs, dtype=np.int64) % ctx.q
-    return RingElement(ctx, tuple(coeffs.tolist()))
-
-
-def trace(a: RingElement) -> int:
-    """Sum of the r Frobenius conjugates, an element of Z_q reported as an int."""
-    ctx = a.ctx
-    return sum(t * c for t, c in zip(ctx.trace_form, a.coeffs)) % ctx.q
+# Element helpers.
 
 
 def is_unit(a: RingElement) -> bool:
     """True when a is invertible, i.e. its residue-field image is nonzero."""
     return any(c % a.ctx.p for c in a.coeffs)
-
-
-def project_residue(a: RingElement) -> tuple[int, ...]:
-    """Coefficient vector of the image of a in the residue field F_(p^r)."""
-    return tuple(c % a.ctx.p for c in a.coeffs)
-
-
-def padic_coords(a: RingElement) -> PAdicCoords:
-    """Teichmuller digit expansion a = sum(b_i p^i), b_i in G1 or zero."""
-    ctx = a.ctx
-    p = ctx.p
-    _, lift = ctx._residue_lift
-    digits = []
-    valuation = ctx.e
-    vec = list(a.coeffs)
-    mod = ctx.q
-    for i in range(ctx.e):
-        k = sum((c % p) * p**j for j, c in enumerate(vec))
-        digit = RingElement(ctx, tuple(lift[k].tolist()))
-        if not digit.is_zero and valuation == ctx.e:
-            valuation = i
-        digits.append(digit)
-        vec = [((c - d) % mod) // p for c, d in zip(vec, digit.coeffs)]
-        mod //= p
-    return PAdicCoords(tuple(digits), valuation)
 
 
 def coeff_string(a: RingElement) -> str:

@@ -43,12 +43,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cayley import BLOCK_PAIRS, GraphSpec, _neighbour_indices
-from .errors import IntegrityError, ParameterError, SizeError
+from .cayley import BLOCK_PAIRS, GraphSpec
+from .errors import IntegrityError, SizeError
 from .ring import RingContext
 
 MERGE_TOL = 1e-6
-ORACLE_CUTOFF = 4096
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
 ORBIT_CUTOFF = 1 << 26
 
@@ -313,34 +312,3 @@ def _merge_numeric(
         entries.append((float((values[s:e] * weights[s:e]).sum() / m), m))
     entries.reverse()
     return tuple(entries)
-
-
-def oracle_spectrum(spec: GraphSpec) -> Spectrum:
-    """Spectrum by dense symmetric eigensolve on the adjacency matrix.
-
-    Independent of the character path; capped at 4096 vertices.  Merged
-    values within 1e-6 of an integer are snapped to it, for comparisons.
-    """
-    n = spec.n
-    if n > ORACLE_CUTOFF:
-        raise SizeError(f"oracle eigensolve on {n} vertices exceeds the 4096 cutoff")
-    idx = np.arange(n, dtype=np.int64)
-    adj = np.zeros((n, n), dtype=np.float64)
-    targets = _neighbour_indices(spec, spec.ctx.digits_of(idx))
-    adj[idx[:, None], targets] = 1.0
-    if not np.array_equal(adj, adj.T):
-        raise IntegrityError("adjacency matrix is not symmetric")
-    vals = np.linalg.eigvalsh(adj)
-    merged = _merge_numeric(vals, MERGE_TOL)
-    snapped = tuple(
-        (int(round(v)) if abs(v - round(v)) <= MERGE_TOL else v, m)
-        for v, m in merged
-    )
-    return Spectrum(entries=snapped, exact=False, n=n, d=spec.d)
-
-
-def spectral_deviation(a: Spectrum, b: Spectrum) -> float:
-    """Largest pointwise gap between two sorted full eigenvalue lists."""
-    if a.n != b.n:
-        raise ParameterError(f"spectra have different sizes {a.n} and {b.n}")
-    return float(np.abs(a.expanded() - b.expanded()).max())

@@ -1,13 +1,13 @@
 """Scalar reference for the character-sum kernel.
 
 Sums omega^(T(gamma*s)) one element at a time, with RingElement
-multiplication and the scalar ring trace, so it shares no code with the
+multiplication and the scalar trace of ring_oracle, so it shares no code with the
 vectorised trace-basis path it checks.
 """
 
 import math
 
-from grcayley import trace
+from ring_oracle import trace
 
 
 def trace_counts(elements, gamma):

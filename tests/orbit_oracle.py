@@ -1,12 +1,13 @@
 """Scalar reference for the G1-orbit canonicaliser.
 
 Finds the orbit of an element by dividing out its leading Teichmuller
-digit (from padic_coords) with RingElement multiplication, then looking
+digit (from ring_oracle.padic_coords) with RingElement multiplication, then looking
 the quotient up among the rows of orbit_representatives.  It shares no
 code with the vectorised digit-ratio map it checks.
 """
 
-from grcayley import orbit_representatives, padic_coords
+from grcayley import orbit_representatives
+from ring_oracle import padic_coords
 
 
 def orbit_row_oracle(ctx):

@@ -23,17 +23,16 @@ from grcayley import (
     check_wcu_summary,
     connectivity,
     energy_report,
-    frobenius,
     full_spectrum,
     girth,
     is_ramanujan,
     make_ring,
-    oracle_spectrum,
-    spectral_deviation,
     triangle_count,
     verify_graph,
 )
 from grcayley.analysis import DEFAULT_CHECKS
+from ring_oracle import frobenius, frobenius_matrix
+from spectrum_oracle import oracle_spectrum, spectral_deviation
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -293,7 +292,8 @@ def _ring_core_defect(ctx, rng):
     else:
         idx = np.unique(rng.integers(0, n, 12000))
     co = ctx.digits_of(idx)
-    m1 = ctx.frobenius_matrix(1)
+    # the oracle's matrix of sigma, built once per ring from sigma(x^i)
+    m1 = frobenius_matrix(ctx, 1)
 
     cur = co
     for _ in range(r):
@@ -302,9 +302,11 @@ def _ring_core_defect(ctx, rng):
         return "frobenius order != r"
 
     # T(a) = sum_k frobenius^k(a) must lie in Z_q: coefficients 1..r-1 vanish
-    t_mat = sum(ctx.frobenius_matrix(k) for k in range(r)) % q
+    t_mat = sum(frobenius_matrix(ctx, k) for k in range(r)) % q
     if t_mat[1:].any():
         return "trace not scalar-valued"
+    if tuple(t_mat[0].tolist()) != ctx.trace_form:
+        return "trace_form differs from the conjugate sum"
 
     def tr(digits):
         return (digits @ t_mat[0]) % q

@@ -10,7 +10,10 @@ import pytest
 import bfs_oracle
 import pair_sum_oracle
 from char_sum_oracle import character_sum
+from connection_oracle import neighbors
 from residue_oracle import residue_partition
+from ring_oracle import padic_coords
+from spectrum_oracle import oracle_spectrum
 from grcayley import (
     ClaimReport,
     IntegrityError,
@@ -31,10 +34,7 @@ from grcayley import (
     is_ramanujan,
     is_unit,
     make_ring,
-    neighbors,
-    oracle_spectrum,
     triangle_count,
-    padic_coords,
     verify_graph,
 )
 from grcayley import analysis, spectrum
@@ -488,3 +488,32 @@ def test_verify_graph_calls_checks_through_module_attributes(monkeypatch):
     report = verify_graph(graph_for(2, 2, 3))
     assert all(c["holds"] for c in report["claims"])
     assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize(
+    "key,checks,sweeps,spectra",
+    [
+        ((2, 2, 3), ["girth", "residue"], 0, 0),
+        ((2, 2, 3), ["bhk"], 1, 0),
+        ((3, 2, 2), ["girth", "bhk"], 0, 0),  # bhk is skipped for p^e = 9
+        ((3, 2, 2), ["wcu"], 1, 0),
+        ((3, 2, 2), ["connectivity"], 1, 1),
+    ],
+)
+def test_verify_graph_runs_only_what_the_claims_read(
+    monkeypatch, key, checks, sweeps, spectra
+):
+    calls = {"zeta_sums": 0, "full_spectrum": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    report = verify_graph(graph_for(*key), checks)
+    assert calls == {"zeta_sums": sweeps, "full_spectrum": spectra}
+    assert (report["spectrum_summary"] is None) == (spectra == 0)

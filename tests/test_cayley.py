@@ -12,7 +12,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connection_oracle import connection_rows, connection_set
+from connection_oracle import connection_rows, connection_set, neighbors
 import export_oracle
 from orbit_oracle import vertex_distances
 
@@ -28,7 +28,6 @@ from grcayley import (
     family_params,
     is_unit,
     make_ring,
-    neighbors,
     orbit_representatives,
     verify_graph,
 )
@@ -159,14 +158,16 @@ def test_neighbors_match_adjacency(h81):
 
 
 def test_neighbors_on_large_q_ring_stay_small():
-    # q = 63001 and d = 63000 on 251^4 vertices: u + S is formed on (1, d)
-    # arrays, so nothing sized by q*d (16 GB as uint32) is allocated.
+    # q = 63001 and d = 63000 on 251^4 vertices: the neighbour path of
+    # export_edges forms u + S on (1, d) arrays, so nothing sized by q*d
+    # (16 GB as uint32) is allocated.
     spec = build_graph(make_ring(RingParams(251, 2, 2)))
     ctx = spec.ctx
     v = spec.n - 2
+    vd = ctx.digits_of(np.array([v]))
     tracemalloc.start()
     try:
-        got = neighbors(spec, v)
+        got = np.sort(cayley._neighbour_indices(spec, vd)[0]).tolist()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -109,9 +109,9 @@ def test_graph_export_frozen_digest(capsys, tmp_path, args, digest):
          "7e4126e99f901fbe1ac1e324de31ea32f72971be13b5399bc4cd35423380e253"),
         (["-p", "2", "-e", "3", "-r", "3", "--seed", "5"],
          "dc7f5147ff26acd0f3edd04e69a649de1bffe99a9f787e9a80a37440b5886f46"),
-        # bhk is skipped for p^e = 9
+        # bhk is skipped for p^e = 9; no spectrum claim, so no spectrum_summary
         (["-p", "3", "-e", "2", "-r", "2", "--checks", "girth,bhk,wcu"],
-         "c7f062710f92f98c843c6f482b4a160b31c7f783f93bd665a10c83e4e9fd9e9b"),
+         "567294ce1bbb2f21b7cfff10f7240d8050f0088bd85228c199ba60d018efc3c1"),
     ],
     ids=["gr4-4", "gr9-2", "gr49-3", "gr8-3", "gr9-2-subset"],
 )
@@ -208,6 +208,17 @@ def test_verify_checks_subset(capsys):
     assert code == 0
     report = json.loads(out)
     assert [c["claim_id"] for c in report["claims"]] == ["interval", "wcu"]
+
+
+def test_verify_girth_alone_runs_no_sweep(capsys):
+    # 3^16 vertices: above the numeric spectrum cap, which girth never reads
+    code, out, _ = run_cli(
+        capsys, ["verify", "-p", "3", "-e", "2", "-r", "8", "--checks", "girth"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert [c["claim_id"] for c in report["claims"]] == ["girth"]
+    assert report["spectrum_summary"] is None
 
 
 def test_verify_unknown_check(capsys):

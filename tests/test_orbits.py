@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from orbit_oracle import orbit_row_oracle
 from residue_oracle import residue_partition
+from ring_oracle import padic_coords
 from grcayley import (
     IntegrityError,
     RingParams,
@@ -26,7 +27,6 @@ from grcayley import (
     is_unit,
     make_ring,
     orbit_representatives,
-    padic_coords,
     trace_basis_matrix,
     triangle_count,
 )

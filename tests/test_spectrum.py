@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from char_sum_oracle import character_sum, trace_counts
 from connection_oracle import connection_set
+from spectrum_oracle import oracle_spectrum, spectral_deviation
 from grcayley import (
     IntegrityError,
     ParameterError,
@@ -21,9 +22,7 @@ from grcayley import (
     character_sums,
     full_spectrum,
     make_ring,
-    oracle_spectrum,
     orbit_representatives,
-    spectral_deviation,
     trace_basis_matrix,
 )
 
