@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cayley import BLOCK_PAIRS, GraphSpec, spectral_interval_bound
+from .cayley import BLOCK_PAIRS, GraphSpec, _in_sorted, spectral_interval_bound
 from .errors import IntegrityError, ParameterError
 from .ring import RingContext, RingElement, _multiplication_matrix, coeff_string, is_unit
 from .spectrum import (
@@ -241,7 +241,7 @@ def _require_xi_stable(spec: GraphSpec) -> None:
     multiplication by xi, the G1-stability every orbit reduction needs."""
     ctx = spec.ctx
     image = (spec.s_digits @ _multiplication_matrix(ctx.xi).T) % ctx.q
-    if not np.isin(ctx.indices_from_digits(image), spec.s_indices).all():
+    if not _in_sorted(ctx.indices_from_digits(image), np.sort(spec.s_indices)).all():
         raise IntegrityError("connection set is not closed under multiplication by xi")
 
 
@@ -264,7 +264,7 @@ def triangle_count(spec: GraphSpec) -> int:
     _, heads = np.unique(orbit_row_map(ctx)(spec.s_digits), return_index=True)
     sums = spec.s_digits[heads, None, :] + spec.s_digits
     sums %= ctx.q
-    hits = int(np.isin(ctx.indices_from_digits(sums), spec.s_indices).sum())
+    hits = int(_in_sorted(ctx.indices_from_digits(sums), np.sort(spec.s_indices)).sum())
     total = spec.n * (ctx.p**ctx.r - 1) * hits
     if total % 6:
         raise IntegrityError(f"triangle count {total} is not divisible by 6")
@@ -329,7 +329,8 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
                 width *= 2
         else:
             for nb in neighbour_blocks(frontier, spec.s_digits):
-                found.append(np.unique(nb[dist[nb] < 0]))
+                new = np.sort(nb[dist[nb] < 0])
+                found.append(new[np.diff(new, prepend=-1) != 0])  # rows are >= 0
                 dist[found[-1]] = level
         frontier = np.concatenate(found)
         unseen -= frontier.size

@@ -74,17 +74,16 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
     half = (ctx.teich_digits @ _multiplication_matrix(gamma).T) % q
     s_digits = np.vstack([half, (-half) % q]) if ctx.p == 2 else half
     s_indices = ctx.indices_from_digits(s_digits)
-    if ctx.p == 2:
+    ordered = np.sort(s_indices)
+    if (ordered[1:] == ordered[:-1]).any():
         h = len(half)
-        if not set(s_indices[:h].tolist()).isdisjoint(s_indices[h:].tolist()):
+        if ctx.p == 2 and _in_sorted(s_indices[h:], np.sort(s_indices[:h])).any():
             raise IntegrityError("gamma*G1 meets its own negation in characteristic 2^e")
-
-    seen = set(s_indices.tolist())
-    if len(seen) != len(s_indices):
         raise IntegrityError("connection set has repeated elements")
-    if 0 in seen:
+    if ordered[0] == 0:
         raise IntegrityError("connection set contains zero")
-    if not seen.issuperset(ctx.indices_from_digits((-s_digits) % q).tolist()):
+    # negation is injective, so S holds -S exactly when both sort the same
+    if (np.sort(ctx.indices_from_digits((-s_digits) % q)) != ordered).any():
         raise IntegrityError("connection set is not closed under negation")
 
     expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
@@ -94,6 +93,14 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
         )
 
     return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
+
+
+def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Elementwise membership of values in the sorted, nonempty 1-D table.
+
+    A searchsorted lookup: unlike np.isin, it does not import numpy.ma."""
+    at = np.searchsorted(table, values)
+    return table[np.minimum(at, len(table) - 1)] == values
 
 
 def _neighbour_indices(spec: GraphSpec, digits: np.ndarray) -> np.ndarray:

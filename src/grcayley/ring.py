@@ -207,7 +207,10 @@ def find_basic_irreducible(params: RingParams) -> ModulusPoly:
 
     Candidates are the p^r lifts with lower coefficients in {0..p-1}; the
     scan starts at a seed-dependent offset and wraps, so every seed
-    terminates and different seeds can land on different polynomials.
+    terminates and different seeds can land on different polynomials.  A
+    candidate with f(0) or f(1) = 0 mod p has a root in F_p, so for r >= 2
+    it is reducible and never primitive; it is skipped before the
+    matrix-power test.
     """
     p, r = params.p, params.r
     count = p**r
@@ -215,7 +218,7 @@ def find_basic_irreducible(params: RingParams) -> ModulusPoly:
     for step in range(count):
         k = (offset + step) % count
         cand = tuple((k // p**i) % p for i in range(r)) + (1,)
-        if _x_is_primitive(cand, p):
+        if cand[0] and sum(cand) % p and _x_is_primitive(cand, p):
             return ModulusPoly(cand)
     raise IntegrityError(f"no primitive degree-{r} polynomial found mod {p}")
 
@@ -342,7 +345,8 @@ class RingContext:
         teich = teich[:group_order]
         if ((teich[-1] @ by_xi) % q != teich[0]).any():
             raise IntegrityError("Teichmuller generator has wrong order")
-        if len(set(self.indices_from_digits(teich).tolist())) != group_order:
+        ordered = np.sort(self.indices_from_digits(teich))
+        if (ordered[1:] == ordered[:-1]).any():
             raise IntegrityError("Teichmuller powers collide")
         teich.flags.writeable = False
         self.teich_digits: np.ndarray = teich

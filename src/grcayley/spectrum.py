@@ -21,9 +21,15 @@ freely on the nonzero elements: an element of valuation v is
 u * p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) for exactly one u in G1 and b_i
 in G1 or zero.  orbit_representatives lists those (n-1)/(p^r-1)
 representatives, each standing for an orbit of p^r - 1 elements, after
-beta = 0, an orbit of its own.  One sweep, zeta_sums, runs the kernel over
-those representatives in blocks, and full_spectrum weights every value by
-its orbit size, so a spectrum costs (n-1)/(p^r-1) + 1 sums instead of n.
+beta = 0, an orbit of its own.  full_spectrum weights every value by its
+orbit size, so a spectrum needs one sum per representative instead of n.
+
+The Frobenius map sigma fixes the trace and permutes G1, so
+zeta(sigma(beta)) = zeta(beta) as well, and sigma permutes the
+representatives.  frobenius_heads picks the smallest representative of
+each class under sigma, by arithmetic on the row numbers, and one sweep,
+zeta_sums, runs the kernel in blocks over those heads only, about r times
+fewer sums, then hands every representative the sums of its head.
 
 The kernel gets the trace values of a block at once through the linear
 form T(beta*s) = sum_i a_i * T(x^i * s), a_i the coefficients of beta, as
@@ -161,6 +167,17 @@ def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(blocks), np.concatenate(vals).astype(np.int64)
 
 
+def _valuation_starts(ctx: RingContext) -> np.ndarray:
+    """First row of valuation v in orbit_representatives(ctx), for v = 0..e-1,
+    then 0 for valuation e (zero is row 0).  Valuation v holds p^(r(e-1-v))
+    rows."""
+    pr = ctx.p**ctx.r
+    start = [1]
+    for v in range(ctx.e - 1):
+        start.append(start[-1] + pr ** (ctx.e - 1 - v))
+    return np.array(start + [0], dtype=np.int64)
+
+
 def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     """Map (m, r) digit rows to the rows of orbit_representatives(ctx)
     whose G1-orbits hold those elements.
@@ -180,10 +197,7 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     log, lift = ctx._residue_lift
     # residue index -> (t - residue)/p for the Teichmuller digit t over it
     lift_high = lift // p
-    start = [1]  # first row of each valuation; zero (valuation e) is row 0
-    for v in range(e - 1):
-        start.append(start[-1] + pr ** (e - 1 - v))
-    start = np.array(start + [0], dtype=np.int64)
+    start = _valuation_starts(ctx)
 
     def rows(digits: np.ndarray) -> np.ndarray:
         x = np.array(digits, dtype=np.int64)
@@ -231,21 +245,62 @@ def character_sums(
     return np.cos(angles)[tv].sum(axis=1), np.sin(angles)[tv].sum(axis=1)
 
 
+def frobenius_heads(ctx: RingContext) -> np.ndarray:
+    """For each row of orbit_representatives(ctx), the smallest row of its
+    Frobenius class.
+
+    The Frobenius map sigma, b -> b^p on every Teichmuller digit, takes the
+    representative p^v * (1 + sum_i b_i p^i) to p^v * (1 + sum_i b_i^p p^i),
+    another representative of valuation v.  On the row number within the
+    valuation block, a mixed-radix number whose slots read 0 for zero and
+    1 + k for xi^k, it maps each slot t > 0 to 1 + (p*(t-1) mod p^r - 1)
+    and keeps 0.  sigma has order r, so a class is the images of a row
+    under sigma^0 .. sigma^(r-1); no ring multiplication is involved.
+    """
+    p, e, r = ctx.p, ctx.e, ctx.r
+    pr = p**r
+    start = _valuation_starts(ctx)
+    slot = np.zeros(pr, dtype=np.int64)  # sigma on one slot
+    slot[1:] = 1 + p * np.arange(pr - 1) % (pr - 1)
+    head = np.arange(start[e - 1] + 1)  # valuation e - 1 and zero: one row each
+    for v in range(e - 1):
+        size = pr ** (e - 1 - v)
+        row = np.arange(size)
+        best = row.copy()
+        for _ in range(r - 1):
+            rest, image, place = row, np.zeros_like(row), 1
+            for _ in range(e - 1 - v):
+                rest, t = np.divmod(rest, pr)
+                image += slot[t] * place
+                place *= pr
+            row = image
+            np.minimum(best, row, out=best)
+        head[start[v] : start[v] + size] = start[v] + best
+    return head
+
+
 ZetaSums = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def zeta_sums(ctx: RingContext) -> ZetaSums:
     """zeta(beta) = sum_{u in G1} omega^(T(beta*u)) on one beta per
     G1-orbit, as (digits, valuation, re, im) over the rows of
-    orbit_representatives."""
+    orbit_representatives.
+
+    sigma fixes the trace and permutes G1, so zeta(sigma(beta)) =
+    zeta(beta): the kernel runs on the head row of each Frobenius class
+    only, and every row takes the sums of its head."""
     digits, val = orbit_representatives(ctx)
+    head = frobenius_heads(ctx)
+    heads = np.flatnonzero(head == np.arange(len(head)))
     w_t = trace_basis_matrix(ctx, ctx.teich_digits).T.astype(np.float64)
     block = max(1, BLOCK_PAIRS // len(ctx.teich_digits))
     parts = [
-        character_sums(ctx, w_t, digits[lo : lo + block])
-        for lo in range(0, len(val), block)
+        character_sums(ctx, w_t, digits[heads[lo : lo + block]])
+        for lo in range(0, len(heads), block)
     ]
-    re, im = (np.concatenate(part) for part in zip(*parts))
+    of_head = np.searchsorted(heads, head)
+    re, im = (np.concatenate(part)[of_head] for part in zip(*parts))
     return digits, val, re, im
 
 

@@ -9,12 +9,33 @@ matrix powers that build the ring.
 
 sigma is Z_q-linear, so frobenius_matrix builds its matrix once per ring
 from the r images sigma(x^i); frobenius and trace apply that matrix.
+
+unfiltered_modulus is the modulus search without its root pre-filter: it
+runs the primitivity test on every candidate in scan order.
 """
 
 import functools
+import random
 from dataclasses import dataclass
 
 import numpy as np
+
+from grcayley import ModulusPoly
+from grcayley.ring import _x_is_primitive
+
+
+def unfiltered_modulus(params):
+    """First primitive candidate of find_basic_irreducible's scan, testing
+    every candidate; returns (modulus, number of primitivity tests)."""
+    p, r = params.p, params.r
+    count = p**r
+    offset = random.Random(params.seed).randrange(count)
+    for step in range(count):
+        k = (offset + step) % count
+        cand = tuple((k // p**i) % p for i in range(r)) + (1,)
+        if _x_is_primitive(cand, p):
+            return ModulusPoly(cand), step + 1
+    raise AssertionError(f"no primitive degree-{r} polynomial mod {p}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Acceptance gate: twelve criteria, one printed [PASS]/[FAIL] line each.
+"""Acceptance gate: thirteen criteria, one printed [PASS]/[FAIL] line each.
 
 Covers exact even-characteristic spectra and the Ramanujan property, unit
 character-sum norms, oracle agreement, odd-characteristic interval bounds,
 the whole-ring character-sum bound, girth, energy, the residue partition,
 connectivity with the spectral diameter bound, the ring structure maps,
 the exact spectral and character-sum claims on 2^24 vertices, and every
-default check of verify_graph on 2^24 vertices.
+default check of verify_graph on 2^24 and on 2^28 vertices.
 """
 
 import math
@@ -400,9 +400,9 @@ def test_criterion_11_exact_claims_at_2_24(ring_of):
     )
 
 
-def test_criterion_12_default_verify_at_2_24(ring_of):
+def _default_verify(ctx, name):
     start = time.perf_counter()
-    spec = build_graph(ring_of(2, 2, 12))
+    spec = build_graph(ctx)
     report = verify_graph(spec)
     elapsed = time.perf_counter() - start
     claims = report["claims"]
@@ -412,8 +412,16 @@ def test_criterion_12_default_verify_at_2_24(ring_of):
     if [c["claim_id"] for c in claims] != sorted(DEFAULT_CHECKS):
         failures.append(f"claims {[c['claim_id'] for c in claims]}")
     _report(
-        "criterion-12 default-verify-at-2^24",
+        name,
         not failures,
         "; ".join(failures)
         or f"n={spec.n}: all {len(claims)} default claims hold in {elapsed:.1f}s",
     )
+
+
+def test_criterion_12_default_verify_at_2_24(ring_of):
+    _default_verify(ring_of(2, 2, 12), "criterion-12 default-verify-at-2^24")
+
+
+def test_criterion_13_default_verify_at_2_28(ring_of):
+    _default_verify(ring_of(2, 2, 14), "criterion-13 default-verify-at-2^28")

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grcayley
 from grcayley.cli import main
 
 H16_CSV = "eigenvalue,multiplicity\n6,1\n2,6\n-2,9\n"
@@ -107,8 +112,10 @@ def test_graph_export_frozen_digest(capsys, tmp_path, args, digest):
          "76d9dd0e6a9ffe0589d10c9a9bbd8f82b4ab7e4ddf1ecf692a96e882e4f7c286"),
         (["-p", "7", "-e", "2", "-r", "3", "--seed", "5"],
          "7e4126e99f901fbe1ac1e324de31ea32f72971be13b5399bc4cd35423380e253"),
+        # energy 1501.5676759431465: the float sum is taken once per
+        # Frobenius class
         (["-p", "2", "-e", "3", "-r", "3", "--seed", "5"],
-         "dc7f5147ff26acd0f3edd04e69a649de1bffe99a9f787e9a80a37440b5886f46"),
+         "fd5a1b3b14815cd94ab94d31346f47413aeafb8d3a9b5b37132cef5bd71e6b19"),
         # bhk is skipped for p^e = 9; no spectrum claim, so no spectrum_summary
         (["-p", "3", "-e", "2", "-r", "2", "--checks", "girth,bhk,wcu"],
          "567294ce1bbb2f21b7cfff10f7240d8050f0088bd85228c199ba60d018efc3c1"),
@@ -287,3 +294,30 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# verify on a p^e = 4 ring (BFS, residue, girth, exact sums) and on two
+# numeric rings, in a fresh process, then report whether numpy.ma was imported
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+from grcayley.cli import main
+for p, e, r in ((2, 2, 8), (3, 2, 3), (2, 4, 3)):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "-p", str(p), "-e", str(e), "-r", str(r)]) == 0
+sys.exit(4 if "numpy.ma" in sys.modules else 0)
+"""
+
+
+def test_verify_does_not_import_numpy_ma():
+    # numpy 2.x imports numpy.ma on first use of np.isin or a plain np.unique,
+    # which costs more than a small verify run itself
+    src = str(Path(grcayley.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env).returncode
+    if code == 3:
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert code == 0

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from orbit_oracle import orbit_row_oracle
 from residue_oracle import residue_partition
-from ring_oracle import padic_coords
+from ring_oracle import frobenius_matrix, padic_coords
+from zeta_oracle import row_zeta_sums
 from grcayley import (
     IntegrityError,
     RingParams,
@@ -33,7 +34,13 @@ from grcayley import (
 from grcayley import analysis, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import coeff_string
-from grcayley.spectrum import MERGE_TOL, _merge_numeric, orbit_row_map
+from grcayley.spectrum import (
+    MERGE_TOL,
+    _merge_numeric,
+    frobenius_heads,
+    orbit_row_map,
+    zeta_sums,
+)
 
 SWEEP_KEYS = [(2, 2, 8), (2, 4, 4), (2, 3, 5), (3, 2, 4), (5, 2, 3), (7, 2, 2)]
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 4, 2), (5, 2, 2), (3, 3, 2)]
@@ -146,6 +153,41 @@ def test_zeta_spectrum_matches_sweep_property(key, seed, data):
     units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
     gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
     assert_spectrum_matches_sweep(build_graph(ctx, gamma))
+
+
+def frobenius_images(ctx):
+    """(rows, r) table: the row of sigma^k(beta) at column k, for every row
+    beta of orbit_representatives, through the definitional Frobenius
+    matrices of ring_oracle and orbit_row_map."""
+    digits, _ = orbit_representatives(ctx)
+    row_of = orbit_row_map(ctx)
+    images = [row_of(digits @ frobenius_matrix(ctx, k).T % ctx.q) for k in range(ctx.r)]
+    return np.stack(images, axis=1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(key=st.sampled_from(RINGS_UP_TO_2_12), seed=st.integers(min_value=0, max_value=5))
+def test_frobenius_class_sums_match_row_sweep(key, seed):
+    ctx = make_ring(RingParams(*key, seed=seed))
+    head = frobenius_heads(ctx)
+    # every head is the smallest row of its class, and every class size divides r
+    assert (head == frobenius_images(ctx).min(axis=1)).all()
+    sizes = np.bincount(head)[head]
+    assert (ctx.r % sizes == 0).all()
+    got, want = zeta_sums(ctx), row_zeta_sums(ctx)
+    for a, b in zip(got[:2], want[:2]):
+        assert (a == b).all()
+    for a, b in zip(got[2:], want[2:]):
+        if ctx.q == 4:
+            assert a.dtype == np.int64 and (a == b).all()
+        else:
+            assert np.allclose(a, b, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("key,heads", [((2, 2, 9), 62), ((2, 2, 12), 354), ((2, 4, 5), 6778)])
+def test_frobenius_class_counts(key, heads):
+    head = frobenius_heads(make_ring(RingParams(*key)))
+    assert (head == np.arange(len(head))).sum() == heads
 
 
 @pytest.mark.parametrize("key", SWEEP_KEYS)

@@ -21,6 +21,7 @@ from grcayley import (
     make_ring,
     trace_basis_matrix,
 )
+from grcayley import ring
 from grcayley.ring import _is_prime, _x_is_primitive, coeff_string, parse_coeff_string
 from ring_oracle import (
     frobenius,
@@ -29,6 +30,7 @@ from ring_oracle import (
     padic_coords,
     project_residue,
     trace,
+    unfiltered_modulus,
 )
 
 
@@ -226,6 +228,30 @@ def test_modulus_search_pinned_on_every_ring():
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "93febcdf2bcc9eb800e3eae2bca083ac5554957084d48e12d9ac20d991da92e9"
+
+
+def test_modulus_matches_unfiltered_scan():
+    # skipping candidates with a root in F_p must not change the modulus
+    rings = [key for key in all_rings() if key[0] ** (key[1] * key[2]) <= 1 << 20]
+    for p, e, r in rings:
+        for seed in range(3):
+            params = RingParams(p, e, r, seed)
+            assert find_basic_irreducible(params) == unfiltered_modulus(params)[0]
+
+
+@pytest.mark.parametrize("r,unfiltered,filtered", [(9, 13, 4), (16, 23, 6)])
+def test_root_filter_skips_primitivity_tests(monkeypatch, r, unfiltered, filtered):
+    params = RingParams(2, 2, r, seed=1)
+    assert unfiltered_modulus(params)[1] == unfiltered
+    calls = []
+
+    def counted(f, p):
+        calls.append(f)
+        return _x_is_primitive(f, p)
+
+    monkeypatch.setattr(ring, "_x_is_primitive", counted)
+    assert find_basic_irreducible(params) == unfiltered_modulus(params)[0]
+    assert len(calls) == filtered
 
 
 def test_seed_determinism_and_variation():
