@@ -24,17 +24,17 @@ import numpy as np
 
 from .errors import ContextMismatchError, IntegrityError, ParameterError
 from .ring import (
+    BLOCK_PAIRS,
     MAX_RING_SIZE,
     RingContext,
     RingElement,
     RingParams,
-    _is_prime,
+    _matmul_mod,
     _multiplication_matrix,
+    _require_prime,
     coeff_string,
     is_unit,
 )
-
-BLOCK_PAIRS = 1 << 16  # (row, s) pairs formed per block by every sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,7 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
         )
 
     q = ctx.q
-    half = (ctx.teich_digits @ _multiplication_matrix(gamma).T) % q
+    half = _matmul_mod(ctx.teich_digits, _multiplication_matrix(gamma).T, q)
     s_digits = np.vstack([half, (-half) % q]) if ctx.p == 2 else half
     s_indices = ctx.indices_from_digits(s_digits)
     ordered = np.sort(s_indices)
@@ -225,8 +225,7 @@ def family_params(p: int, delta: Union[Fraction, str, int], r: int) -> dict:
     Returns p, e, r, n, d and the eigenvalue bound; `params` is a ready
     RingParams when the ring fits the supported size, else None.
     """
-    if not _is_prime(p):
-        raise ParameterError(f"p must be prime, got {p}")
+    _require_prime(p)
     delta = parse_delta(delta)
     if r < 2:
         raise ParameterError(f"r must be at least 2, got {r}")

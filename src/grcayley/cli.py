@@ -24,7 +24,7 @@ from .errors import (
 from .ring import (
     ModulusPoly,
     RingParams,
-    _is_prime,
+    _require_prime,
     coeff_string,
     make_ring,
     parse_coeff_string,
@@ -122,8 +122,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     delta = parse_delta(args.delta)
-    if not _is_prime(args.p):
-        raise ParameterError(f"p must be prime, got {args.p}")
+    _require_prime(args.p)
     if args.r_min > args.r_max:
         raise ParameterError(f"empty r range {args.r_min}..{args.r_max}")
 

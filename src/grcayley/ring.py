@@ -12,10 +12,11 @@ matrix is C^(p^((e-1)r)) mod q.  The context holds G1 as one digit array,
 teich_digits, built by matrix doubling; the units are not enumerated as
 elements at construction, and teichmuller_units builds them on first read.
 
-The trace T(a) is the sum of the r Frobenius conjugates of a, and the
-conjugates of x are the roots of f.  So T(x^j) is the j-th power sum of
-those roots, which Newton's identities give from the coefficients of f;
-trace_form holds T(x^0), ..., T(x^(r-1)).
+Every ring map reads one table, C^0, ..., C^(2r-2) mod q, built per context:
+a = sum a_i x^i multiplies by M(a) = sum a_i C^i, and a^k is the first
+column of M(a)^k.  In a Galois ring the trace is T(a) = tr M(a), so T(x^k) =
+tr C^k: trace_form holds T(x^0), ..., T(x^(r-1)), and trace_gram[i, j] =
+T(x^(i+j)) is the trace form's Gram matrix, T(a*b) = a @ trace_gram @ b.
 
 Every element has a flat index sum(c_i * q^i); the graph modules use that
 index as the vertex id.  digits_of / indices_from_digits convert whole
@@ -24,6 +25,7 @@ index arrays at once for the vectorised kernels.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,21 +42,20 @@ from .errors import (
 )
 
 MAX_RING_SIZE = 2**32
+BLOCK_PAIRS = 1 << 16  # (row, s) pairs formed per block by every sweep
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Primality by trial division; callers bound n by 2^32 first."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _require_prime(p: int) -> None:
+    """Raise ParameterError unless p is prime; p > 2^32 fails before trial division."""
+    if p > MAX_RING_SIZE:
+        raise ParameterError(f"p = {p} exceeds 2^32; no ring with e, r >= 2 fits 2^32")
+    if not _is_prime(p):
+        raise ParameterError(f"p must be prime, got {p}")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -131,17 +132,20 @@ class RingParams:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParameterError(f"{name} must be an int, got {v!r}")
-        if not _is_prime(self.p):
+        if self.p < 2:
             raise ParameterError(f"p must be prime, got {self.p}")
         if self.e < 2:
             raise ParameterError(f"e must be at least 2, got {self.e}")
         if self.r < 2:
             raise ParameterError(f"r must be at least 2, got {self.r}")
-        if self.p ** (self.e * self.r) > MAX_RING_SIZE:
+        # before primality, and p^(e*r) only once p <= 2^16 and e*r <= 32
+        er = self.e * self.r
+        if self.p > 2**16 or er > 32 or self.p**er > MAX_RING_SIZE:
             raise ParameterError(
-                f"ring with p^(e*r) = {self.p}^{self.e * self.r} elements exceeds "
+                f"ring with p^(e*r) = {self.p}^{er} elements exceeds "
                 f"the supported size 2^32"
             )
+        _require_prime(self.p)
 
     @property
     def q(self) -> int:
@@ -265,21 +269,18 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(self.ctx, self.ctx._mul(self.coeffs, other.coeffs))
+        ctx = self.ctx
+        # row i of the inner product is x^i * other; entries stay below 2^50
+        prod = self.coeffs @ (ctx._cpow[: ctx.r] @ other.coeffs) % ctx.q
+        return RingElement(ctx, tuple(prod.tolist()))
 
     def __pow__(self, exponent: int) -> "RingElement":
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ParameterError(f"exponent must be an int, got {exponent!r}")
         if exponent < 0:
             raise ParameterError("negative exponents are not supported")
-        result = self.ctx.one
-        acc = self
-        while exponent:
-            if exponent & 1:
-                result = result * acc
-            acc = acc * acc
-            exponent >>= 1
-        return result
+        power = _matpow(_multiplication_matrix(self), exponent, self.ctx.q)
+        return RingElement(self.ctx, tuple(power[:, 0].tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
@@ -296,10 +297,7 @@ class RingElement:
     @property
     def index(self) -> int:
         """Flat vertex id sum(c_i * q^i)."""
-        total = 0
-        for c, w in zip(self.coeffs, self.ctx._weights):
-            total += c * w
-        return total
+        return sum(c * w for c, w in zip(self.coeffs, self.ctx._weights))
 
     def __repr__(self) -> str:
         return f"RingElement({self.coeffs!r})"
@@ -322,25 +320,27 @@ class RingContext:
 
         p, e, r, q = self.p, self.e, self.r, self.q
         comp = _companion(modulus.coeffs, q)
-        # column j of comp^(r-1) is x^(r-1+j) mod f, so row m - r below is
-        # x^m mod f for m = r .. 2r-2, the rows that _mul reduces with
-        high = _matpow(comp, r - 1, q)[:, 1:].T
-        self._redrows = [tuple(row) for row in high.tolist()]
+        # C^0 .. C^(2r-2): C^k multiplies by x^k, and tr C^k = T(x^k)
+        cpow = [np.eye(r, dtype=np.int64)]
+        for _ in range(2 * r - 2):
+            cpow.append(cpow[-1] @ comp % q)
+        self._cpow = np.array(cpow)
+        traces = [sum(m.diagonal().tolist()) % q for m in cpow]
+        self.trace_gram: np.ndarray = np.array([traces[i : i + r] for i in range(r)])
+        self.trace_gram.flags.writeable = False
+        self.trace_form: tuple[int, ...] = tuple(traces[:r])
 
         self.zero = RingElement(self, (0,) * r)
         self.one = self.element([1])
         self.x = self.element([0, 1])
-
-        m_xi = _matpow(comp, p ** ((e - 1) * r), q)  # multiplication by xi
-        self.xi = RingElement(self, tuple(m_xi[:, 0].tolist()))
+        self.xi = self.x ** (p ** ((e - 1) * r))
 
         group_order = p**r - 1
-        # a @ by_xi holds the digits of a * xi
-        by_xi = m_xi.T
+        by_xi = _multiplication_matrix(self.xi).T  # a @ by_xi: the digits of a * xi
         # xi^0 .. xi^(p^r - 2) by doubling: rows [k, 2k) are rows [0, k) @ M(xi^k)^T
         teich, step = np.eye(1, r, dtype=np.int64), by_xi
         while len(teich) < group_order:
-            teich = np.vstack([teich, (teich @ step) % q])
+            teich = np.vstack([teich, _matmul_mod(teich, step, q)])
             step = (step @ step) % q
         teich = teich[:group_order]
         if ((teich[-1] @ by_xi) % q != teich[0]).any():
@@ -350,15 +350,6 @@ class RingContext:
             raise IntegrityError("Teichmuller powers collide")
         teich.flags.writeable = False
         self.teich_digits: np.ndarray = teich
-
-        # T(x^j) is the j-th power sum of the roots of f, the r conjugates of
-        # x; Newton's identities give it from f = x^r + sum a_i x^i
-        a = modulus.coeffs
-        sums = [r % q]
-        for j in range(1, r):
-            s = -j * a[r - j] - sum(a[r - i] * sums[j - i] for i in range(1, j))
-            sums.append(s % q)
-        self.trace_form: tuple[int, ...] = tuple(sums)
 
         # Always None: trace_form gives every trace, so no per-element table
         # is built; the attribute stays because perfbench/workloads.py reads it.
@@ -384,24 +375,6 @@ class RingContext:
         lift[residue] = units
         return log, lift
 
-    # -- scalar coefficient arithmetic ------------------------------------
-
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        r, q = self.r, self.q
-        conv = [0] * (2 * r - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = [c % q for c in conv[:r]]
-        for m in range(r, 2 * r - 1):
-            c = conv[m] % q
-            if c:
-                row = self._redrows[m - r]
-                for i in range(r):
-                    out[i] = (out[i] + c * row[i]) % q
-        return tuple(out)
-
     def element(self, coeffs: Iterable[int]) -> RingElement:
         cs = [int(c) for c in coeffs]
         if len(cs) > self.r:
@@ -414,11 +387,7 @@ class RingContext:
     def from_index(self, index: int) -> RingElement:
         if not (0 <= index < self.size):
             raise RangeError(f"index {index} outside [0, {self.size})")
-        coeffs = []
-        for _ in range(self.r):
-            index, c = divmod(index, self.q)
-            coeffs.append(c)
-        return RingElement(self, tuple(coeffs))
+        return RingElement(self, tuple(index // w % self.q for w in self._weights))
 
     def describe(self) -> str:
         return f"GR({self.q}, {self.q}^{self.r}) mod {self.modulus.serialize()}"
@@ -439,11 +408,24 @@ class RingContext:
         return np.asarray(digits, dtype=np.int64) @ weights
 
 def _multiplication_matrix(a: RingElement) -> np.ndarray:
-    """(r, r) matrix M with (a*b).coeffs = M @ b.coeffs mod q, from the r
-    products a * x^i."""
+    """(r, r) matrix M(a) = sum a_i C^i mod q, so that (a*b).coeffs =
+    M(a) @ b.coeffs mod q."""
     ctx = a.ctx
-    cols = [(a * ctx.element([0] * i + [1])).coeffs for i in range(ctx.r)]
-    return np.array(cols, dtype=np.int64).T
+    # axes (k, i, j) reversed to (j, i, k): the product is M(a)^T
+    return (ctx._cpow[: ctx.r].T @ a.coeffs).T % ctx.q
+
+
+def _matmul_mod(rows: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """rows @ m mod q as int64, for (k, r) digit rows and an (r, r) matrix below q.
+    The float64 product runs in BLAS (int64 would not), BLOCK_PAIRS digits at
+    a time to keep its buffers small; it is exact, as r*q^2 < 2^53."""
+    m = m.astype(np.float64)
+    out = np.empty(rows.shape, dtype=np.int64)
+    step = BLOCK_PAIRS // len(m)
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = rows[lo : lo + step].astype(np.float64) @ m
+    out %= q
+    return out
 
 
 def make_ring(params: RingParams, modulus: Optional[ModulusPoly] = None) -> RingContext:

@@ -35,7 +35,8 @@ The kernel gets the trace values of a block at once through the linear
 form T(beta*s) = sum_i a_i * T(x^i * s), a_i the coefficients of beta, as
 one float64 product against trace_basis_matrix(S).  That product is
 exact, since its entries are bounded by r*(p^e - 1)^2 < 2^53 for every
-supported ring, so it converts to int64 without rounding.
+supported ring, so it converts to int64 without rounding.  As T(a) is
+tr M(a), trace_basis_matrix(S) is S @ ctx.trace_gram mod q, gram T(x^(i+j)).
 
 For p^e = 4 the character values lie in {1, i, -1, -i}, the sums are the
 exact Gaussian integers (counts[0] - counts[2]) + i(counts[1] - counts[3]),
@@ -121,21 +122,9 @@ class Spectrum:
 
 
 def trace_basis_matrix(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
-    """(m, r) matrix with entry [j, i] = T(x^i * a_j) for coefficient rows a_j."""
-    q, r = ctx.q, ctx.r
-    form = np.array(ctx.trace_form, dtype=np.int64)
-    xr_row = np.array(ctx._redrows[0], dtype=np.int64)
-    cur = np.array(digits, dtype=np.int64).copy()
-    out = np.empty((cur.shape[0], r), dtype=np.int64)
-    for i in range(r):
-        out[:, i] = (cur @ form) % q
-        if i + 1 < r:
-            top = cur[:, -1].copy()
-            cur[:, 1:] = cur[:, :-1]
-            cur[:, 0] = 0
-            cur += top[:, None] * xr_row
-            cur %= q
-    return out
+    """(m, r) matrix with entry [j, i] = T(x^i * a_j) for coefficient rows
+    a_j: the rows @ the trace form's Gram matrix, mod q."""
+    return np.asarray(digits, dtype=np.int64) @ ctx.trace_gram % ctx.q
 
 
 def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:

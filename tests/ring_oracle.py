@@ -4,8 +4,9 @@ The Teichmuller digit expansion a = sum(b_i p^i) (padic_coords) is read
 off the residues mod p through the scalar units ctx.teichmuller_units.
 The Frobenius automorphism sigma comes from its definition, b_i -> b_i^p
 on those digits (frobenius_by_digits), and the trace is the sum of the r
-conjugates sigma^k(a).  None of it reads trace_form or the companion
-matrix powers that build the ring.
+conjugates sigma^k(a).  None of it reads trace_form or trace_gram.  Its
+products and powers are RingElement's * and **, which
+test_multiplication_matches_reference checks against schoolbook division.
 
 sigma is Z_q-linear, so frobenius_matrix builds its matrix once per ring
 from the r images sigma(x^i); frobenius and trace apply that matrix.

@@ -59,6 +59,21 @@ def test_invalid_prime_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # p = 2^89 - 1: the size bound fails before any trial division
+        ["verify", "-p", "618970019642690137449562111", "-e", "2", "-r", "2"],
+        # p^(e*r) would be a 2.5 GB integer; it is never formed
+        ["ring-info", "-p", "2", "-e", "10000000000", "-r", "2"],
+    ],
+)
+def test_huge_ring_parameters_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds the supported size" in err
+
+
 def test_graph_export_to_file(capsys, tmp_path):
     path = tmp_path / "edges.txt"
     code, out, _ = run_cli(
@@ -279,6 +294,8 @@ def test_family_third_delta(capsys):
         ["family", "-p", "4"],
         ["family", "-p", "4", "--r-max", "3"],
         ["family", "-p", "2", "--delta", "1/7", "--r-max", "6"],
+        # p = 2^89 - 1 is rejected by size before any trial division
+        ["family", "-p", "618970019642690137449562111"],
     ],
 )
 def test_family_usage_errors(capsys, argv):

@@ -276,16 +276,36 @@ def ctx33():
     return make_ring(RingParams(3, 3, 2))
 
 
-@pytest.mark.parametrize("p,e,r", [(2, 2, 2), (2, 3, 3), (3, 2, 2), (5, 2, 2)])
+def ref_powmod(a, k, f, q):
+    """a^k in Z_q[x]/(f) by square-and-multiply over ref_mulmod."""
+    out, acc = (1,) + (0,) * (len(f) - 2), tuple(a)
+    while k:
+        if k & 1:
+            out = ref_mulmod(out, acc, f, q)
+        acc = ref_mulmod(acc, acc, f, q)
+        k >>= 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,e,r",
+    [(2, 2, 2), (2, 3, 3), (3, 2, 2), (5, 2, 2), (2, 2, 8), (2, 2, 16), (3, 3, 5), (7, 2, 3)],
+)
 def test_multiplication_matches_reference(p, e, r):
+    # the element product, the multiplication matrix and powers, all built
+    # from the companion-matrix table, against schoolbook long division
     ctx = make_ring(RingParams(p, e, r))
     rng = random.Random(99)
-    f = ctx.modulus.coeffs
+    f, q = ctx.modulus.coeffs, ctx.q
     for _ in range(200):
-        a = tuple(rng.randrange(ctx.q) for _ in range(r))
-        b = tuple(rng.randrange(ctx.q) for _ in range(r))
-        got = (ctx.element(a) * ctx.element(b)).coeffs
-        assert got == ref_mulmod(a, b, f, ctx.q)
+        a = tuple(rng.randrange(q) for _ in range(r))
+        b = tuple(rng.randrange(q) for _ in range(r))
+        want = ref_mulmod(a, b, f, q)
+        assert (ctx.element(a) * ctx.element(b)).coeffs == want
+        m_a = ring._multiplication_matrix(ctx.element(a))
+        assert tuple((m_a @ b % q).tolist()) == want
+        k = rng.choice([0, 1, 2, rng.randrange(3, 50), rng.randrange(10**6)])
+        assert (ctx.element(a) ** k).coeffs == ref_powmod(a, k, f, q)
 
 
 def test_add_sub_neg(ctx22):
@@ -496,6 +516,10 @@ def test_trace_form_and_xi_on_lifted_moduli_property(key, seed, data):
         for k in range(r):
             total = total + frobenius_by_digits(x_j, k)
         assert total.coeffs == (ctx.trace_form[j],) + (0,) * (r - 1)
+    for i in range(r):
+        for j in range(r):
+            assert ctx.trace_gram[i, j] == trace(ctx.x ** (i + j))
+    assert not ctx.trace_gram.flags.writeable
     assert ctx.xi == ctx.x ** (p ** ((e - 1) * r))
 
 
