@@ -20,7 +20,9 @@ import numpy as np
 
 from .cayley import BLOCK_PAIRS, GraphSpec, _in_sorted, spectral_interval_bound
 from .errors import IntegrityError, ParameterError
-from .ring import RingContext, RingElement, _multiplication_matrix, coeff_string, is_unit
+from .ring import (
+    RingContext, RingElement, _matmul_mod, _multiplication_matrix, coeff_string, is_unit
+)
 from .spectrum import (
     MERGE_TOL,
     Spectrum,
@@ -191,7 +193,7 @@ def check_residue_partition(
     one = g1[:1]
     # rows gamma, -gamma, (1 - xi^t)*gamma for t = 1..2^r-2, then 2*gamma
     base = np.vstack([one, (-one) % q, (one - g1[1:]) % q, 2 * one])
-    reps = (base @ _multiplication_matrix(gamma).T) % q
+    reps = _matmul_mod(base, _multiplication_matrix(gamma).T, q)
     # orbit rows: 0 is zero, 1..2^r the units, 2^r + 1 the nonzero non-units
     rows = orbit_row_map(ctx)(reps)
     unit_rows = rows[:-1]
@@ -237,11 +239,11 @@ def girth(spec: GraphSpec) -> int:
 
 
 def _require_xi_stable(spec: GraphSpec) -> None:
-    """Raise IntegrityError unless the connection set is closed under
-    multiplication by xi, the G1-stability every orbit reduction needs."""
+    """Raise IntegrityError unless xi*S = S, the G1-stability every orbit
+    reduction needs; xi is a unit, so it holds exactly when both sort the same."""
     ctx = spec.ctx
-    image = (spec.s_digits @ _multiplication_matrix(ctx.xi).T) % ctx.q
-    if not _in_sorted(ctx.indices_from_digits(image), np.sort(spec.s_indices)).all():
+    image = _matmul_mod(spec.s_digits, _multiplication_matrix(ctx.xi).T, ctx.q)
+    if (np.sort(ctx.indices_from_digits(image)) != np.sort(spec.s_indices)).any():
         raise IntegrityError("connection set is not closed under multiplication by xi")
 
 

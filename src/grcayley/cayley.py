@@ -50,12 +50,6 @@ class GraphSpec:
     s_indices: np.ndarray
     s_digits: np.ndarray
 
-    def describe(self) -> str:
-        return (
-            f"Cay(+GR({self.ctx.q}, {self.ctx.q}^{self.ctx.r}), "
-            f"gamma={coeff_string(self.gamma)}) on {self.n} vertices, degree {self.d}"
-        )
-
 
 def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphSpec:
     """Construct Cay(GR+, gamma*G1 (union -gamma*G1 for p = 2))."""
@@ -160,7 +154,12 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     u < v, sorted by u then v.  The edges are formed, sorted and formatted
     a block of about BLOCK_PAIRS neighbours at a time: each line is laid
     out at a fixed width with NUL bytes for leading zeros, which are then
-    dropped, so no Python code runs per edge.
+    dropped, so no Python code runs per edge.  Neighbours come by
+    translation: l = u mod q^k and h = u - l share no nonzero digit, so
+    idx(u + s) = idx(l + s) + idx(h + s) - idx(s).  One (q^k, d) table of
+    idx(l + s) - idx(s) serves every block, which forms h + S for its high
+    parts h only and adds the table: one uint32 add per edge.  The table
+    wraps mod 2^32, harmlessly, as every true index is below n <= 2^32.
     """
     ctx = spec.ctx
     sink.write(
@@ -171,10 +170,16 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     words = -(-width // 4)
     field = slice(4 * words - width, None)
     count = 0
-    rows = max(1, BLOCK_PAIRS // spec.d)
-    for lo in range(0, spec.n, rows):
-        block = np.arange(lo, min(lo + rows, spec.n), dtype=np.int64)
-        targets = _neighbour_indices(spec, ctx.digits_of(block))
+    rows = 1  # q^k, the largest with q^k * q * d <= BLOCK_PAIRS and q^k <= n
+    while rows < spec.n and rows * ctx.q * ctx.q * spec.d <= BLOCK_PAIRS:
+        rows *= ctx.q
+    low = _neighbour_indices(spec, ctx.digits_of(np.arange(rows)))
+    low -= spec.s_indices.astype(np.uint32)
+    step = rows * max(1, BLOCK_PAIRS // (rows * spec.d))
+    for lo in range(0, spec.n, step):
+        block = np.arange(lo, min(lo + step, spec.n), dtype=np.int64)
+        high = _neighbour_indices(spec, ctx.digits_of(block[::rows]))
+        targets = (high[:, None, :] + low).reshape(-1, spec.d)
         targets.sort(axis=1)
         later = targets > block[:, None]
         ws = targets[later]

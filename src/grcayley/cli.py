@@ -2,13 +2,15 @@
 
 Subcommands: ring-info, graph-export, spectrum, verify, family.
 Exit codes: 0 on success, 1 when a guaranteed claim fails verification,
-2 on invalid parameters, modulus, or usage.
+2 on invalid parameters, modulus, or usage, 141 (128 + SIGPIPE) when the
+reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence, Union
 
@@ -211,10 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is still buffered goes to devnull: the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -177,6 +177,51 @@ def test_neighbors_on_large_q_ring_stay_small():
     assert got == sorted(expected.tolist())
 
 
+def test_export_on_large_q_ring_keeps_first_block_small():
+    # rows = 1 here, since q * d > BLOCK_PAIRS: the first block forms u + S
+    # for one vertex at a time, and no table sized by q or n is built
+    spec = build_graph(make_ring(RingParams(251, 2, 2)))
+
+    class FirstBlockWritten(Exception):
+        pass
+
+    class FirstBlockOnly(io.StringIO):
+        def write(self, text):
+            if self.tell():  # the header is in: text is the first block
+                raise FirstBlockWritten(text)
+            return super().write(text)
+
+    sink = FirstBlockOnly()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstBlockWritten) as stop:
+            export_edges(spec, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # vertex 0 has all d neighbours above it
+    assert stop.value.args[0].splitlines() == [f"0 {v}" for v in np.sort(spec.s_indices)]
+
+
+def test_export_forms_high_parts_and_one_low_table():
+    # GR(4,4^7): rows = 64 low parts (64 * 4 * 254 <= 2^16 < 256 * 4 * 254),
+    # so u + S is formed for the 16384 / 64 = 256 high parts and the 64 low
+    # ones, not for all 16384 vertices
+    spec = build_graph(make_ring(RingParams(2, 2, 7)))
+    seen = []
+    original = cayley._neighbour_indices
+
+    def counting(spec, digits):
+        seen.append(len(digits))
+        return original(spec, digits)
+
+    with mock.patch.object(cayley, "_neighbour_indices", counting):
+        assert export_edges(spec, io.StringIO()) == spec.n * spec.d // 2
+    assert seen[0] == 64
+    assert sum(seen) == 64 + 256
+
+
 @pytest.mark.parametrize("p,e,r,edges", [(2, 2, 2, 48), (2, 2, 4, 3840), (3, 2, 2, 324)])
 def test_export_edge_counts_and_format(p, e, r, edges):
     spec = build_graph(make_ring(RingParams(p, e, r)))
@@ -220,10 +265,18 @@ def assert_same_text(got, want):
 
 
 def assert_export_matches_oracle(spec, block_rows=(1, 5, None)):
+    """The export equals the oracle's text at a budget of rows * d pairs for
+    each entry of block_rows (None: the default), and at budgets that split
+    the vertices into other low and high parts: 3qd (1 low row, 3q high
+    parts a block), q^2 d (q low rows, q high parts), 3q^2 d (q low rows,
+    3q high parts) and qd - 1 (1 low row, q - 1 high parts).  The 3q ones
+    leave a short last block unless p = 3."""
+    q, d = spec.ctx.q, spec.d
+    budgets = [cayley.BLOCK_PAIRS if rows is None else rows * d for rows in block_rows]
+    budgets += [3 * q * d, q * q * d, 3 * q * q * d, q * d - 1]
     ref = io.StringIO()
     count = export_oracle.export_edges(spec, ref)
-    for rows in block_rows:
-        block = cayley.BLOCK_PAIRS if rows is None else rows * spec.d
+    for block in budgets:
         buf = io.StringIO()
         with mock.patch.object(cayley, "BLOCK_PAIRS", block):
             assert export_edges(spec, buf) == count

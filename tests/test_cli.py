@@ -103,7 +103,7 @@ def test_graph_export_stdout_matches_file(capsys, tmp_path):
 @pytest.mark.parametrize(
     "args,digest",
     [
-        # 258 rows per export block: 64 blocks
+        # 256 rows per export block (4 high parts of 64 rows): 64 blocks
         (["-p", "2", "-e", "2", "-r", "7"],
          "b40c30333b8ad5fd01cc2c8d0a6e1c2553b0718f134223ed9a592a3882f87f37"),
         (["-p", "3", "-e", "2", "-r", "4", "--gamma", "1,2,0,1"],
@@ -328,13 +328,38 @@ sys.exit(4 if "numpy.ma" in sys.modules else 0)
 """
 
 
+def package_env():
+    """The environment with this checkout's grcayley first on PYTHONPATH."""
+    src = str(Path(grcayley.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_verify_does_not_import_numpy_ma():
     # numpy 2.x imports numpy.ma on first use of np.isin or a plain np.unique,
     # which costs more than a small verify run itself
-    src = str(Path(grcayley.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = package_env()
     code = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env).returncode
     if code == 3:
         pytest.skip("import numpy alone loads numpy.ma")
     assert code == 0
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader takes one line of a 2.08 M-edge export and closes the pipe,
+    # as `grcayley graph-export ... | head -n 1` does
+    argv = ["graph-export", "-p", "2", "-e", "2", "-r", "7", "--output", "-"]
+    script = f"import sys; from grcayley.cli import main; sys.exit(main({argv!r}))"
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        env=package_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert first == b"# 2 2 7 1,0,0,0,0,0,0 16384 254\n"
+    assert proc.returncode == 141
+    assert "Traceback" not in err
+    assert err == ""  # nor an "Exception ignored" note from the flush at exit
