@@ -27,10 +27,8 @@ from .cayley import (
 )
 from .spectrum import (
     Spectrum,
-    character_sums,
     full_spectrum,
     orbit_representatives,
-    trace_basis_matrix,
 )
 from .analysis import (
     ClaimReport,
@@ -64,7 +62,6 @@ __all__ = [
     "Spectrum",
     "bfs_distances",
     "build_graph",
-    "character_sums",
     "check_bhk",
     "check_interval",
     "check_residue_partition",
@@ -81,7 +78,6 @@ __all__ = [
     "make_ring",
     "orbit_representatives",
     "spectral_interval_bound",
-    "trace_basis_matrix",
     "triangle_count",
     "verify_graph",
 ]

@@ -30,6 +30,7 @@ from .spectrum import (
     full_spectrum,
     orbit_representatives,
     orbit_row_map,
+    zeta_beta,
     zeta_sums,
 )
 
@@ -119,22 +120,23 @@ def check_wcu_summary(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> Clai
 
     zeta and the valuation are constant on G1-orbits, so one gamma per
     orbit decides the claim, and a failure's witness is the coefficient
-    string of the first failing orbit representative.  observed_value is
+    string of p^v (1 + p*c), read off the first failing row of the
+    transform at c (zeta_beta).  observed_value is
     the largest float excess |zeta| - bound across the ring (at most
     ~1e-16 noise above zero when the claim holds); for p^e = 4 the verdict
     itself comes from exact integer comparisons.
     """
     p, e, r = ctx.p, ctx.e, ctx.r
     sums = zeta_sums(ctx) if zeta is None else zeta
-    digits, val, re, im = (a[1:] for a in sums)  # row 0 is zero
+    val, re, im = (a[1:] for a in sums)  # row 0 is zero
     bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
     mags = np.hypot(re, im)
     if ctx.q == 4:
         ok = _wcu_norm_within_bound(re * re + im * im, val, p, e, r)
     else:
         ok = mags <= bounds + MERGE_TOL
-    bad = np.flatnonzero(~ok)
-    witness = coeff_string(ctx.element(digits[bad[0]])) if bad.size else None
+    bad = np.flatnonzero(~ok) + 1
+    witness = coeff_string(ctx.element(zeta_beta(ctx, sums[0], bad[0]))) if bad.size else None
     return ClaimReport("wcu", witness is None, 0.0, float((mags - bounds).max()), witness)
 
 
@@ -143,13 +145,13 @@ def check_bhk(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> ClaimReport:
     for nonzero non-units, and zeta(0) = 2^r - 1; checked exhaustively.
 
     zeta is constant on G1-orbits, so one gamma per orbit covers the ring,
-    and a failure's witness is the coefficient string of the first failing
-    orbit representative.
+    and a failure's witness is the coefficient string of p^v (1 + p*c) for
+    the first failing row of the transform, c its index (zeta_beta).
     """
     if ctx.q != 4:
         raise ParameterError("the character sum identity requires p^e = 4")
     pr = 2**ctx.r
-    digits, val, re, im = zeta_sums(ctx) if zeta is None else zeta
+    val, re, im = zeta_sums(ctx) if zeta is None else zeta
     dev = np.where(
         val == 0,
         np.abs((re + 1) ** 2 + im**2 - pr),
@@ -157,7 +159,7 @@ def check_bhk(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> ClaimReport:
     )
     dev[0] = abs(re[0] - (pr - 1)) + abs(im[0])  # row 0 is zero
     bad = np.flatnonzero(dev)
-    witness = coeff_string(ctx.element(digits[bad[0]])) if bad.size else None
+    witness = coeff_string(ctx.element(zeta_beta(ctx, val, bad[0]))) if bad.size else None
     return ClaimReport("bhk", witness is None, 0, int(dev.max()), witness)
 
 
@@ -470,8 +472,8 @@ def verify_graph(
     checks: Optional[Sequence[str]] = None,
 ) -> dict:
     """Run the selected claims of CLAIMS, all by default, and assemble the
-    JSON-ready report.  One zeta_sums sweep serves the spectrum, wcu and
-    bhk; it runs only when one of them is selected, and the spectrum is
+    JSON-ready report.  One zeta_sums transform serves the spectrum, wcu
+    and bhk; it runs only when one of them is selected, and the spectrum is
     built, and summarised, only for a claim of SPECTRUM_CLAIMS."""
     ctx = spec.ctx
     selected = sorted(set(DEFAULT_CHECKS if checks is None else checks))

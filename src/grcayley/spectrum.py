@@ -3,44 +3,32 @@
 Eigenvectors of a Cayley graph on an abelian group are the group
 characters.  For the additive group of GR(p^e, p^(er)) the characters are
 psi_beta(x) = omega^(T(beta*x)), omega a primitive p^e-th root of unity
-and T the trace, one character per ring element beta.  One kernel,
-character_sums, computes every such sum in the package: given a summation
-set S and a block of coefficient rows beta, it returns
-sum_{s in S} psi_beta(s) for each row.  The package sums over one set
-only, the Teichmuller units G1: zeta(beta) = sum_{u in G1} psi_beta(u),
-the sums behind the wcu and bhk checks and the spectrum.
+and T the trace, one character per ring element beta.  The package sums
+characters over one set only, the Teichmuller units G1:
+zeta(beta) = sum_{t in G1} psi_beta(t), the sums behind the wcu and bhk
+checks and the spectrum.
 
 x -> gamma*x takes +-G1 onto the connection set, so the eigenvalue at beta
 is zeta(beta*gamma) + zeta(-beta*gamma): 2 Re zeta(beta*gamma) for p = 2,
 and zeta(beta*gamma) for odd p, where -1 lies in G1.  As beta*gamma runs
 over the ring with beta, the spectrum is the same for every unit gamma.
 
-G1 is fixed by multiplication with any u in G1, so zeta(beta*u) =
-zeta(beta) and the kernel only needs one beta per G1-orbit.  G1 acts
-freely on the nonzero elements: an element of valuation v is
-u * p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) for exactly one u in G1 and b_i
-in G1 or zero.  orbit_representatives lists those (n-1)/(p^r-1)
-representatives, each standing for an orbit of p^r - 1 elements, after
-beta = 0, an orbit of its own.  full_spectrum weights every value by its
-orbit size, so a spectrum needs one sum per representative instead of n.
+G1 is fixed by multiplication with any u in G1, so zeta is constant on
+G1-orbits, and G1 acts freely on the nonzero elements: besides the orbit
+{0}, valuation v holds p^(r(e-1-v)) orbits of p^r - 1 elements each.
+zeta_sums gets one zeta per orbit from one Fourier transform per
+valuation.  With N = p^(e-1-v), every beta of valuation v lies in the
+orbit of exactly one beta = p^v (1 + p*c), c in (Z/N)^r, and
+    T(beta*t) = p^v T(t) + p^(v+1) c.y(t),   y(t) = trace_gram @ t mod N,
+so zeta(beta) = sum_y F_v(y) exp(2 pi i c.y / N), where
+F_v(y) = sum of omega^(p^v T(t)) over the t in G1 with y(t) = y: the
+inverse DFT of F_v over (Z/N)^r, times N^r, read at c.
 
-The Frobenius map sigma fixes the trace and permutes G1, so
-zeta(sigma(beta)) = zeta(beta) as well, and sigma permutes the
-representatives.  frobenius_heads picks the smallest representative of
-each class under sigma, by arithmetic on the row numbers, and one sweep,
-zeta_sums, runs the kernel in blocks over those heads only, about r times
-fewer sums, then hands every representative the sums of its head.
-
-The kernel gets the trace values of a block at once through the linear
-form T(beta*s) = sum_i a_i * T(x^i * s), a_i the coefficients of beta, as
-one float64 product against trace_basis_matrix(S).  That product is
-exact, since its entries are bounded by r*(p^e - 1)^2 < 2^53 for every
-supported ring, so it converts to int64 without rounding.  As T(a) is
-tr M(a), trace_basis_matrix(S) is S @ ctx.trace_gram mod q, gram T(x^(i+j)).
-
-For p^e = 4 the character values lie in {1, i, -1, -i}, the sums are the
-exact Gaussian integers (counts[0] - counts[2]) + i(counts[1] - counts[3]),
-and full spectra are exact.  Otherwise the sums are float64 cos/sin sums.
+For p^e = 4 the weights lie in {1, i, -1, -i} and no block has N > 2, so
+the transform is an integer Hadamard butterfly and the sums and spectra
+are exact.  Otherwise the transform is numpy.fft.ifftn in float64.
+orbit_representatives lists one element per orbit in the same valuation
+blocks, as digit rows, for the breadth-first search.
 """
 
 from __future__ import annotations
@@ -50,9 +38,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cayley import BLOCK_PAIRS, GraphSpec
+from .cayley import GraphSpec
 from .errors import IntegrityError, SizeError
-from .ring import RingContext
+from .ring import RingContext, _matmul_mod
 
 MERGE_TOL = 1e-6
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
@@ -118,13 +106,7 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# The character-sum kernel.
-
-
-def trace_basis_matrix(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
-    """(m, r) matrix with entry [j, i] = T(x^i * a_j) for coefficient rows
-    a_j: the rows @ the trace form's Gram matrix, mod q."""
-    return np.asarray(digits, dtype=np.int64) @ ctx.trace_gram % ctx.q
+# G1-orbits and the character sums over G1.
 
 
 def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +139,9 @@ def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _valuation_starts(ctx: RingContext) -> np.ndarray:
-    """First row of valuation v in orbit_representatives(ctx), for v = 0..e-1,
-    then 0 for valuation e (zero is row 0).  Valuation v holds p^(r(e-1-v))
-    rows."""
+    """First row of valuation v in orbit_representatives(ctx) and in
+    zeta_sums(ctx), for v = 0..e-1, then 0 for valuation e (zero is row 0).
+    Valuation v holds p^(r(e-1-v)) rows."""
     pr = ctx.p**ctx.r
     start = [1]
     for v in range(ctx.e - 1):
@@ -214,87 +196,78 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     return rows
 
 
-def character_sums(
-    ctx: RingContext, w_t: np.ndarray, digits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of sum_s omega^(T(beta*s)), one per
-    coefficient row beta of digits.
-
-    w_t is the transposed trace-basis matrix of the summation set, as
-    float64.  Exact int64 parts when p^e = 4, float64 otherwise.
-    """
-    q = ctx.q
-    tv = (np.asarray(digits, dtype=np.float64) @ w_t).astype(np.int64)
-    tv %= q
-    if q == 4:
-        re = (tv == 0).sum(axis=1) - (tv == 2).sum(axis=1)
-        im = (tv == 1).sum(axis=1) - (tv == 3).sum(axis=1)
-        return re, im
-    angles = 2.0 * np.pi * np.arange(q) / q
-    return np.cos(angles)[tv].sum(axis=1), np.sin(angles)[tv].sum(axis=1)
+def _hadamard(f: np.ndarray, r: int) -> np.ndarray:
+    """The unnormalised Walsh-Hadamard transform of f, shape (2^r, k), over
+    its r binary row axes, in place: (a, b) -> (a + b, a - b) per axis."""
+    for axis in range(r):
+        pair = f.reshape(1 << axis, 2, -1)
+        lo, hi = pair[:, 0], pair[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+    return f
 
 
-def frobenius_heads(ctx: RingContext) -> np.ndarray:
-    """For each row of orbit_representatives(ctx), the smallest row of its
-    Frobenius class.
-
-    The Frobenius map sigma, b -> b^p on every Teichmuller digit, takes the
-    representative p^v * (1 + sum_i b_i p^i) to p^v * (1 + sum_i b_i^p p^i),
-    another representative of valuation v.  On the row number within the
-    valuation block, a mixed-radix number whose slots read 0 for zero and
-    1 + k for xi^k, it maps each slot t > 0 to 1 + (p*(t-1) mod p^r - 1)
-    and keeps 0.  sigma has order r, so a class is the images of a row
-    under sigma^0 .. sigma^(r-1); no ring multiplication is involved.
-    """
-    p, e, r = ctx.p, ctx.e, ctx.r
-    pr = p**r
-    start = _valuation_starts(ctx)
-    slot = np.zeros(pr, dtype=np.int64)  # sigma on one slot
-    slot[1:] = 1 + p * np.arange(pr - 1) % (pr - 1)
-    head = np.arange(start[e - 1] + 1)  # valuation e - 1 and zero: one row each
-    for v in range(e - 1):
-        size = pr ** (e - 1 - v)
-        row = np.arange(size)
-        best = row.copy()
-        for _ in range(r - 1):
-            rest, image, place = row, np.zeros_like(row), 1
-            for _ in range(e - 1 - v):
-                rest, t = np.divmod(rest, pr)
-                image += slot[t] * place
-                place *= pr
-            row = image
-            np.minimum(best, row, out=best)
-        head[start[v] : start[v] + size] = start[v] + best
-    return head
-
-
-ZetaSums = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+ZetaSums = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def zeta_sums(ctx: RingContext) -> ZetaSums:
-    """zeta(beta) = sum_{u in G1} omega^(T(beta*u)) on one beta per
-    G1-orbit, as (digits, valuation, re, im) over the rows of
-    orbit_representatives.
+    """zeta(beta) = sum_{t in G1} omega^(T(beta*t)) on one beta per G1-orbit,
+    as (valuation, re, im).
 
-    sigma fixes the trace and permutes G1, so zeta(sigma(beta)) =
-    zeta(beta): the kernel runs on the head row of each Frobenius class
-    only, and every row takes the sums of its head."""
-    digits, val = orbit_representatives(ctx)
-    head = frobenius_heads(ctx)
-    heads = np.flatnonzero(head == np.arange(len(head)))
-    w_t = trace_basis_matrix(ctx, ctx.teich_digits).T.astype(np.float64)
-    block = max(1, BLOCK_PAIRS // len(ctx.teich_digits))
-    parts = [
-        character_sums(ctx, w_t, digits[heads[lo : lo + block]])
-        for lo in range(0, len(heads), block)
-    ]
-    of_head = np.searchsorted(heads, head)
-    re, im = (np.concatenate(part)[of_head] for part in zip(*parts))
-    return digits, val, re, im
+    Row 0 is beta = 0; then come the valuations v = 0..e-1 in the blocks of
+    _valuation_starts, row start[v] + (flat index of c) standing for
+    beta = p^v (1 + p*c), c in (Z/N)^r, N = p^(e-1-v) (zeta_beta).  Each
+    block is one transform of G1 bucketed by y(t) = trace_gram @ t mod N.
+    Exact int64 parts when p^e = 4, float64 otherwise.  Raises SizeError
+    before allocating when a block exceeds ORBIT_CUTOFF entries.
+    """
+    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    largest = p ** (r * (e - 1))
+    if largest > ORBIT_CUTOFF:
+        raise SizeError(f"a transform of {largest} entries exceeds the cutoff {ORBIT_CUTOFF}")
+    y = _matmul_mod(ctx.teich_digits, ctx.trace_gram, q)  # column i: T(x^i * t)
+    vals, res, ims = [np.array([e])], [np.array([len(y)])], [np.array([0])]
+    for v in range(e):
+        n = p ** (e - 1 - v)
+        cell = np.ravel_multi_index(tuple((y % n).T), (n,) * r)
+        k = p**v * y[:, 0] % q  # omega^k weighs t
+        if q == 4:
+            counts = np.bincount(4 * cell + k, minlength=4 * n**r).reshape(-1, 4)
+            f = counts[:, :2] - counts[:, 2:]  # (re, im) of F_v
+            z = _hadamard(f, r) if n == 2 else f
+            re, im = z[:, 0], z[:, 1]
+        else:
+            angle = 2.0 * np.pi / q * k
+            f = np.bincount(cell, np.cos(angle), n**r) + 1j * np.bincount(
+                cell, np.sin(angle), n**r
+            )
+            z = np.fft.ifftn(f.reshape((n,) * r)).ravel()
+            z *= n**r
+            re, im = z.real, z.imag
+        vals.append(np.full(n**r, v))
+        res.append(re)
+        ims.append(im)
+    return np.concatenate(vals), np.concatenate(res), np.concatenate(ims)
+
+
+def zeta_beta(ctx: RingContext, val: np.ndarray, row: int) -> np.ndarray:
+    """Coefficients of the beta that row `row` of zeta_sums stands for, given
+    the sums' valuation column: p^v (1 + p*c), c the row's flat index in its
+    block, or zero for row 0."""
+    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    v = int(val[row])
+    if v == e:
+        return np.zeros(r, dtype=np.int64)
+    n = p ** (e - 1 - v)
+    c = np.unravel_index(row - _valuation_starts(ctx)[v], (n,) * r)
+    beta = p ** (v + 1) * np.array(c, dtype=np.int64)
+    beta[0] += p**v
+    return beta % q
 
 
 def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
-    """Spectrum of the graph from zeta_sums(spec.ctx), swept here unless
+    """Spectrum of the graph from zeta_sums(spec.ctx), computed here unless
     given as zeta.
 
     Each orbit's eigenvalue, 2 Re zeta for p = 2 and zeta for odd p, counts
@@ -308,7 +281,7 @@ def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
     exact = ctx.q == 4
     if not exact and n > NUMERIC_SPECTRUM_CUTOFF:
         raise SizeError(f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff")
-    _, val, re, _ = zeta_sums(ctx) if zeta is None else zeta
+    val, re, _ = zeta_sums(ctx) if zeta is None else zeta
     eig = 2 * re if ctx.p == 2 else re
     weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
 

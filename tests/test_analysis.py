@@ -193,6 +193,24 @@ def test_bhk_requires_char4(h81):
         check_bhk(h81.ctx)
 
 
+@pytest.mark.parametrize("key", [(11, 2, 4), (3, 2, 8)])
+def test_wcu_above_numeric_spectrum_cutoff(key):
+    # odd p, too large for a numeric spectrum; wcu reads zeta alone
+    ctx = make_ring(RingParams(*key))
+    assert ctx.size > spectrum.NUMERIC_SPECTRUM_CUTOFF
+    rep = check_wcu_summary(ctx)
+    assert rep.holds and rep.observed_value <= 1e-9
+
+
+def test_wcu_and_bhk_hold_at_r16():
+    ctx = make_ring(RingParams(2, 2, 16))
+    zeta = spectrum.zeta_sums(ctx)
+    wcu = check_wcu_summary(ctx, zeta)
+    assert wcu.holds and wcu.observed_value <= 1e-9
+    bhk = check_bhk(ctx, zeta)
+    assert bhk.holds and bhk.observed_value == 0
+
+
 @pytest.mark.parametrize("r", range(2, 9))
 def test_residue_partition(r):
     ctx = make_ring(RingParams(2, 2, r))

@@ -124,11 +124,10 @@ def test_graph_export_frozen_digest(capsys, tmp_path, args, digest):
         (["-p", "2", "-e", "2", "-r", "4", "--seed", "5"],
          "8b768c6b80e4cda03c4e8e126ed649f6b2e72aed18f6b33182cca7f36fbb27a8"),
         (["-p", "3", "-e", "2", "-r", "2", "--seed", "5"],
-         "76d9dd0e6a9ffe0589d10c9a9bbd8f82b4ab7e4ddf1ecf692a96e882e4f7c286"),
+         "46f237686c9df43c5cbfa69fb2fa412668e52126920cab1f9391b5d393b56f93"),
         (["-p", "7", "-e", "2", "-r", "3", "--seed", "5"],
-         "7e4126e99f901fbe1ac1e324de31ea32f72971be13b5399bc4cd35423380e253"),
-        # energy 1501.5676759431465: the float sum is taken once per
-        # Frobenius class
+         "f653efb6e8c54702788755a304fe0d76ab5f56344baf720eb22d2ff3ce8832c6"),
+        # energy 1501.5676759431465, a float sum over the zeta transform
         (["-p", "2", "-e", "3", "-r", "3", "--seed", "5"],
          "fd5a1b3b14815cd94ab94d31346f47413aeafb8d3a9b5b37132cef5bd71e6b19"),
         # bhk is skipped for p^e = 9; no spectrum claim, so no spectrum_summary
@@ -343,6 +342,30 @@ def test_verify_does_not_import_numpy_ma():
     if code == 3:
         pytest.skip("import numpy alone loads numpy.ma")
     assert code == 0
+
+
+# default verify in a fresh process, then whether numpy.fft was imported
+NUMPY_FFT_PROBE = """
+import contextlib, io, sys
+import numpy
+if "numpy.fft" in sys.modules:
+    sys.exit(3)
+from grcayley.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "-p", sys.argv[1], "-e", sys.argv[2], "-r", "3"]) == 0
+sys.exit(4 if "numpy.fft" in sys.modules else 0)
+"""
+
+
+@pytest.mark.parametrize("p,e,imports", [("2", "2", False), ("2", "3", True)])
+def test_char4_verify_does_not_import_numpy_fft(p, e, imports):
+    # the p^e = 4 zeta transform is an integer butterfly; other rings take
+    # numpy.fft.ifftn
+    cmd = [sys.executable, "-c", NUMPY_FFT_PROBE, p, e]
+    code = subprocess.run(cmd, env=package_env()).returncode
+    if code == 3:
+        pytest.skip("import numpy alone loads numpy.fft")
+    assert code == (4 if imports else 0)
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -1,5 +1,6 @@
-"""The G1-orbit reduction behind full_spectrum, wcu and bhk, against a
-brute-force sweep of the same kernel over every ring element."""
+"""The G1-orbit reduction behind full_spectrum, wcu and bhk: the zeta
+transform against the row sweep of tests/zeta_oracle.py, and the checks
+against a brute-force sweep of that kernel over every ring element."""
 
 import dataclasses
 import math
@@ -11,15 +12,15 @@ from hypothesis import strategies as st
 
 from orbit_oracle import orbit_row_oracle
 from residue_oracle import residue_partition
-from ring_oracle import frobenius_matrix, padic_coords
-from zeta_oracle import row_zeta_sums
+from ring_oracle import padic_coords
+from test_acceptance import WCU_LIMIT, _instances
+from zeta_oracle import character_sums, row_zeta_sums, trace_basis_matrix
 from grcayley import (
     IntegrityError,
     RingParams,
     SizeError,
     bfs_distances,
     build_graph,
-    character_sums,
     check_bhk,
     check_residue_partition,
     check_wcu_summary,
@@ -28,17 +29,17 @@ from grcayley import (
     is_unit,
     make_ring,
     orbit_representatives,
-    trace_basis_matrix,
     triangle_count,
 )
 from grcayley import analysis, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
-from grcayley.ring import coeff_string
+from grcayley.ring import parse_coeff_string
 from grcayley.spectrum import (
     MERGE_TOL,
     _merge_numeric,
-    frobenius_heads,
+    _valuation_starts,
     orbit_row_map,
+    zeta_beta,
     zeta_sums,
 )
 
@@ -155,39 +156,65 @@ def test_zeta_spectrum_matches_sweep_property(key, seed, data):
     assert_spectrum_matches_sweep(build_graph(ctx, gamma))
 
 
-def frobenius_images(ctx):
-    """(rows, r) table: the row of sigma^k(beta) at column k, for every row
-    beta of orbit_representatives, through the definitional Frobenius
-    matrices of ring_oracle and orbit_row_map."""
-    digits, _ = orbit_representatives(ctx)
-    row_of = orbit_row_map(ctx)
-    images = [row_of(digits @ frobenius_matrix(ctx, k).T % ctx.q) for k in range(ctx.r)]
-    return np.stack(images, axis=1)
+def transform_betas(ctx):
+    """Digits of p^v (1 + p*c) for every row of zeta_sums, c running over
+    (Z/N)^r in C order within each valuation block, after zero."""
+    p, e, r = ctx.p, ctx.e, ctx.r
+    rows = [np.zeros((1, r), dtype=np.int64)]
+    for v in range(e):
+        n = p ** (e - 1 - v)
+        c = np.stack(np.unravel_index(np.arange(n**r), (n,) * r), axis=1)
+        beta = p ** (v + 1) * c
+        beta[:, 0] += p**v
+        rows.append(beta % ctx.q)
+    return np.concatenate(rows)
+
+
+def assert_zeta_matches_row_sweep(ctx):
+    """zeta_sums against the row sweep at the orbit of each row's beta:
+    equal int64 for p^e = 4, within 1e-9 otherwise."""
+    val, re, im = zeta_sums(ctx)
+    digits, want_val, want_re, want_im = row_zeta_sums(ctx)
+    row = orbit_row_map(ctx)(transform_betas(ctx))
+    assert sorted(row.tolist()) == list(range(len(digits)))
+    assert (want_val[row] == val).all()
+    for got, want in ((re, want_re[row]), (im, want_im[row])):
+        if ctx.q == 4:
+            assert got.dtype == np.int64 and (got == want).all()
+        else:
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
 
 
 @settings(deadline=None, max_examples=40)
 @given(key=st.sampled_from(RINGS_UP_TO_2_12), seed=st.integers(min_value=0, max_value=5))
-def test_frobenius_class_sums_match_row_sweep(key, seed):
+def test_zeta_transform_matches_row_sweep_property(key, seed):
     ctx = make_ring(RingParams(*key, seed=seed))
-    head = frobenius_heads(ctx)
-    # every head is the smallest row of its class, and every class size divides r
-    assert (head == frobenius_images(ctx).min(axis=1)).all()
-    sizes = np.bincount(head)[head]
-    assert (ctx.r % sizes == 0).all()
-    got, want = zeta_sums(ctx), row_zeta_sums(ctx)
-    for a, b in zip(got[:2], want[:2]):
-        assert (a == b).all()
-    for a, b in zip(got[2:], want[2:]):
-        if ctx.q == 4:
-            assert a.dtype == np.int64 and (a == b).all()
-        else:
-            assert np.allclose(a, b, rtol=0, atol=1e-9)
+    assert_zeta_matches_row_sweep(ctx)
+    val, betas = zeta_sums(ctx)[0], transform_betas(ctx)
+    for i in (0, 1, len(val) // 2, len(val) - 1):
+        assert zeta_beta(ctx, val, i).tolist() == betas[i].tolist()
 
 
-@pytest.mark.parametrize("key,heads", [((2, 2, 9), 62), ((2, 2, 12), 354), ((2, 4, 5), 6778)])
-def test_frobenius_class_counts(key, heads):
-    head = frobenius_heads(make_ring(RingParams(*key)))
-    assert (head == np.arange(len(head))).sum() == heads
+@pytest.mark.parametrize("key", _instances(WCU_LIMIT))
+def test_zeta_transform_matches_row_sweep_on_catalog(key):
+    assert_zeta_matches_row_sweep(make_ring(RingParams(*key)))
+
+
+@pytest.mark.parametrize("key", SMALL_KEYS)
+def test_transform_blocks_are_distinct_orbits(key):
+    # the p^(r(e-1-v)) rows of block v name p^(r(e-1-v)) different orbits
+    # of valuation v, found element by element
+    ctx = make_ring(RingParams(*key))
+    val = zeta_sums(ctx)[0]
+    oracle = orbit_row_oracle(ctx)
+    _, want_val = orbit_representatives(ctx)
+    start = _valuation_starts(ctx)
+    rows = [oracle(ctx.element(zeta_beta(ctx, val, i))) for i in range(len(val))]
+    assert sorted(rows) == list(range(len(val)))
+    assert (want_val[rows] == val).all()
+    for v in range(ctx.e):
+        size = ctx.p ** (ctx.r * (ctx.e - 1 - v))
+        assert (val[start[v] : start[v] + size] == v).all()
 
 
 @pytest.mark.parametrize("key", SWEEP_KEYS)
@@ -226,28 +253,40 @@ def test_orbit_row_map_matches_scalar_oracle(key):
 
 
 def test_orbit_size_guard(monkeypatch):
+    # zeta_sums allocates one entry per orbit of its largest block, valuation
+    # 0 (2^3 on GR(4, 4^3)); orbit_representatives holds 10 rows of r digits
     ctx = make_ring(RingParams(2, 2, 3))
-    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * ctx.r - 1)
-    for check in (orbit_representatives, check_wcu_summary, check_bhk):
+    largest = ctx.p ** (ctx.r * (ctx.e - 1))
+    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", largest - 1)
+    for check in (zeta_sums, check_wcu_summary, check_bhk):
         with pytest.raises(SizeError):
             check(ctx)
+    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", largest)
+    assert len(zeta_sums(ctx)[0]) == 10
+    assert check_wcu_summary(ctx).holds and check_bhk(ctx).holds
+    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * ctx.r - 1)
+    with pytest.raises(SizeError):
+        orbit_representatives(ctx)
     monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * ctx.r)
     assert len(orbit_representatives(ctx)[1]) == 10
 
 
-def test_failure_witness_is_an_orbit_representative(monkeypatch):
-    ctx = make_ring(RingParams(2, 2, 3))
-    reps = {coeff_string(ctx.element(row)) for row in orbit_representatives(ctx)[0]}
-
-    def shifted(ctx, w_t, digits):
-        re, im = character_sums(ctx, w_t, digits)
-        return re + 5, im
-
-    monkeypatch.setattr(spectrum, "character_sums", shifted)
-    for check in (check_wcu_summary, check_bhk):
-        rep = check(ctx)
-        assert not rep.holds
-        assert rep.witness in reps
+def test_failure_witness_is_an_orbit_representative():
+    # shift one output of the transform; the witness must name an element
+    # of the orbit that row stands for
+    for key in ((2, 2, 3), (3, 2, 2), (2, 3, 2)):
+        ctx = make_ring(RingParams(*key))
+        oracle = orbit_row_oracle(ctx)
+        val, re, im = zeta_sums(ctx)
+        checks = (check_wcu_summary, check_bhk) if ctx.q == 4 else (check_wcu_summary,)
+        for row in (_valuation_starts(ctx)[0] + 3, len(val) - 1):
+            shifted = re.copy()
+            shifted[row] += 100
+            failing = oracle(ctx.element(transform_betas(ctx)[row]))
+            for check in checks:
+                rep = check(ctx, (val, shifted, im))
+                assert not rep.holds
+                assert oracle(parse_coeff_string(ctx, rep.witness)) == failing
 
 
 def test_residue_partition_witness(monkeypatch):

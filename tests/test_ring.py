@@ -19,7 +19,6 @@ from grcayley import (
     find_basic_irreducible,
     is_unit,
     make_ring,
-    trace_basis_matrix,
 )
 from grcayley import ring
 from grcayley.ring import _is_prime, _x_is_primitive, coeff_string, parse_coeff_string
@@ -32,6 +31,7 @@ from ring_oracle import (
     trace,
     unfiltered_modulus,
 )
+from zeta_oracle import trace_basis_matrix
 
 
 # ---------------------------------------------------------------------------

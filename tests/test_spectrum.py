@@ -1,5 +1,6 @@
-"""The character-sum kernel and the spectra built on it, against frozen
-values, the scalar oracle, and the dense eigensolver oracle."""
+"""The row-sweep character-sum kernel of tests/zeta_oracle.py and the
+spectra, against frozen values, the scalar oracle, and the dense
+eigensolver oracle."""
 
 import dataclasses
 import functools
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from char_sum_oracle import character_sum, trace_counts
 from connection_oracle import connection_set
 from spectrum_oracle import oracle_spectrum, spectral_deviation
+from zeta_oracle import character_sums, trace_basis_matrix
 from grcayley import (
     IntegrityError,
     ParameterError,
@@ -19,11 +21,9 @@ from grcayley import (
     SizeError,
     Spectrum,
     build_graph,
-    character_sums,
     full_spectrum,
     make_ring,
     orbit_representatives,
-    trace_basis_matrix,
 )
 
 FROZEN_SPECTRA = {

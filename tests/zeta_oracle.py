@@ -1,14 +1,40 @@
-"""The zeta sweep without Frobenius classes.
+"""The row sweep: zeta summed directly on every G1-orbit representative.
 
-Runs the character-sum kernel on every row of orbit_representatives, one
-block after another, the way zeta_sums did before it summed once per
-Frobenius class; it reads no class table.
+Runs a vectorised character-sum kernel over G1 on every row of
+orbit_representatives, one block after another.  It takes no Fourier
+transform and reads no row numbering of zeta_sums, so it checks the
+transform's values and, through zeta_beta, its rows.
 """
 
 import numpy as np
 
-from grcayley import character_sums, orbit_representatives, trace_basis_matrix
+from grcayley import orbit_representatives
 from grcayley.cayley import BLOCK_PAIRS
+
+
+def trace_basis_matrix(ctx, digits):
+    """(m, r) matrix with entry [j, i] = T(x^i * a_j) for coefficient rows
+    a_j: the rows @ the trace form's Gram matrix, mod q."""
+    return np.asarray(digits, dtype=np.int64) @ ctx.trace_gram % ctx.q
+
+
+def character_sums(ctx, w_t, digits):
+    """Real and imaginary parts of sum_s omega^(T(beta*s)), one per
+    coefficient row beta of digits.
+
+    w_t is the transposed trace-basis matrix of the summation set, as
+    float64; the product is exact, its entries staying below 2^53.  Exact
+    int64 parts when p^e = 4, float64 otherwise.
+    """
+    q = ctx.q
+    tv = (np.asarray(digits, dtype=np.float64) @ w_t).astype(np.int64)
+    tv %= q
+    if q == 4:
+        re = (tv == 0).sum(axis=1) - (tv == 2).sum(axis=1)
+        im = (tv == 1).sum(axis=1) - (tv == 3).sum(axis=1)
+        return re, im
+    angles = 2.0 * np.pi * np.arange(q) / q
+    return np.cos(angles)[tv].sum(axis=1), np.sin(angles)[tv].sum(axis=1)
 
 
 def row_zeta_sums(ctx):
