@@ -25,11 +25,7 @@ from .cayley import (
     family_params,
     spectral_interval_bound,
 )
-from .spectrum import (
-    Spectrum,
-    full_spectrum,
-    orbit_representatives,
-)
+from .spectrum import Spectrum, full_spectrum
 from .analysis import (
     ClaimReport,
     bfs_distances,
@@ -76,7 +72,6 @@ __all__ = [
     "is_ramanujan",
     "is_unit",
     "make_ring",
-    "orbit_representatives",
     "spectral_interval_bound",
     "triangle_count",
     "verify_graph",

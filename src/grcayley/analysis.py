@@ -19,16 +19,17 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .cayley import BLOCK_PAIRS, GraphSpec, _in_sorted, spectral_interval_bound
-from .errors import IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError, SizeError
 from .ring import (
     RingContext, RingElement, _matmul_mod, _multiplication_matrix, coeff_string, is_unit
 )
+from . import spectrum as _spectrum
 from .spectrum import (
     MERGE_TOL,
     Spectrum,
     ZetaSums,
     full_spectrum,
-    orbit_representatives,
+    orbit_digits,
     orbit_row_map,
     zeta_beta,
     zeta_sums,
@@ -276,15 +277,17 @@ def triangle_count(spec: GraphSpec) -> int:
 
 
 def bfs_distances(spec: GraphSpec) -> np.ndarray:
-    """Distance from vertex 0 to each G1-orbit, one per row of
-    orbit_representatives(spec.ctx), -1 where unreachable.
+    """Distance from vertex 0 to each G1-orbit, one int32 per orbit row in
+    orbit_row_map's numbering, -1 where unreachable.
 
     Multiplication by a Teichmuller unit maps S to itself and fixes 0, so it
     is a graph automorphism and the distance is constant on each orbit;
     translation gives the distances from any other root.
 
     Each level maps neighbours to their orbit rows, in blocks of at most
-    BLOCK_PAIRS neighbours, from whichever side costs fewer maps.
+    BLOCK_PAIRS neighbours, from whichever side costs fewer maps; a block's
+    own rows become digits through orbit_digits, so no table of orbit
+    representatives is held.
     Top-down maps all d neighbours of one representative per frontier
     orbit.  Bottom-up maps neighbours of the unseen orbits, expected to
     take min(d, n / f) tries each before one lands in the f frontier
@@ -294,14 +297,17 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
     away, so one such neighbour fixes its distance, and a row with none
     among all d stays unseen.  The search stops once the reached orbits
     hold all n vertices.  Raises IntegrityError when S is not closed under
-    multiplication by xi.
+    multiplication by xi, and SizeError before allocating when the orbit
+    rows exceed spectrum.ORBIT_CUTOFF.
     """
     ctx = spec.ctx
     _require_xi_stable(spec)
-    digits, _ = orbit_representatives(ctx)
-    orbit_of = orbit_row_map(ctx)
     d, q, r, orbit = spec.d, ctx.q, ctx.r, ctx.p**ctx.r - 1
-    dist = np.full(len(digits), -1, dtype=np.int64)
+    count = (ctx.size - 1) // orbit + 1
+    if count > _spectrum.ORBIT_CUTOFF:
+        raise SizeError(f"{count} orbit rows exceed the cutoff {_spectrum.ORBIT_CUTOFF}")
+    orbit_of = orbit_row_map(ctx)
+    dist = np.full(count, -1, dtype=np.int32)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
     unseen, frontier_vertices, reached, level = len(dist) - 1, 1, 1, 0
@@ -311,7 +317,7 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
         # (rows, len(s_digits)) block of at most BLOCK_PAIRS at a time
         step = max(1, BLOCK_PAIRS // len(s_digits))
         for i in range(0, part.size, step):
-            nb = digits[part[i : i + step], None, :] + s_digits
+            nb = orbit_digits(ctx, part[i : i + step])[:, None, :] + s_digits
             nb %= q
             yield orbit_of(nb.reshape(-1, r)).reshape(-1, len(s_digits))
 

@@ -27,8 +27,9 @@ inverse DFT of F_v over (Z/N)^r, times N^r, read at c.
 For p^e = 4 the weights lie in {1, i, -1, -i} and no block has N > 2, so
 the transform is an integer Hadamard butterfly and the sums and spectra
 are exact.  Otherwise the transform is numpy.fft.ifftn in float64.
-orbit_representatives lists one element per orbit in the same valuation
-blocks, as digit rows, for the breadth-first search.
+orbit_row_map numbers the orbits in the same valuation blocks, and
+orbit_digits turns an orbit's number back into one of its elements, so the
+breadth-first search holds row numbers only.
 """
 
 from __future__ import annotations
@@ -109,37 +110,8 @@ class Spectrum:
 # G1-orbits and the character sums over G1.
 
 
-def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
-    """One element per G1-orbit of the ring, as (digits, valuation).
-
-    Row 0 is zero, valuation e, an orbit of one element.  The other rows
-    are p^v * (1 + sum_{i=1}^{e-1-v} b_i p^i) with b_i in G1 or zero, for
-    v = 0..e-1; each has valuation v and stands for an orbit of p^r - 1
-    elements.  Raises SizeError above ORBIT_CUTOFF digit entries, before
-    allocating.
-    """
-    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
-    count = (ctx.size - 1) // (p**r - 1) + 1
-    if count * r > ORBIT_CUTOFF:
-        raise SizeError(
-            f"{count} orbit representatives of {r} digits exceed the cutoff {ORBIT_CUTOFF}"
-        )
-    zero = np.zeros((1, r), dtype=np.int64)
-    table = np.vstack([zero, ctx.teich_digits])
-    blocks, vals = [zero], [np.array([e])]
-    for v in range(e):
-        rows = zero.copy()
-        rows[0, 0] = p**v
-        for i in range(1, e - v):
-            rows = (rows[:, None, :] + p ** (v + i) * table) % q
-            rows = rows.reshape(-1, r)
-        blocks.append(rows)
-        vals.append(np.full(rows.shape[0], v))
-    return np.concatenate(blocks), np.concatenate(vals).astype(np.int64)
-
-
 def _valuation_starts(ctx: RingContext) -> np.ndarray:
-    """First row of valuation v in orbit_representatives(ctx) and in
+    """First row of valuation v in orbit_row_map's numbering and in
     zeta_sums(ctx), for v = 0..e-1, then 0 for valuation e (zero is row 0).
     Valuation v holds p^(r(e-1-v)) rows."""
     pr = ctx.p**ctx.r
@@ -150,8 +122,8 @@ def _valuation_starts(ctx: RingContext) -> np.ndarray:
 
 
 def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
-    """Map (m, r) digit rows to the rows of orbit_representatives(ctx)
-    whose G1-orbits hold those elements.
+    """Map (m, r) digit rows to the numbers, or rows, of the G1-orbits that
+    hold those elements; orbit_digits(ctx, rows) is the inverse.
 
     An element of valuation v has Teichmuller digits x = sum_{i>=v} t_i p^i
     with t_v != 0, and lies in the orbit of p^v * (1 + sum_{i>v} (t_i/t_v)
@@ -194,6 +166,31 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
         return row + start[val]
 
     return rows
+
+
+def orbit_digits(ctx: RingContext, rows: np.ndarray) -> np.ndarray:
+    """Digit rows of one element in each of the G1-orbits `rows`, numbered
+    as by orbit_row_map(ctx).
+
+    Row start[v] + k (_valuation_starts) stands for p^v (1 + sum_{i=1}^{e-1-v}
+    b_i p^i): base-p^r digit j of k names b_i, zero for j = 0 and xi^(j-1)
+    otherwise, and the least significant digit sits at p^(e-1).  Row 0 is
+    zero, found in the slot of valuation e: start[-1] = 0 and p^e = 0 mod q.
+    """
+    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    start = _valuation_starts(ctx)
+    rows = np.asarray(rows, dtype=np.int64)
+    v = np.searchsorted(start[:-1], rows, side="right") - 1  # -1 for row 0
+    k = rows - start[v]
+    power = p ** np.arange(e + 1, dtype=np.int64)
+    slots = np.vstack([np.zeros((1, r), dtype=np.int64), ctx.teich_digits])
+    out = np.zeros((rows.size, r), dtype=np.int64)
+    out[:, 0] = power[v]
+    for i in range(e - 1, 0, -1):
+        k, j = np.divmod(k, p**r)
+        out += power[i] * slots[j]
+    out %= q
+    return out
 
 
 def _hadamard(f: np.ndarray, r: int) -> np.ndarray:

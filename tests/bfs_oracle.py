@@ -8,13 +8,15 @@ cheaper.
 
 import numpy as np
 
+from orbit_oracle import orbit_representatives
 from grcayley.cayley import BLOCK_PAIRS
-from grcayley.spectrum import orbit_representatives, orbit_row_map
+from grcayley.spectrum import orbit_row_map
 
 
 def bfs_distances(spec):
-    """One distance from 0 per row of orbit_representatives, -1 where
-    unreachable."""
+    """One distance from 0 per orbit row in orbit_row_map's numbering, -1
+    where unreachable; each row's digits come from the table of
+    orbit_oracle.orbit_representatives, not from spectrum.orbit_digits."""
     ctx = spec.ctx
     digits, _ = orbit_representatives(ctx)
     orbit_of = orbit_row_map(ctx)

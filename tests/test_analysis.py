@@ -262,19 +262,22 @@ def test_girth_frozen():
 
 
 def test_bfs_size_guard(monkeypatch):
-    # the BFS holds one entry per orbit representative, guarded by
+    # the BFS holds one int32 distance per orbit row, guarded by
     # ORBIT_CUTOFF; girth, triangles and the residue partition map a few
     # rows through orbit_row_map and allocate nothing of that size
     spec = graph_for(2, 2, 3)
-    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * spec.ctx.r - 1)
+    rows = (4**3 - 1) // (2**3 - 1) + 1  # 10 orbit rows on GR(4, 4^3)
+    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", rows - 1)
     for search in (bfs_distances, connectivity):
         with pytest.raises(SizeError):
             search(spec)
     assert girth(spec) == 4
     assert triangle_count(spec) == 0
     assert check_residue_partition(spec.ctx, spec.gamma).holds
-    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * spec.ctx.r)
-    assert bfs_distances(spec).max() == connectivity(spec)["diameter"]
+    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", rows)
+    dist = bfs_distances(spec)
+    assert dist.dtype == np.int32 and len(dist) == rows
+    assert dist.max() == connectivity(spec)["diameter"]
 
 
 # weighted sphere sizes |{v : dist(0, v) = k}|, frozen from a BFS over all

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from connection_oracle import connection_rows, connection_set, neighbors
 import export_oracle
-from orbit_oracle import vertex_distances
+from orbit_oracle import orbit_representatives, vertex_distances
 
 from grcayley import (
     ContextMismatchError,
@@ -28,7 +28,6 @@ from grcayley import (
     family_params,
     is_unit,
     make_ring,
-    orbit_representatives,
     verify_graph,
 )
 from grcayley import cayley

@@ -1,6 +1,7 @@
-"""The G1-orbit reduction behind full_spectrum, wcu and bhk: the zeta
-transform against the row sweep of tests/zeta_oracle.py, and the checks
-against a brute-force sweep of that kernel over every ring element."""
+"""The G1-orbit reduction behind full_spectrum, wcu, bhk and the BFS: the
+zeta transform against the row sweep of tests/zeta_oracle.py, the checks
+against a brute-force sweep of that kernel over every ring element, and
+the orbit numbering and its inverse against tests/orbit_oracle.py."""
 
 import dataclasses
 import math
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbit_oracle import orbit_row_oracle
+from orbit_oracle import orbit_representatives, orbit_row_oracle
 from residue_oracle import residue_partition
 from ring_oracle import padic_coords
 from test_acceptance import WCU_LIMIT, _instances
+from test_analysis import BFS_ORACLE_KEYS
 from zeta_oracle import character_sums, row_zeta_sums, trace_basis_matrix
 from grcayley import (
     IntegrityError,
@@ -28,7 +30,6 @@ from grcayley import (
     full_spectrum,
     is_unit,
     make_ring,
-    orbit_representatives,
     triangle_count,
 )
 from grcayley import analysis, spectrum
@@ -38,6 +39,7 @@ from grcayley.spectrum import (
     MERGE_TOL,
     _merge_numeric,
     _valuation_starts,
+    orbit_digits,
     orbit_row_map,
     zeta_beta,
     zeta_sums,
@@ -252,9 +254,33 @@ def test_orbit_row_map_matches_scalar_oracle(key):
     assert orbit_row_map(ctx)(ctx.digits_of(np.arange(ctx.size))).tolist() == want
 
 
+@pytest.mark.parametrize("key", BFS_ORACLE_KEYS)
+def test_orbit_digits_match_representatives(key):
+    ctx = make_ring(RingParams(*key))
+    digits, _ = orbit_representatives(ctx)
+    assert np.array_equal(orbit_digits(ctx, np.arange(len(digits))), digits)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    key=st.sampled_from(RINGS_UP_TO_2_12),
+    seed=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_orbit_digits_invert_row_map_property(key, seed, data):
+    ctx = make_ring(RingParams(*key, seed=seed))
+    start = _valuation_starts(ctx)[:-1]
+    count = (ctx.size - 1) // (ctx.p**ctx.r - 1) + 1
+    # row 0 and the first and last row of every valuation block
+    edges = [0, *start, *(np.append(start[1:], count) - 1)]
+    drawn = data.draw(st.lists(st.integers(0, count - 1), max_size=50), label="rows")
+    rows = np.array(edges + drawn, dtype=np.int64)
+    assert orbit_row_map(ctx)(orbit_digits(ctx, rows)).tolist() == rows.tolist()
+
+
 def test_orbit_size_guard(monkeypatch):
     # zeta_sums allocates one entry per orbit of its largest block, valuation
-    # 0 (2^3 on GR(4, 4^3)); orbit_representatives holds 10 rows of r digits
+    # 0 (2^3 on GR(4, 4^3)); the BFS's cap on orbit rows is in test_analysis
     ctx = make_ring(RingParams(2, 2, 3))
     largest = ctx.p ** (ctx.r * (ctx.e - 1))
     monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", largest - 1)
@@ -264,11 +290,6 @@ def test_orbit_size_guard(monkeypatch):
     monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", largest)
     assert len(zeta_sums(ctx)[0]) == 10
     assert check_wcu_summary(ctx).holds and check_bhk(ctx).holds
-    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * ctx.r - 1)
-    with pytest.raises(SizeError):
-        orbit_representatives(ctx)
-    monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", 10 * ctx.r)
-    assert len(orbit_representatives(ctx)[1]) == 10
 
 
 def test_failure_witness_is_an_orbit_representative():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from char_sum_oracle import character_sum, trace_counts
 from connection_oracle import connection_set
+from orbit_oracle import orbit_representatives
 from spectrum_oracle import oracle_spectrum, spectral_deviation
 from zeta_oracle import character_sums, trace_basis_matrix
 from grcayley import (
@@ -23,7 +24,6 @@ from grcayley import (
     build_graph,
     full_spectrum,
     make_ring,
-    orbit_representatives,
 )
 
 FROZEN_SPECTRA = {

@@ -1,14 +1,14 @@
 """The row sweep: zeta summed directly on every G1-orbit representative.
 
 Runs a vectorised character-sum kernel over G1 on every row of
-orbit_representatives, one block after another.  It takes no Fourier
-transform and reads no row numbering of zeta_sums, so it checks the
-transform's values and, through zeta_beta, its rows.
+orbit_oracle.orbit_representatives, one block after another.  It takes no
+Fourier transform and reads no row numbering of zeta_sums, so it checks
+the transform's values and, through zeta_beta, its rows.
 """
 
 import numpy as np
 
-from grcayley import orbit_representatives
+from orbit_oracle import orbit_representatives
 from grcayley.cayley import BLOCK_PAIRS
 
 
