@@ -5,9 +5,9 @@ it was compared against, and a witness when the comparison fails.  Reports
 also carry `asserted`: whether the property is guaranteed for the instance
 at hand (for example the Ramanujan property is only guaranteed when
 p^e = 4 and r >= 4), so callers can distinguish a falsified guarantee from
-an informational measurement.  Exact spectra are compared in integer
-arithmetic throughout; bounds of the form c*sqrt(p^r) + k are tested by
-squaring rather than through floats.
+an informational measurement.  Spectral comparisons read Spectrum.tol, 0
+for exact spectra, which are thus compared in integers; bounds of the form
+c*sqrt(p^r) + k are tested by squaring rather than through floats.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ class ClaimReport:
         return out
 
 
-def _abs_le_sqrt_bound(value: int, c: int, k: int, pr: int) -> bool:
-    """Exact test of |value| <= c*sqrt(pr) + k for integers."""
-    lhs = abs(value) - k
+def _abs_le_sqrt_bound(value: float, c: int, k: int, pr: int, tol: float = 0) -> bool:
+    """Test of |value| <= c*sqrt(pr) + k + tol, exact for integers at tol 0."""
+    lhs = abs(value) - k - tol
     return lhs <= 0 or lhs * lhs <= c * c * pr
 
 
@@ -80,14 +80,9 @@ def check_interval(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
     witness = None
     ok_all = True
     for v, _ in spectrum.entries:
-        if spectrum.exact:
-            if v == d:
-                continue
-            ok = _abs_le_sqrt_bound(int(v), c, k, pr)
-        else:
-            if abs(v - d) <= MERGE_TOL:
-                continue
-            ok = abs(v) <= bound + MERGE_TOL
+        if abs(v - d) <= spectrum.tol:
+            continue
+        ok = _abs_le_sqrt_bound(v, c, k, pr, spectrum.tol)
         worst = max(worst, abs(v))
         if not ok:
             ok_all = False
@@ -123,9 +118,10 @@ def check_wcu_summary(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> Clai
     orbit decides the claim, and a failure's witness is the coefficient
     string of p^v (1 + p*c), read off the first failing row of the
     transform at c (zeta_beta).  observed_value is
-    the largest float excess |zeta| - bound across the ring (at most
-    ~1e-16 noise above zero when the claim holds); for p^e = 4 the verdict
-    itself comes from exact integer comparisons.
+    the largest float excess |zeta| - bound across the ring: rounding noise
+    around zero when the claim holds, measured up to 7.1e-15 on (7,2,3) and
+    1.2e-14 on (3,2,8); for p^e = 4 the verdict itself comes from exact
+    integer comparisons.
     """
     p, e, r = ctx.p, ctx.e, ctx.r
     sums = zeta_sums(ctx) if zeta is None else zeta
@@ -215,14 +211,11 @@ def check_residue_partition(
 
 
 def is_ramanujan(spectrum: Spectrum) -> ClaimReport:
-    """lambda(G)^2 <= 4(d-1), in integers when the spectrum is exact."""
+    """lambda(G) <= 2 sqrt(d-1) + tol, in integers when the spectrum is exact."""
     d = spectrum.d
     lam = spectrum.lambda_g()
     bound = 2.0 * math.sqrt(d - 1)
-    if spectrum.exact:
-        ok = lam * lam <= 4 * (d - 1)
-    else:
-        ok = lam <= bound + MERGE_TOL
+    ok = _abs_le_sqrt_bound(lam, 2, 0, d - 1, spectrum.tol)
     return ClaimReport("ramanujan", ok, bound, lam, None if ok else lam)
 
 
@@ -373,7 +366,7 @@ def connectivity(spec: GraphSpec, spectrum: Optional[Spectrum] = None) -> dict:
     if spectrum is not None:
         lam = spectrum.lambda_g()
         record["lambda_G"] = lam
-        mult = spectrum.multiplicity_of(spec.d, 0 if spectrum.exact else MERGE_TOL)
+        mult = spectrum.multiplicity_of(spec.d)
         record["degree_multiplicity"] = mult
         record["degree_multiplicity_matches_components"] = mult == components
         if connected and 0 < lam < spec.d:
@@ -393,9 +386,7 @@ def energy_report(spectrum: Spectrum) -> dict:
     n, d = spectrum.n, spectrum.d
     energy = spectrum.energy()
     threshold = 2 * (n - 1)
-    integral = spectrum.exact or all(
-        abs(v - round(v)) <= MERGE_TOL for v, _ in spectrum.entries
-    )
+    integral = all(abs(v - round(v)) <= spectrum.tol for v, _ in spectrum.entries)
     record = {
         "n": n,
         "d": d,
@@ -406,7 +397,7 @@ def energy_report(spectrum: Spectrum) -> dict:
     }
     if spectrum.exact:
         record["principal_eigenvalue"] = spectrum.max_value
-        record["principal_multiplicity"] = spectrum.multiplicity_of(d, 0)
+        record["principal_multiplicity"] = spectrum.multiplicity_of(d)
         record["reference_principal_term"] = d // 2
     return record
 

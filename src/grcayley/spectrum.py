@@ -53,7 +53,8 @@ class Spectrum:
     """Eigenvalues with multiplicities, descending by value.
 
     exact means the values are integers computed without rounding; numeric
-    spectra carry floats merged at tolerance 1e-6.
+    spectra carry floats merged at MERGE_TOL.  tol is the one tolerance
+    every spectral claim reads: 0 when exact, MERGE_TOL otherwise.
     """
 
     entries: tuple[tuple[Union[int, float], int], ...]
@@ -64,6 +65,10 @@ class Spectrum:
     def __post_init__(self) -> None:
         if sum(m for _, m in self.entries) != self.n:
             raise IntegrityError("multiplicities do not sum to the vertex count")
+
+    @property
+    def tol(self) -> float:
+        return 0 if self.exact else MERGE_TOL
 
     @property
     def distinct(self) -> int:
@@ -86,18 +91,18 @@ class Spectrum:
             pos += m
         return out
 
-    def multiplicity_of(self, value: Union[int, float], tol: float = MERGE_TOL) -> int:
+    def multiplicity_of(self, value: Union[int, float]) -> int:
         total = 0
         for v, m in self.entries:
-            if abs(v - value) <= tol:
+            if abs(v - value) <= self.tol:
                 total += m
         return total
 
     def lambda_g(self) -> Union[int, float]:
-        """Largest |eigenvalue| after dropping values equal to +-degree."""
+        """Largest |eigenvalue| after dropping values within tol of +-degree."""
         best: Union[int, float] = 0
         for v, m in self.entries:
-            if abs(abs(v) - self.d) <= (0 if self.exact else MERGE_TOL):
+            if abs(abs(v) - self.d) <= self.tol:
                 continue
             best = max(best, abs(v))
         return best
@@ -269,60 +274,45 @@ def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
 
     Each orbit's eigenvalue, 2 Re zeta for p = 2 and zeta for odd p, counts
     once per element of the orbit; of the connection set only d is read.
-    Exact integers for p^e = 4; floats at merge tolerance 1e-6 otherwise.
-    The numeric path is capped at 2^24 vertices.  Raises IntegrityError
-    when the moments disagree with n and d.
+    Exact for p^e = 4 (int64 moments: n*d < 2^49), tolerance MERGE_TOL and
+    at most 2^24 vertices otherwise.  Raises IntegrityError when the moments
+    disagree with n and d by more than tol*n*d.
     """
     ctx = spec.ctx
     n, d = spec.n, spec.d
-    exact = ctx.q == 4
-    if not exact and n > NUMERIC_SPECTRUM_CUTOFF:
+    tol = 0 if ctx.q == 4 else MERGE_TOL
+    if tol and n > NUMERIC_SPECTRUM_CUTOFF:
         raise SizeError(f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff")
     val, re, _ = zeta_sums(ctx) if zeta is None else zeta
     eig = 2 * re if ctx.p == 2 else re
     weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
-
-    if not exact:
-        first = float(eig @ weights)
-        second = float((eig * eig) @ weights)
-        if abs(first) > MERGE_TOL * n * d or abs(second - n * d) > MERGE_TOL * n * d:
-            raise IntegrityError("numeric moment check failed")
-        entries = _merge_numeric(eig, MERGE_TOL, weights)
-        return Spectrum(entries=entries, exact=False, n=n, d=d)
-
-    values, inverse = np.unique(eig, return_inverse=True)
-    mults = np.bincount(inverse, weights=weights).astype(np.int64)
-    entries = tuple(zip(values[::-1].tolist(), mults[::-1].tolist()))
-    first = sum(v * m for v, m in entries)
-    second = sum(v * v * m for v, m in entries)
-    if first != 0 or second != n * d:
+    first = eig @ weights
+    second = (eig * eig) @ weights
+    if abs(first) > tol * n * d or abs(second - n * d) > tol * n * d:
         raise IntegrityError(
             f"moment check failed: sum {first}, sum of squares {second} != {n * d}"
         )
-    return Spectrum(entries=entries, exact=True, n=n, d=d)
+    return Spectrum(entries=_merge_numeric(eig, tol, weights), exact=not tol, n=n, d=d)
 
 
 def _merge_numeric(
-    values: np.ndarray, tol: float, weights: Optional[np.ndarray] = None
+    values: np.ndarray, tol: float, weights: np.ndarray
 ) -> tuple[tuple[Union[int, float], int], ...]:
-    """Group sorted values whose consecutive gaps stay within tol.
+    """Group sorted values whose consecutive gaps stay within tol, each value
+    counting weights[i] times, descending.
 
-    Each value counts weights[i] times (once when weights is None); a group
-    reports its weighted mean and total weight.
+    A group reports its total weight and its value: the one value it holds
+    when tol is 0 (a Python int for integer values), else the weighted mean.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if weights is None:
-        weights = np.ones(values.size, dtype=np.int64)
     order = np.argsort(values, kind="stable")
-    values, weights = values[order], np.asarray(weights)[order]
-    if values.size == 0:
-        return ()
+    values, weights = values[order], weights[order]
     cuts = np.flatnonzero(np.diff(values) > tol)
     starts = np.concatenate(([0], cuts + 1))
     ends = np.concatenate((cuts + 1, [values.size]))
     entries = []
     for s, e in zip(starts, ends):
         m = int(weights[s:e].sum())
-        entries.append((float((values[s:e] * weights[s:e]).sum() / m), m))
+        value = float((values[s:e] * weights[s:e]).sum() / m) if tol else values[s].item()
+        entries.append((value, m))
     entries.reverse()
     return tuple(entries)

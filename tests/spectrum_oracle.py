@@ -1,23 +1,32 @@
 """Dense reference for full_spectrum.
 
 Builds the n x n adjacency matrix from the connection set by coefficient
-addition and diagonalises it with numpy's symmetric eigensolver, so it
-shares no code with the character-sum path it checks.  Capped at
-ORACLE_CUTOFF vertices.
+addition and diagonalises it with numpy's symmetric eigensolver, then
+groups the eigenvalues with its own plain rule (group_values), so it
+shares no code with the character-sum path or the merge it checks.
+Capped at ORACLE_CUTOFF vertices.
 """
 
 import numpy as np
 
 from grcayley import IntegrityError, ParameterError, SizeError, Spectrum
-from grcayley.spectrum import MERGE_TOL, _merge_numeric
 
 ORACLE_CUTOFF = 4096
+ORACLE_TOL = 1e-6
+
+
+def group_values(values, tol=ORACLE_TOL):
+    """(mean, count) of each run of the values, descending, whose
+    consecutive gaps stay within tol."""
+    values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
+    runs = np.split(values, np.flatnonzero(values[:-1] - values[1:] > tol) + 1)
+    return tuple((float(run.mean()), run.size) for run in runs)
 
 
 def oracle_spectrum(spec):
     """Spectrum by dense symmetric eigensolve on the adjacency matrix.
 
-    Merged values within 1e-6 of an integer are snapped to it, for
+    Grouped values within ORACLE_TOL of an integer are snapped to it, for
     comparisons.
     """
     n, ctx = spec.n, spec.ctx
@@ -29,10 +38,9 @@ def oracle_spectrum(spec):
     adj[idx[:, None], ctx.indices_from_digits(sums)] = 1.0
     if not np.array_equal(adj, adj.T):
         raise IntegrityError("adjacency matrix is not symmetric")
-    merged = _merge_numeric(np.linalg.eigvalsh(adj), MERGE_TOL)
     snapped = tuple(
-        (int(round(v)) if abs(v - round(v)) <= MERGE_TOL else v, m)
-        for v, m in merged
+        (int(round(v)) if abs(v - round(v)) <= ORACLE_TOL else v, m)
+        for v, m in group_values(np.linalg.eigvalsh(adj))
     )
     return Spectrum(entries=snapped, exact=False, n=n, d=spec.d)
 

@@ -120,13 +120,32 @@ def test_interval_holds(key):
     assert rep.claim_id == "interval" and rep.holds
 
 
-def test_interval_exact_endpoint():
-    # at r = 4 the extreme eigenvalue -10 meets the bound 2*sqrt(16) + 2
+TOL = spectrum.MERGE_TOL
+# (extreme eigenvalue, exact, holds) against a bound b: exact spectra hold
+# at b and fail at b + 1, numeric ones hold at b + tol/2 and fail at b + 2 tol
+BOUNDARY_CASES = {
+    "exact-at-bound": (0, True, True),
+    "exact-above": (1, True, False),
+    "numeric-half-tol": (TOL / 2, False, True),
+    "numeric-two-tol": (2 * TOL, False, False),
+}
+
+
+@pytest.mark.parametrize("case", [None, *BOUNDARY_CASES], ids=["gr4-4", *BOUNDARY_CASES])
+def test_interval_exact_endpoint(case):
+    # at r = 4 the extreme eigenvalue -10 meets the bound 2*sqrt(16) + 2;
+    # the hand-built spectra move it by the case's excess
     spec = graph_for(2, 2, 4)
-    rep = check_interval(spec, full_spectrum(spec))
+    sp, holds = full_spectrum(spec), True
+    if case is not None:
+        excess, exact, holds = BOUNDARY_CASES[case]
+        entries = ((30, 1), (6, 90), (-2, 135), (-10 - excess, 30))
+        sp = Spectrum(entries=entries, exact=exact, n=256, d=30)
+    rep = check_interval(spec, sp)
     assert rep.bound_value == 10.0
-    assert rep.observed_value == 10
-    assert rep.holds
+    assert rep.observed_value == abs(sp.min_value)
+    assert rep.holds == holds
+    assert rep.witness == (None if holds else sp.min_value)
 
 
 def wcu_bound(ctx, gamma):
@@ -241,11 +260,20 @@ def test_ramanujan_frozen(h16):
     assert rep4.holds and rep4.observed_value == 10
 
 
-def test_ramanujan_detects_failure():
-    fake = Spectrum(entries=((6, 1), (5, 9), (-5, 6)), exact=True, n=16, d=6)
+@pytest.mark.parametrize("case", [None, *BOUNDARY_CASES], ids=["d6", *BOUNDARY_CASES])
+def test_ramanujan_detects_failure(case):
+    # d = 6 and lambda = 5 > 2*sqrt(5); the boundary cases take d = 10, where
+    # the bound 2*sqrt(9) = 6 is an integer, and move lambda by their excess
+    fake, holds = Spectrum(entries=((6, 1), (5, 9), (-5, 6)), exact=True, n=16, d=6), False
+    if case is not None:
+        excess, exact, holds = BOUNDARY_CASES[case]
+        entries = ((10, 1), (6 + excess, 3), (-2, 12))
+        fake = Spectrum(entries=entries, exact=exact, n=16, d=10)
     rep = is_ramanujan(fake)
-    assert not rep.holds
-    assert rep.witness == 5
+    assert rep.holds == holds
+    assert rep.witness == (None if holds else fake.lambda_g())
+    if case is None:
+        assert rep.witness == 5
 
 
 def test_ramanujan_numeric_consistent(h81):

@@ -142,6 +142,26 @@ def test_verify_frozen_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["-p", "5", "-e", "2", "-r", "2"],
+         "a9cf5716b13b1ce145b540416b81672128571e16b34d3641675ff1e696f90d27"),
+        (["-p", "3", "-e", "2", "-r", "3"],
+         "dedfa8128575bbfe2236653c5a1918e04660d3738402e6be6a7c9e8d1b8a19e8"),
+        # q = 8: the eigenvalues are 2 Re zeta
+        (["-p", "2", "-e", "3", "-r", "3"],
+         "6ba793912e4665a33ebf529647b0637ad66aeb5349f1294be56c8f75ac3bf30e"),
+    ],
+    ids=["gr25-2", "gr9-3", "gr8-3"],
+)
+def test_numeric_spectrum_json_frozen_digest(capsys, args, digest):
+    # every float of a numeric spectrum at full precision (json repr)
+    code, out, _ = run_cli(capsys, ["spectrum", *args, "--format", "json"])
+    assert code == 0 and '"exact": false' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_spectrum_csv_frozen(capsys):
     code, out, _ = run_cli(capsys, ["spectrum", "-p", "2", "-e", "2", "-r", "2"])
     assert code == 0

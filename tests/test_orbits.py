@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from orbit_oracle import orbit_representatives, orbit_row_oracle
 from residue_oracle import residue_partition
 from ring_oracle import padic_coords
+from spectrum_oracle import ORACLE_TOL, group_values
 from test_acceptance import WCU_LIMIT, _instances
 from test_analysis import BFS_ORACLE_KEYS
 from zeta_oracle import character_sums, row_zeta_sums, trace_basis_matrix
@@ -36,8 +37,6 @@ from grcayley import analysis, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import parse_coeff_string
 from grcayley.spectrum import (
-    MERGE_TOL,
-    _merge_numeric,
     _valuation_starts,
     orbit_digits,
     orbit_row_map,
@@ -82,7 +81,7 @@ def sweep_spectrum(spec):
     if spec.ctx.q == 4:
         values, counts = np.unique(re, return_counts=True)
         return tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
-    return _merge_numeric(re, MERGE_TOL)
+    return group_values(re)
 
 
 def sweep_wcu(ctx):
@@ -96,7 +95,7 @@ def sweep_wcu(ctx):
     if ctx.q == 4:
         ok = _wcu_norm_within_bound(re * re + im * im, val, p, e, r)
     else:
-        ok = mags <= bounds + MERGE_TOL
+        ok = mags <= bounds + ORACLE_TOL
     return bool(ok.all()), float((mags - bounds).max())
 
 

@@ -25,6 +25,7 @@ from grcayley import (
     full_spectrum,
     make_ring,
 )
+from grcayley import spectrum
 
 FROZEN_SPECTRA = {
     (2, 2, 2): ((6, 1), (2, 6), (-2, 9)),
@@ -217,6 +218,23 @@ def test_spectrum_helpers(h16):
     assert exp.shape == (16,)
     assert exp[0] == 6.0 and exp[-1] == -2.0
     assert (np.diff(exp) <= 0).all()
+
+
+def test_degree_tolerance_only_when_numeric():
+    # lambda_g and multiplicity_of count a value within tol of +-d as +-d;
+    # tol is 0 for exact spectra and MERGE_TOL for numeric ones
+    tol = spectrum.MERGE_TOL
+    exact = Spectrum(entries=((6, 1), (5, 3), (-2, 9), (-5, 3)), exact=True, n=16, d=6)
+    assert exact.tol == 0
+    assert exact.lambda_g() == 5
+    assert exact.multiplicity_of(6) == 1 and exact.multiplicity_of(5) == 3
+    for near, holds in ((tol / 2, True), (2 * tol, False)):
+        entries = ((6.0, 1), (6 - near, 3), (-2.0, 9), (-6 + near, 3))
+        numeric = Spectrum(entries=entries, exact=False, n=16, d=6)
+        assert numeric.tol == tol
+        assert numeric.lambda_g() == (2.0 if holds else 6 - near)
+        assert numeric.multiplicity_of(6) == (4 if holds else 1)
+        assert numeric.multiplicity_of(-6) == (3 if holds else 0)
 
 
 def test_spectrum_integrity_guard():
