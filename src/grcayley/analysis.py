@@ -280,56 +280,65 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
     Each level maps neighbours to their orbit rows, in blocks of at most
     BLOCK_PAIRS neighbours, from whichever side costs fewer maps; a block's
     own rows become digits through orbit_digits, so no table of orbit
-    representatives is held.
+    representatives is held, and the sums u + s go to the map unreduced.
     Top-down maps all d neighbours of one representative per frontier
     orbit.  Bottom-up maps neighbours of the unseen orbits, expected to
     take min(d, n / f) tries each before one lands in the f frontier
-    vertices; it goes through S in column chunks of width 1, 2, 4, ...
-    and drops a row from the search at its first neighbour on the previous
-    level.  That early exit is exact: an unseen row is at least this level
-    away, so one such neighbour fixes its distance, and a row with none
-    among all d stays unseen.  The search stops once the reached orbits
-    hold all n vertices.  Raises IntegrityError when S is not closed under
-    multiplication by xi, and SizeError before allocating when the orbit
-    rows exceed spectrum.ORBIT_CUTOFF.
+    vertices.  It takes the unseen rows from one block of BLOCK_PAIRS
+    rows of the distances at a time, goes through S in column chunks of
+    width 1, 2, 4, ... and drops a row from the search at its first
+    neighbour on the previous level.  That early exit is exact: an unseen
+    row is at least this level away, so one such neighbour fixes its
+    distance, and a row with none among all d stays unseen; and a level
+    reads no distance but those of the previous level, so the blocks give
+    the same distances in any order.  The frontier is held as int32 rows.
+    The search stops once the reached orbits hold all n vertices.  Raises
+    IntegrityError when S is not closed under multiplication by xi, and
+    SizeError before allocating when the orbit rows exceed
+    spectrum.ORBIT_CUTOFF.
     """
     ctx = spec.ctx
     _require_xi_stable(spec)
-    d, q, r, orbit = spec.d, ctx.q, ctx.r, ctx.p**ctx.r - 1
+    d, r, orbit = spec.d, ctx.r, ctx.p**ctx.r - 1
     count = (ctx.size - 1) // orbit + 1
     if count > _spectrum.ORBIT_CUTOFF:
         raise SizeError(f"{count} orbit rows exceed the cutoff {_spectrum.ORBIT_CUTOFF}")
     orbit_of = orbit_row_map(ctx)
     dist = np.full(count, -1, dtype=np.int32)
     dist[0] = 0
-    frontier = np.zeros(1, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int32)
     unseen, frontier_vertices, reached, level = len(dist) - 1, 1, 1, 0
 
     def neighbour_blocks(part: np.ndarray, s_digits: np.ndarray):
         # orbit rows of u + s over u in part and s in s_digits, one
-        # (rows, len(s_digits)) block of at most BLOCK_PAIRS at a time
+        # (rows, len(s_digits)) block of at most BLOCK_PAIRS at a time,
+        # summed in the map's layout: r contiguous int32 columns
         step = max(1, BLOCK_PAIRS // len(s_digits))
+        s_cols = s_digits.T.astype(np.int32)
         for i in range(0, part.size, step):
-            nb = orbit_digits(ctx, part[i : i + step])[:, None, :] + s_digits
-            nb %= q
-            yield orbit_of(nb.reshape(-1, r)).reshape(-1, len(s_digits))
+            u_cols = orbit_digits(ctx, part[i : i + step]).T.astype(np.int32)
+            nb = u_cols[:, :, None] + s_cols[:, None, :]
+            yield orbit_of(nb.reshape(r, -1).T).reshape(-1, len(s_digits))
 
     while frontier.size and reached < spec.n:
         level += 1
         found = []
         if unseen * min(d, spec.n / frontier_vertices) < frontier.size * d:
-            pending, lo, width = np.flatnonzero(dist < 0), 0, 1
-            while pending.size and lo < d:
-                chunk = spec.s_digits[lo : lo + width]
-                blocks = neighbour_blocks(pending, chunk)
-                near = np.concatenate(
-                    [(dist[nb] == level - 1).any(axis=1) for nb in blocks]
-                )
-                found.append(pending[near])
-                dist[found[-1]] = level
-                pending = pending[~near]
-                lo += width
-                width *= 2
+            for first in range(0, count, BLOCK_PAIRS):
+                block = dist[first : first + BLOCK_PAIRS]
+                pending = np.flatnonzero(block < 0).astype(np.int32) + first
+                lo, width = 0, 1
+                while pending.size and lo < d:
+                    chunk = spec.s_digits[lo : lo + width]
+                    blocks = neighbour_blocks(pending, chunk)
+                    near = np.concatenate(
+                        [(dist[nb] == level - 1).any(axis=1) for nb in blocks]
+                    )
+                    found.append(pending[near])
+                    dist[found[-1]] = level
+                    pending = pending[~near]
+                    lo += width
+                    width *= 2
         else:
             for nb in neighbour_blocks(frontier, spec.s_digits):
                 new = np.sort(nb[dist[nb] < 0])

@@ -363,17 +363,19 @@ class RingContext:
 
     @cached_property
     def _residue_lift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, lift) indexed by residue index k = sum((c_i mod p) * p^i):
-        the Teichmuller unit over residue k is xi^log[k] with digits lift[k].
-        At k = 0 log is -1 and lift is zero, the Teichmuller digit of zero."""
-        pr = self.p**self.r
+        """(log, adj), int32, indexed by residue index k = sum(c_i * p^i),
+        c_i in [0, p): the Teichmuller digit t over residue k is xi^log[k]
+        (log -1 and t = 0 at k = 0), and adj[:, k] = (c + q - t)/p, so that
+        x // p + adj[:, k] = (x - t)/p + q/p for any x with residues c."""
+        p, q = self.p, self.q
         units = self.teich_digits
-        residue = (units % self.p) @ (self.p ** np.arange(self.r, dtype=np.int64))
-        log = np.full(pr, -1, dtype=np.int64)
-        log[residue] = np.arange(pr - 1)
-        lift = np.zeros((pr, self.r), dtype=np.int64)
-        lift[residue] = units
-        return log, lift
+        residue = units % p
+        k = residue @ (p ** np.arange(self.r, dtype=np.int64))
+        log = np.full(p**self.r, -1, dtype=np.int32)
+        log[k] = np.arange(len(units))
+        adj = np.full((self.r, p**self.r), q // p, dtype=np.int32)
+        adj[:, k] = ((residue + q - units) // p).T
+        return log, adj
 
     def element(self, coeffs: Iterable[int]) -> RingElement:
         cs = [int(c) for c in coeffs]

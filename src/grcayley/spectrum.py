@@ -29,7 +29,10 @@ the transform is an integer Hadamard butterfly and the sums and spectra
 are exact.  Otherwise the transform is numpy.fft.ifftn in float64.
 orbit_row_map numbers the orbits in the same valuation blocks, and
 orbit_digits turns an orbit's number back into one of its elements, so the
-breadth-first search holds row numbers only.
+breadth-first search holds row numbers only.  The map reads any
+nonnegative digits congruent mod q, such as unreduced sums u + s, as r
+int32 columns, one Teichmuller digit at a time, with floor division by p
+and table lookups but no integer modulo.
 """
 
 from __future__ import annotations
@@ -127,47 +130,59 @@ def _valuation_starts(ctx: RingContext) -> np.ndarray:
 
 
 def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
-    """Map (m, r) digit rows to the numbers, or rows, of the G1-orbits that
-    hold those elements; orbit_digits(ctx, rows) is the inverse.
+    """Map (m, r) digit rows to the int32 numbers, or rows, of the G1-orbits
+    that hold those elements; orbit_digits(ctx, rows) is the inverse.
+
+    The digits may be any nonnegative int32 values congruent mod q to the
+    element's coefficients, such as an unreduced sum u + s; the caller's
+    array is left unchanged.
 
     An element of valuation v has Teichmuller digits x = sum_{i>=v} t_i p^i
     with t_v != 0, and lies in the orbit of p^v * (1 + sum_{i>v} (t_i/t_v)
     p^(i-v)).  Its row is therefore the first row of valuation v plus a
     mixed-radix number over the digit ratios t_i/t_v, each read as 0 for
     zero and 1 + k for xi^k through a discrete-log table on the residue
-    field.  The digits come from residues mod p and the ring's lift table,
-    ctx._residue_lift; no ring multiplication and no n-sized table is
-    involved.
+    field.  The rows are held as r contiguous int32 columns, and each digit
+    t_i takes a few passes over them with no integer modulo: the residues
+    are x - (x // p) * p, their index in the residue field comes by
+    Horner's rule, and x // p + adj (ctx._residue_lift) is (x - t_i)/p plus
+    q/p, so x stays nonnegative and exact mod q/p^(i+1).  No ring
+    multiplication and no n-sized table is involved.
     """
-    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    p, e, r = ctx.p, ctx.e, ctx.r
     pr = p**r
-    place = p ** np.arange(r, dtype=np.int64)
-    log, lift = ctx._residue_lift
-    # residue index -> (t - residue)/p for the Teichmuller digit t over it
-    lift_high = lift // p
-    start = _valuation_starts(ctx)
+    log, adj = ctx._residue_lift
+    # the lead of a row before its first nonzero digit, and minus the log + 1
+    # of a zero digit: either puts 1 + log t_i - lead at or below -pr - 1,
+    # still negative after the wrap by pr - 1, so its ratio is clamped to 0
+    unset = 2 * pr
+    plus_one = np.where(log < 0, -unset, log + 1).astype(np.int32)
+    lead_of = np.where(log < 0, unset, log).astype(np.int32)
+    start = _valuation_starts(ctx).astype(np.int32)
 
     def rows(digits: np.ndarray) -> np.ndarray:
-        x = np.array(digits, dtype=np.int64)
-        row = np.zeros(len(x), dtype=np.int64)
-        lead = np.full(len(x), -1, dtype=np.int64)  # log t_v, -1 before v
-        val = np.full(len(x), e, dtype=np.int64)
+        x = np.array(np.asarray(digits).T, dtype=np.int32, order="C")
+        high = np.empty_like(x)
+        lead = np.full(x.shape[1], unset, dtype=np.int32)  # log t_v once set
+        val = np.zeros(x.shape[1], dtype=np.int32)
+        row = np.zeros(x.shape[1], dtype=np.int32)  # stays 0 up to t_v
         for i in range(e):
-            high = x // p
-            x -= high * p  # in place here and below: fewer block-sized temporaries
-            k = x @ place  # residue index of t_i
-            t = log[k]
-            before = lead < 0
-            ratio = (t - lead) % (pr - 1) + 1
-            ratio[before | (t < 0)] = 0
-            row = row * pr + ratio  # stays 0 up to the leading digit
-            first = before & (t >= 0)
-            lead[first] = t[first]
-            val[first] = i
+            np.floor_divide(x, p, out=high)
+            x -= high * p
+            k = x[r - 1].copy()  # residue index of t_i
+            for j in range(r - 2, -1, -1):
+                k *= p
+                k += x[j]
+            ratio = plus_one.take(k)
+            ratio -= lead  # 1 + (log t_i - log t_v) when both are set
+            np.add(ratio, pr - 1, out=ratio, where=ratio < 1)
+            np.maximum(ratio, 0, out=ratio)
+            row *= pr
+            row += ratio
+            np.copyto(lead, lead_of.take(k), where=lead == unset)
+            val += lead == unset  # ends as v, or e for zero
             if i + 1 < e:
-                # x <- (x - t_i)/p, coefficientwise mod q/p^(i+1)
-                high -= lift_high[k]
-                x = np.remainder(high, q // p ** (i + 1), out=high)
+                np.add(high, adj.take(k, axis=1), out=x)
         return row + start[val]
 
     return rows

@@ -48,7 +48,8 @@ def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
 def orbit_row_oracle(ctx):
     """Function from a RingElement to its row of orbit_representatives(ctx)."""
     digits, _ = orbit_representatives(ctx)
-    row_of = {tuple(int(c) for c in row): i for i, row in enumerate(digits)}
+    index = ctx.indices_from_digits(digits)
+    by_index = np.argsort(index)
     order = ctx.p**ctx.r - 1
 
     def row(a):
@@ -56,7 +57,10 @@ def orbit_row_oracle(ctx):
         if coords.valuation == ctx.e:
             return 0
         lead = coords.digits[coords.valuation]
-        return row_of[(a * lead ** (order - 1)).coeffs]
+        quotient = (a * lead ** (order - 1)).index
+        found = by_index[np.searchsorted(index, quotient, sorter=by_index)]
+        assert index[found] == quotient, "quotient is no orbit representative"
+        return int(found)
 
     return row
 

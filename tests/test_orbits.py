@@ -4,12 +4,14 @@ against a brute-force sweep of that kernel over every ring element, and
 the orbit numbering and its inverse against tests/orbit_oracle.py."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orbit_oracle import orbit_representatives, orbit_row_oracle
 from residue_oracle import residue_partition
@@ -251,6 +253,42 @@ def test_orbit_row_map_matches_scalar_oracle(key):
     oracle = orbit_row_oracle(ctx)
     want = [oracle(ctx.from_index(i)) for i in range(ctx.size)]
     assert orbit_row_map(ctx)(ctx.digits_of(np.arange(ctx.size))).tolist() == want
+
+
+@functools.lru_cache(maxsize=8)
+def ring_and_row_oracle(key):
+    ctx = make_ring(RingParams(*key))
+    return ctx, orbit_row_oracle(ctx)
+
+
+# the deepest digit loops, drawn in about half the examples: e = 10 at
+# p^r = 4, and e = 7 at p^r = 9, which is above 2^20 elements and so
+# outside BFS_ORACLE_KEYS
+DEEP_KEYS = [(2, 10, 2), (3, 7, 2)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    key=st.sampled_from(DEEP_KEYS) | st.sampled_from(BFS_ORACLE_KEYS),
+    data=st.data(),
+)
+def test_orbit_row_map_reads_unreduced_digits_property(key, data):
+    # any nonnegative int32 digits congruent mod q name the same element
+    ctx, oracle = ring_and_row_oracle(key)
+    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    m = data.draw(st.integers(1, 30), label="rows")
+    raw = data.draw(hnp.arrays(np.int64, (m, r), elements=st.integers(0, q - 1)), label="raw")
+    val = data.draw(hnp.arrays(np.int64, m, elements=st.integers(0, e)), label="valuation")
+    digits = raw * p ** val[:, None] % q  # rows of valuation >= val, zero at e
+    shift = hnp.arrays(np.int64, (m, r), elements=st.integers(0, (2**31 - 1) // q - 1))
+    given_digits = digits + q * data.draw(shift, label="multiples of q")
+    if data.draw(st.booleans(), label="int32 columns"):
+        # the layout the map works in, so a map that kept a view would write here
+        given_digits = np.asfortranarray(given_digits, dtype=np.int32)
+    before = given_digits.copy()
+    rows = orbit_row_map(ctx)(given_digits)
+    assert np.array_equal(given_digits, before)
+    assert rows.tolist() == [oracle(ctx.element(row)) for row in digits.tolist()]
 
 
 @pytest.mark.parametrize("key", BFS_ORACLE_KEYS)
