@@ -18,10 +18,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cayley import BLOCK_PAIRS, GraphSpec, _in_sorted, spectral_interval_bound
+from .cayley import (
+    BLOCK_PAIRS, GraphSpec, _in_sorted, _sorted_image, spectral_interval_bound
+)
 from .errors import IntegrityError, ParameterError, SizeError
 from .ring import (
-    RingContext, RingElement, _matmul_mod, _multiplication_matrix, coeff_string, is_unit
+    RingContext, RingElement, _matmul_mod, _multiplication_matrix, _row_blocks, coeff_string,
+    is_unit,
 )
 from . import spectrum as _spectrum
 from .spectrum import (
@@ -236,10 +239,12 @@ def girth(spec: GraphSpec) -> int:
 
 def _require_xi_stable(spec: GraphSpec) -> None:
     """Raise IntegrityError unless xi*S = S, the G1-stability every orbit
-    reduction needs; xi is a unit, so it holds exactly when both sort the same."""
+    reduction needs; xi is a unit, so it holds exactly when both sort the same.
+    The image of S is formed and indexed one block at a time."""
     ctx = spec.ctx
-    image = _matmul_mod(spec.s_digits, _multiplication_matrix(ctx.xi).T, ctx.q)
-    if (np.sort(ctx.indices_from_digits(image)) != np.sort(spec.s_indices)).any():
+    by_xi = _multiplication_matrix(ctx.xi).T
+    image = _sorted_image(ctx, spec.s_digits, lambda rows: _matmul_mod(rows, by_xi, ctx.q))
+    if (image != np.sort(spec.s_indices)).any():
         raise IntegrityError("connection set is not closed under multiplication by xi")
 
 
@@ -255,14 +260,25 @@ def triangle_count(spec: GraphSpec) -> int:
     G1-orbit of S.  So the pairs number p^r - 1 times those (h, s_j) over
     one head h per orbit of S: two for p = 2 (gamma and -gamma), one for
     odd p.  Each triangle has 3 vertices and 2 orders, hence n * count / 6.
-    Raises IntegrityError when S is not closed under multiplication by xi.
+    The sums are formed one block of BLOCK_PAIRS digits at a time.  Raises
+    IntegrityError when S is not closed under multiplication by xi.
     """
-    ctx = spec.ctx
+    ctx, s = spec.ctx, spec.s_digits
     _require_xi_stable(spec)
-    _, heads = np.unique(orbit_row_map(ctx)(spec.s_digits), return_index=True)
-    sums = spec.s_digits[heads, None, :] + spec.s_digits
-    sums %= ctx.q
-    hits = int(_in_sorted(ctx.indices_from_digits(sums), np.sort(spec.s_indices)).sum())
+    blocks = list(_row_blocks(spec.d, ctx.r))
+    orbit_of = orbit_row_map(ctx)
+    heads: dict[int, int] = {}  # orbit row -> first index in S
+    for block in blocks:
+        rows, first = np.unique(orbit_of(s[block]), return_index=True)
+        for row, i in zip(rows.tolist(), (first + block.start).tolist()):
+            heads.setdefault(row, i)
+    table = np.sort(spec.s_indices)
+    hits = 0
+    for head in s[list(heads.values())]:
+        for block in blocks:
+            sums = s[block] + head
+            np.subtract(sums, ctx.q, out=sums, where=sums >= ctx.q)
+            hits += int(_in_sorted(ctx.indices_from_digits(sums), table).sum())
     total = spec.n * (ctx.p**ctx.r - 1) * hits
     if total % 6:
         raise IntegrityError(f"triangle count {total} is not divisible by 6")
@@ -314,9 +330,9 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
         # (rows, len(s_digits)) block of at most BLOCK_PAIRS at a time,
         # summed in the map's layout: r contiguous int32 columns
         step = max(1, BLOCK_PAIRS // len(s_digits))
-        s_cols = s_digits.T.astype(np.int32)
+        s_cols = s_digits.T
         for i in range(0, part.size, step):
-            u_cols = orbit_digits(ctx, part[i : i + step]).T.astype(np.int32)
+            u_cols = orbit_digits(ctx, part[i : i + step]).T
             nb = u_cols[:, :, None] + s_cols[:, None, :]
             yield orbit_of(nb.reshape(r, -1).T).reshape(-1, len(s_digits))
 

@@ -8,9 +8,10 @@ unique order-2 element of the cyclic group G1.  Vertices are the ring
 elements under their flat index, so the graph on p^(er) vertices is
 d-regular with d = 2(p^r - 1) or p^r - 1.
 
-The connection set is only ever held as digit rows: gamma*G1 is
+The connection set is only ever held as int32 digit rows: gamma*G1 is
 teich_digits @ M(gamma)^T mod q, M(gamma) the multiplication matrix of
-gamma, and -gamma*G1 follows it for p = 2.
+gamma, and -gamma*G1 follows it for p = 2, both written straight into one
+(d, r) array.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .ring import (
     _matmul_mod,
     _multiplication_matrix,
     _require_prime,
+    _row_blocks,
     coeff_string,
     is_unit,
 )
@@ -40,7 +42,7 @@ from .ring import (
 @dataclass(frozen=True, eq=False)
 class GraphSpec:
     """A built graph: context, twist gamma, and the connection set as flat
-    indices s_indices and (d, r) digit rows s_digits, in the same order:
+    indices s_indices and (d, r) int32 digit rows s_digits, in the same order:
     gamma*xi^k for k = 0..p^r-2, then -gamma*xi^k when p = 2."""
 
     ctx: RingContext
@@ -64,20 +66,21 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
             "degenerates to a directed multigraph, which is unsupported"
         )
 
-    q = ctx.q
-    half = _matmul_mod(ctx.teich_digits, _multiplication_matrix(gamma).T, q)
-    s_digits = np.vstack([half, (-half) % q]) if ctx.p == 2 else half
+    q, h = ctx.q, len(ctx.teich_digits)
+    s_digits = np.empty((2 * h if ctx.p == 2 else h, ctx.r), dtype=np.int32)
+    half = _matmul_mod(ctx.teich_digits, _multiplication_matrix(gamma).T, q, out=s_digits[:h])
+    if ctx.p == 2:
+        _negate(half, q, out=s_digits[h:])
     s_indices = ctx.indices_from_digits(s_digits)
     ordered = np.sort(s_indices)
     if (ordered[1:] == ordered[:-1]).any():
-        h = len(half)
         if ctx.p == 2 and _in_sorted(s_indices[h:], np.sort(s_indices[:h])).any():
             raise IntegrityError("gamma*G1 meets its own negation in characteristic 2^e")
         raise IntegrityError("connection set has repeated elements")
     if ordered[0] == 0:
         raise IntegrityError("connection set contains zero")
     # negation is injective, so S holds -S exactly when both sort the same
-    if (np.sort(ctx.indices_from_digits((-s_digits) % q)) != ordered).any():
+    if (_sorted_image(ctx, s_digits, lambda rows: _negate(rows, q)) != ordered).any():
         raise IntegrityError("connection set is not closed under negation")
 
     expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
@@ -87,6 +90,22 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
         )
 
     return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
+
+
+def _sorted_image(ctx: RingContext, digits: np.ndarray, f) -> np.ndarray:
+    """Sorted flat indices of f(rows), mapped one block of digit rows at a time."""
+    out = np.empty(len(digits), dtype=np.int64)
+    for block in _row_blocks(len(digits), ctx.r):
+        out[block] = ctx.indices_from_digits(f(digits[block]))
+    out.sort()
+    return out
+
+
+def _negate(digits: np.ndarray, q: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """-digits mod q for digits in [0, q): q - x, with 0 kept at 0."""
+    out = np.subtract(q, digits, out=out)
+    out[out == q] = 0
+    return out
 
 
 def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -107,7 +126,7 @@ def _neighbour_indices(spec: GraphSpec, digits: np.ndarray) -> np.ndarray:
     """
     q = np.uint32(spec.ctx.q)
     u = digits.astype(np.uint32)
-    s = spec.s_digits.astype(np.uint32)
+    s = spec.s_digits.view(np.uint32)  # int32 digits below q, read in place
     targets = np.zeros((len(u), spec.d), dtype=np.uint32)
     digit = np.empty_like(targets)
     for i, w in enumerate(spec.ctx._weights):

@@ -20,7 +20,14 @@ T(x^(i+j)) is the trace form's Gram matrix, T(a*b) = a @ trace_gram @ b.
 
 Every element has a flat index sum(c_i * q^i); the graph modules use that
 index as the vertex id.  digits_of / indices_from_digits convert whole
-index arrays at once for the vectorised kernels.
+index arrays for the vectorised kernels.
+
+Every (m, r) digit array the package holds or returns is int32: G1
+(teich_digits), the connection set, the rows of _matmul_mod, digits_of and
+orbit_digits.  Digits lie below q <= 2^16, so int32 holds each digit and
+any sum of two.  Flat indices and products stay wide, in int64 or in
+exact float64, and are formed one block of BLOCK_PAIRS digits at a time,
+so no (m, r) int64 array is made beyond one block.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -337,13 +344,17 @@ class RingContext:
 
         group_order = p**r - 1
         by_xi = _multiplication_matrix(self.xi).T  # a @ by_xi: the digits of a * xi
-        # xi^0 .. xi^(p^r - 2) by doubling: rows [k, 2k) are rows [0, k) @ M(xi^k)^T
-        teich, step = np.eye(1, r, dtype=np.int64), by_xi
-        while len(teich) < group_order:
-            teich = np.vstack([teich, _matmul_mod(teich, step, q)])
+        # xi^0 .. xi^(p^r - 2) by doubling, in place: rows [k, 2k) are
+        # rows [0, k) @ M(xi^k)^T
+        teich = np.zeros((group_order, r), dtype=np.int32)
+        teich[0, 0] = 1
+        k, step = 1, by_xi
+        while k < group_order:
+            m = min(k, group_order - k)
+            _matmul_mod(teich[:m], step, q, out=teich[k : k + m])
             step = (step @ step) % q
-        teich = teich[:group_order]
-        if ((teich[-1] @ by_xi) % q != teich[0]).any():
+            k += m
+        if (_matmul_mod(teich[-1:], by_xi, q) != teich[:1]).any():
             raise IntegrityError("Teichmuller generator has wrong order")
         ordered = np.sort(self.indices_from_digits(teich))
         if (ordered[1:] == ordered[:-1]).any():
@@ -362,19 +373,35 @@ class RingContext:
         return tuple(RingElement(self, row) for row in rows)
 
     @cached_property
+    def _orbit_slots(self) -> np.ndarray:
+        """(e - 1, r, p^r) int32: column [i - 1, :, j] holds the digits of
+        p^i * b mod q for b = 0 at j = 0 and b = xi^(j-1) otherwise, the
+        terms spectrum.orbit_digits adds up."""
+        p, q, r = self.p, self.q, self.r
+        slots = np.zeros((self.e - 1, r, p**r), dtype=np.int32)
+        for i in range(1, self.e):
+            # p^i * t < q^2 / p <= 2^31
+            np.multiply(self.teich_digits.T, p**i, out=slots[i - 1, :, 1:])
+            slots[i - 1] -= slots[i - 1] // q * q
+        return slots
+
+    @cached_property
     def _residue_lift(self) -> tuple[np.ndarray, np.ndarray]:
         """(log, adj), int32, indexed by residue index k = sum(c_i * p^i),
         c_i in [0, p): the Teichmuller digit t over residue k is xi^log[k]
         (log -1 and t = 0 at k = 0), and adj[:, k] = (c + q - t)/p, so that
         x // p + adj[:, k] = (x - t)/p + q/p for any x with residues c."""
-        p, q = self.p, self.q
+        p, q, r = self.p, self.q, self.r
         units = self.teich_digits
-        residue = units % p
-        k = residue @ (p ** np.arange(self.r, dtype=np.int64))
-        log = np.full(p**self.r, -1, dtype=np.int32)
-        log[k] = np.arange(len(units))
-        adj = np.full((self.r, p**self.r), q // p, dtype=np.int32)
-        adj[:, k] = ((residue + q - units) // p).T
+        log = np.full(p**r, -1, dtype=np.int32)
+        adj = np.full((r, p**r), q // p, dtype=np.int32)
+        powers = p ** np.arange(r)
+        for block in _row_blocks(len(units), r):
+            t = units[block]
+            residue = t % p
+            k = residue @ powers
+            log[k] = np.arange(block.start, block.start + len(t))
+            adj[:, k] = ((residue + q - t) // p).T
         return log, adj
 
     def element(self, coeffs: Iterable[int]) -> RingElement:
@@ -400,14 +427,24 @@ class RingContext:
     # -- bulk index/digit conversion ---------------------------------------
 
     def digits_of(self, indices: np.ndarray) -> np.ndarray:
-        """(m,) int array of vertex ids -> (m, r) array of coefficients."""
+        """(m,) int array of vertex ids -> (m, r) int32 array of coefficients."""
         idx = np.asarray(indices, dtype=np.int64)
-        weights = np.array(self._weights, dtype=np.int64)
-        return (idx[:, None] // weights) % self.q
+        out = np.empty((len(idx), self.r), dtype=np.int32)
+        for i, w in enumerate(self._weights):
+            out[:, i] = idx // w % self.q
+        return out
 
     def indices_from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """(..., r) digit rows -> int64 flat indices of shape (...), one block
+        of BLOCK_PAIRS digits at a time."""
+        digits = np.asarray(digits)
+        rows = digits.reshape(-1, self.r)
         weights = np.array(self._weights, dtype=np.int64)
-        return np.asarray(digits, dtype=np.int64) @ weights
+        out = np.empty(len(rows), dtype=np.int64)
+        for block in _row_blocks(len(rows), self.r):
+            out[block] = rows[block].astype(np.int64) @ weights
+        return out.reshape(digits.shape[:-1])
+
 
 def _multiplication_matrix(a: RingElement) -> np.ndarray:
     """(r, r) matrix M(a) = sum a_i C^i mod q, so that (a*b).coeffs =
@@ -417,16 +454,26 @@ def _multiplication_matrix(a: RingElement) -> np.ndarray:
     return (ctx._cpow[: ctx.r].T @ a.coeffs).T % ctx.q
 
 
-def _matmul_mod(rows: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    """rows @ m mod q as int64, for (k, r) digit rows and an (r, r) matrix below q.
-    The float64 product runs in BLAS (int64 would not), BLOCK_PAIRS digits at
-    a time to keep its buffers small; it is exact, as r*q^2 < 2^53."""
+def _row_blocks(count: int, r: int) -> Iterator[slice]:
+    """Slices of `count` digit rows of width r, BLOCK_PAIRS digits per slice."""
+    step = max(1, BLOCK_PAIRS // r)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _matmul_mod(
+    rows: np.ndarray, m: np.ndarray, q: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """rows @ m mod q as int32, for (k, r) digit rows and an (r, r) matrix
+    below q, written into `out` when given.
+
+    The float64 product runs in BLAS (int64 would not), one block of
+    BLOCK_PAIRS digits at a time; it is exact, as r*q^2 < 2^53, and each
+    block is reduced in int64."""
     m = m.astype(np.float64)
-    out = np.empty(rows.shape, dtype=np.int64)
-    step = BLOCK_PAIRS // len(m)
-    for lo in range(0, len(rows), step):
-        out[lo : lo + step] = rows[lo : lo + step].astype(np.float64) @ m
-    out %= q
+    if out is None:
+        out = np.empty(rows.shape, dtype=np.int32)
+    for block in _row_blocks(len(rows), len(m)):
+        out[block] = (rows[block].astype(np.float64) @ m).astype(np.int64) % q
     return out
 
 

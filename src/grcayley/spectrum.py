@@ -189,28 +189,33 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def orbit_digits(ctx: RingContext, rows: np.ndarray) -> np.ndarray:
-    """Digit rows of one element in each of the G1-orbits `rows`, numbered
-    as by orbit_row_map(ctx).
+    """int32 digit rows of one element in each of the G1-orbits `rows`,
+    numbered as by orbit_row_map(ctx).
 
     Row start[v] + k (_valuation_starts) stands for p^v (1 + sum_{i=1}^{e-1-v}
     b_i p^i): base-p^r digit j of k names b_i, zero for j = 0 and xi^(j-1)
     otherwise, and the least significant digit sits at p^(e-1).  Row 0 is
     zero, found in the slot of valuation e: start[-1] = 0 and p^e = 0 mod q.
+    Each term p^i b_i mod q is one column of the cached table
+    ctx._orbit_slots, so the sum stays below e*q and one multiply-subtract
+    reduces it.  The rows come as the transpose of r contiguous columns, the
+    layout in which orbit_row_map and the breadth-first search add digits.
     """
     p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    pr = p**r
     start = _valuation_starts(ctx)
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     v = np.searchsorted(start[:-1], rows, side="right") - 1  # -1 for row 0
     k = rows - start[v]
-    power = p ** np.arange(e + 1, dtype=np.int64)
-    slots = np.vstack([np.zeros((1, r), dtype=np.int64), ctx.teich_digits])
-    out = np.zeros((rows.size, r), dtype=np.int64)
-    out[:, 0] = power[v]
+    slots = ctx._orbit_slots
+    out = np.zeros((r, rows.size), dtype=np.int32)
+    out[0] = (p ** np.arange(e + 1) % q)[v]
     for i in range(e - 1, 0, -1):
-        k, j = np.divmod(k, p**r)
-        out += power[i] * slots[j]
-    out %= q
-    return out
+        high = k // pr
+        out += slots[i - 1].take(k - high * pr, axis=1)
+        k = high
+    out -= out // q * q
+    return out.T
 
 
 def _hadamard(f: np.ndarray, r: int) -> np.ndarray:
@@ -248,7 +253,8 @@ def zeta_sums(ctx: RingContext) -> ZetaSums:
     for v in range(e):
         n = p ** (e - 1 - v)
         cell = np.ravel_multi_index(tuple((y % n).T), (n,) * r)
-        k = p**v * y[:, 0] % q  # omega^k weighs t
+        # omega^k weighs t; p^v * y < q^2 / p <= 2^31 is widened from int32
+        k = p**v * y[:, 0].astype(np.int64) % q
         if q == 4:
             counts = np.bincount(4 * cell + k, minlength=4 * n**r).reshape(-1, 4)
             f = counts[:, :2] - counts[:, 2:]  # (re, im) of F_v

@@ -295,7 +295,9 @@ def test_orbit_row_map_reads_unreduced_digits_property(key, data):
 def test_orbit_digits_match_representatives(key):
     ctx = make_ring(RingParams(*key))
     digits, _ = orbit_representatives(ctx)
-    assert np.array_equal(orbit_digits(ctx, np.arange(len(digits))), digits)
+    got = orbit_digits(ctx, np.arange(len(digits)))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, digits)
 
 
 @settings(deadline=None, max_examples=60)

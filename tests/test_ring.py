@@ -371,6 +371,54 @@ def test_bulk_digit_conversion(ctx33):
     assert np.array_equal(digits[:100], one_by_one)
 
 
+@pytest.mark.parametrize("key", [(2, 2, 16), (2, 16, 2)])
+def test_indices_reach_the_size_bound(key):
+    # all-(q - 1) digits give the largest index, 2^32 - 1, beyond int32
+    ctx = make_ring(RingParams(*key))
+    top = np.full((3, ctx.r), ctx.q - 1, dtype=np.int32)
+    assert ctx.indices_from_digits(top).tolist() == [2**32 - 1] * 3
+    assert int(ctx.indices_from_digits(top[0])) == 2**32 - 1
+    back = ctx.digits_of(np.array([2**32 - 1, 0]))
+    assert back.dtype == np.int32 and back.tolist() == [top[0].tolist(), [0] * ctx.r]
+
+
+def _reference_matmul_mod(rows, m, q):
+    """rows @ m mod q in Python ints, row by row."""
+    cols = range(len(m[0]))
+    return [[sum(a * m[i][j] for i, a in enumerate(row)) % q for j in cols] for row in rows]
+
+
+@settings(deadline=None, max_examples=60)
+@given(key=st.sampled_from([(2, 16, 2), (251, 2, 2), (3, 10, 2)]), data=st.data())
+def test_matmul_mod_exact_at_largest_moduli_property(key, data):
+    # q = 65 536, 63 001 and 59 049: r*q^2 passes 2^33 on the first two, so
+    # an int32 product would wrap; each row's sums are checked in Python ints
+    p, e, r = key
+    q = p**e
+    digit = st.integers(0, q - 1) | st.just(q - 1)
+    row = st.lists(digit, min_size=r, max_size=r)
+    rows = data.draw(st.lists(row, min_size=1, max_size=30), label="rows")
+    m = data.draw(st.lists(row, min_size=r, max_size=r), label="m")
+    rows.append([q - 1] * r)
+    got = ring._matmul_mod(np.array(rows, dtype=np.int32), np.array(m), q)
+    assert got.dtype == np.int32
+    assert got.tolist() == _reference_matmul_mod(rows, m, q)
+
+
+def test_matmul_mod_across_blocks_into_out():
+    # 3 * BLOCK_PAIRS // r + 5 rows: four blocks, the last one partial
+    p, e, r = 2, 16, 2
+    q = p**e
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, q, (3 * ring.BLOCK_PAIRS // r + 5, r)).astype(np.int32)
+    rows[-1] = q - 1
+    m = np.full((r, r), q - 1, dtype=np.int64)
+    m[0, 1] = 12345
+    out = np.full(rows.shape, -1, dtype=np.int32)
+    assert ring._matmul_mod(rows, m, q, out=out) is out
+    assert np.array_equal(out, rows.astype(np.int64) @ m % q)
+
+
 def test_coeff_string_roundtrip(ctx22):
     a = ctx22.element([2, 3])
     assert coeff_string(a) == "2,3"
