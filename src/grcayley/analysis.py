@@ -31,6 +31,7 @@ from .spectrum import (
     MERGE_TOL,
     Spectrum,
     ZetaSums,
+    _require_spectrum_size,
     full_spectrum,
     orbit_digits,
     orbit_row_map,
@@ -68,30 +69,20 @@ class ClaimReport:
         return out
 
 
-def _abs_le_sqrt_bound(value: float, c: int, k: int, pr: int, tol: float = 0) -> bool:
-    """Test of |value| <= c*sqrt(pr) + k + tol, exact for integers at tol 0."""
+def _abs_le_sqrt_bound(value, c: int, k: int, pr: int, tol: float = 0):
+    """Test of |value| <= c*sqrt(pr) + k + tol, elementwise, exact for integers at tol 0."""
     lhs = abs(value) - k - tol
-    return lhs <= 0 or lhs * lhs <= c * c * pr
+    return (lhs <= 0) | (lhs * lhs <= c * c * pr)
 
 
 def check_interval(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
     """All non-principal eigenvalues lie in [-(c*sqrt(p^r)+k), c*sqrt(p^r)+k]."""
     ctx = spec.ctx
     c, k, pr, bound = spectral_interval_bound(ctx.p, ctx.e, ctx.r)
-    d = spec.d
-    worst: Union[int, float] = 0
-    witness = None
-    ok_all = True
-    for v, _ in spectrum.entries:
-        if abs(v - d) <= spectrum.tol:
-            continue
-        ok = _abs_le_sqrt_bound(v, c, k, pr, spectrum.tol)
-        worst = max(worst, abs(v))
-        if not ok:
-            ok_all = False
-            if witness is None:
-                witness = v
-    return ClaimReport("interval", ok_all, bound, worst, witness)
+    values = spectrum.values[abs(spectrum.values - spec.d) > spectrum.tol]
+    bad = values[~_abs_le_sqrt_bound(values, c, k, pr, spectrum.tol)]
+    worst = abs(values).max(initial=0).item()
+    return ClaimReport("interval", not bad.size, bound, worst, bad[0].item() if bad.size else None)
 
 
 def _wcu_norm_within_bound(
@@ -411,7 +402,7 @@ def energy_report(spectrum: Spectrum) -> dict:
     n, d = spectrum.n, spectrum.d
     energy = spectrum.energy()
     threshold = 2 * (n - 1)
-    integral = all(abs(v - round(v)) <= spectrum.tol for v, _ in spectrum.entries)
+    integral = bool((abs(spectrum.values - np.round(spectrum.values)) <= spectrum.tol).all())
     record = {
         "n": n,
         "d": d,
@@ -503,9 +494,12 @@ def verify_graph(
     if unknown:
         raise ParameterError(f"unknown checks: {unknown}")
 
+    spectral = SPECTRUM_CLAIMS.intersection(selected)
+    if spectral:
+        _require_spectrum_size(spec)  # before the transform allocates
     reads_zeta = ZETA_CLAIMS if ctx.q == 4 else ZETA_CLAIMS - {"bhk"}
     zeta = zeta_sums(ctx) if reads_zeta.intersection(selected) else None
-    spectrum = full_spectrum(spec, zeta) if SPECTRUM_CLAIMS.intersection(selected) else None
+    spectrum = full_spectrum(spec, zeta) if spectral else None
     reports = {c: CLAIMS[c](spec, spectrum, zeta) for c in selected}
     return {
         "graph": {

@@ -99,7 +99,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             "n": sp.n,
             "d": sp.d,
             "exact": sp.exact,
-            "entries": [[v, m] for v, m in sp.entries],
+            "entries": sp.entries,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:

@@ -387,14 +387,14 @@ class RingContext:
 
     @cached_property
     def _residue_lift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, adj), int32, indexed by residue index k = sum(c_i * p^i),
-        c_i in [0, p): the Teichmuller digit t over residue k is xi^log[k]
-        (log -1 and t = 0 at k = 0), and adj[:, k] = (c + q - t)/p, so that
+        """(log, adj), int32 and uint16, indexed by residue index k = sum(c_i * p^i),
+        c_i in [0, p): the Teichmuller digit t over residue k is xi^log[k] (log -1
+        and t = 0 at k = 0), and adj[:, k] = (c + q - t)/p <= q/p <= 2^15, so that
         x // p + adj[:, k] = (x - t)/p + q/p for any x with residues c."""
         p, q, r = self.p, self.q, self.r
         units = self.teich_digits
         log = np.full(p**r, -1, dtype=np.int32)
-        adj = np.full((r, p**r), q // p, dtype=np.int32)
+        adj = np.full((r, p**r), q // p, dtype=np.uint16)
         powers = p ** np.arange(r)
         for block in _row_blocks(len(units), r):
             t = units[block]

@@ -51,67 +51,64 @@ NUMERIC_SPECTRUM_CUTOFF = 1 << 24
 ORBIT_CUTOFF = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues with multiplicities, descending by value.
 
-    exact means the values are integers computed without rounding; numeric
-    spectra carry floats merged at MERGE_TOL.  tol is the one tolerance
-    every spectral claim reads: 0 when exact, MERGE_TOL otherwise.
+    values are int64 when exact, integers computed without rounding, and
+    float64 for numeric spectra merged at MERGE_TOL; mults are int64.  tol is
+    the one tolerance every spectral claim reads: 0 when exact, MERGE_TOL
+    otherwise.  Every reduction returns Python scalars.
     """
 
-    entries: tuple[tuple[Union[int, float], int], ...]
-    exact: bool
+    values: np.ndarray
+    mults: np.ndarray
     n: int
     d: int
 
     def __post_init__(self) -> None:
-        if sum(m for _, m in self.entries) != self.n:
+        if int(self.mults.sum()) != self.n:
             raise IntegrityError("multiplicities do not sum to the vertex count")
+
+    @property
+    def exact(self) -> bool:
+        return self.values.dtype.kind == "i"
 
     @property
     def tol(self) -> float:
         return 0 if self.exact else MERGE_TOL
 
     @property
+    def entries(self) -> tuple[tuple[Union[int, float], int], ...]:
+        """(value, multiplicity) pairs of Python scalars, descending."""
+        return tuple(zip(self.values.tolist(), self.mults.tolist()))
+
+    @property
     def distinct(self) -> int:
-        return len(self.entries)
+        return self.values.size
 
     @property
     def max_value(self) -> Union[int, float]:
-        return self.entries[0][0]
+        return self.values[0].item()
 
     @property
     def min_value(self) -> Union[int, float]:
-        return self.entries[-1][0]
+        return self.values[-1].item()
 
     def expanded(self) -> np.ndarray:
         """All n eigenvalues, descending, as float64."""
-        out = np.empty(self.n, dtype=np.float64)
-        pos = 0
-        for v, m in self.entries:
-            out[pos : pos + m] = v
-            pos += m
-        return out
+        return np.repeat(self.values.astype(np.float64), self.mults)
 
     def multiplicity_of(self, value: Union[int, float]) -> int:
-        total = 0
-        for v, m in self.entries:
-            if abs(v - value) <= self.tol:
-                total += m
-        return total
+        return int(self.mults[abs(self.values - value) <= self.tol].sum())
 
     def lambda_g(self) -> Union[int, float]:
         """Largest |eigenvalue| after dropping values within tol of +-degree."""
-        best: Union[int, float] = 0
-        for v, m in self.entries:
-            if abs(abs(v) - self.d) <= self.tol:
-                continue
-            best = max(best, abs(v))
-        return best
+        size = abs(self.values)
+        return size[abs(size - self.d) > self.tol].max(initial=0).item()
 
     def energy(self) -> Union[int, float]:
-        return sum(abs(v) * m for v, m in self.entries)
+        return sum((abs(self.values) * self.mults).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +142,8 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     field.  The rows are held as r contiguous int32 columns, and each digit
     t_i takes a few passes over them with no integer modulo: the residues
     are x - (x // p) * p, their index in the residue field comes by
-    Horner's rule, and x // p + adj (ctx._residue_lift) is (x - t_i)/p plus
-    q/p, so x stays nonnegative and exact mod q/p^(i+1).  No ring
+    Horner's rule, and x // p + adj (ctx._residue_lift, uint16) is
+    (x - t_i)/p + q/p in int32, nonnegative and exact mod q/p^(i+1).  No ring
     multiplication and no n-sized table is involved.
     """
     p, e, r = ctx.p, ctx.e, ctx.r
@@ -289,6 +286,12 @@ def zeta_beta(ctx: RingContext, val: np.ndarray, row: int) -> np.ndarray:
     return beta % q
 
 
+def _require_spectrum_size(spec: GraphSpec) -> None:
+    """Raise SizeError if a numeric spectrum exceeds NUMERIC_SPECTRUM_CUTOFF vertices."""
+    if spec.ctx.q != 4 and spec.n > NUMERIC_SPECTRUM_CUTOFF:
+        raise SizeError(f"numeric spectrum on {spec.n} vertices exceeds the 2^24 cutoff")
+
+
 def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
     """Spectrum of the graph from zeta_sums(spec.ctx), computed here unless
     given as zeta.
@@ -299,11 +302,10 @@ def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
     at most 2^24 vertices otherwise.  Raises IntegrityError when the moments
     disagree with n and d by more than tol*n*d.
     """
+    _require_spectrum_size(spec)
     ctx = spec.ctx
     n, d = spec.n, spec.d
     tol = 0 if ctx.q == 4 else MERGE_TOL
-    if tol and n > NUMERIC_SPECTRUM_CUTOFF:
-        raise SizeError(f"numeric spectrum on {n} vertices exceeds the 2^24 cutoff")
     val, re, _ = zeta_sums(ctx) if zeta is None else zeta
     eig = 2 * re if ctx.p == 2 else re
     weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
@@ -313,27 +315,25 @@ def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
         raise IntegrityError(
             f"moment check failed: sum {first}, sum of squares {second} != {n * d}"
         )
-    return Spectrum(entries=_merge_numeric(eig, tol, weights), exact=not tol, n=n, d=d)
+    return Spectrum(*_merge_numeric(eig, tol, weights), n=n, d=d)
 
 
 def _merge_numeric(
     values: np.ndarray, tol: float, weights: np.ndarray
-) -> tuple[tuple[Union[int, float], int], ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Group sorted values whose consecutive gaps stay within tol, each value
-    counting weights[i] times, descending.
+    counting weights[i] times, as (values, total weights), descending.
 
-    A group reports its total weight and its value: the one value it holds
-    when tol is 0 (a Python int for integer values), else the weighted mean.
+    A group's value is the one value it holds when tol is 0, else its
+    weighted mean; bincount sums each group in order, as a loop would.
     """
     order = np.argsort(values, kind="stable")
     values, weights = values[order], weights[order]
-    cuts = np.flatnonzero(np.diff(values) > tol)
-    starts = np.concatenate(([0], cuts + 1))
-    ends = np.concatenate((cuts + 1, [values.size]))
-    entries = []
-    for s, e in zip(starts, ends):
-        m = int(weights[s:e].sum())
-        value = float((values[s:e] * weights[s:e]).sum() / m) if tol else values[s].item()
-        entries.append((value, m))
-    entries.reverse()
-    return tuple(entries)
+    first = np.concatenate(([True], np.diff(values) > tol))
+    starts = np.flatnonzero(first)
+    mults = np.add.reduceat(weights, starts)
+    if tol:
+        values = np.bincount(np.cumsum(first) - 1, values * weights) / mults
+    else:
+        values = values[starts]
+    return values[::-1], mults[::-1]

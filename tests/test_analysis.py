@@ -13,14 +13,13 @@ from char_sum_oracle import character_sum
 from connection_oracle import neighbors
 from residue_oracle import residue_partition
 from ring_oracle import padic_coords
-from spectrum_oracle import oracle_spectrum
+from spectrum_oracle import make_spectrum, oracle_spectrum
 from grcayley import (
     ClaimReport,
     IntegrityError,
     ParameterError,
     RingParams,
     SizeError,
-    Spectrum,
     bfs_distances,
     build_graph,
     check_bhk,
@@ -140,7 +139,7 @@ def test_interval_exact_endpoint(case):
     if case is not None:
         excess, exact, holds = BOUNDARY_CASES[case]
         entries = ((30, 1), (6, 90), (-2, 135), (-10 - excess, 30))
-        sp = Spectrum(entries=entries, exact=exact, n=256, d=30)
+        sp = make_spectrum(entries, exact, 256, 30)
     rep = check_interval(spec, sp)
     assert rep.bound_value == 10.0
     assert rep.observed_value == abs(sp.min_value)
@@ -221,6 +220,21 @@ def test_wcu_above_numeric_spectrum_cutoff(key):
     assert rep.holds and rep.observed_value <= 1e-9
 
 
+def test_verify_size_guard_runs_before_zeta(monkeypatch):
+    # odd p above the numeric spectrum cap: wcu alone still runs, and the
+    # default checks exit on the cap before the transform allocates
+    spec = graph_for(3, 2, 8)
+    (wcu,) = verify_graph(spec, ["wcu"])["claims"]
+    assert wcu["claim_id"] == "wcu" and wcu["holds"]
+
+    def no_transform(ctx):
+        raise AssertionError("zeta_sums ran before the size guard")
+
+    monkeypatch.setattr(analysis, "zeta_sums", no_transform)
+    with pytest.raises(SizeError):
+        verify_graph(spec)
+
+
 def test_wcu_and_bhk_hold_at_r16():
     ctx = make_ring(RingParams(2, 2, 16))
     zeta = spectrum.zeta_sums(ctx)
@@ -264,11 +278,11 @@ def test_ramanujan_frozen(h16):
 def test_ramanujan_detects_failure(case):
     # d = 6 and lambda = 5 > 2*sqrt(5); the boundary cases take d = 10, where
     # the bound 2*sqrt(9) = 6 is an integer, and move lambda by their excess
-    fake, holds = Spectrum(entries=((6, 1), (5, 9), (-5, 6)), exact=True, n=16, d=6), False
+    fake, holds = make_spectrum(((6, 1), (5, 9), (-5, 6)), True, 16, 6), False
     if case is not None:
         excess, exact, holds = BOUNDARY_CASES[case]
         entries = ((10, 1), (6 + excess, 3), (-2, 12))
-        fake = Spectrum(entries=entries, exact=exact, n=16, d=10)
+        fake = make_spectrum(entries, exact, 16, 10)
     rep = is_ramanujan(fake)
     assert rep.holds == holds
     assert rep.witness == (None if holds else fake.lambda_g())

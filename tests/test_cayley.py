@@ -193,6 +193,7 @@ def test_setup_on_largest_char4_ring_stays_small():
     spec, graph_peak = traced(build_graph, ctx)
     count, pairs_peak = traced(triangle_count, spec)
     assert ctx.teich_digits.dtype == spec.s_digits.dtype == np.int32
+    assert ctx._residue_lift[1].dtype == np.uint16  # adj, 2 MiB here
     assert ring_peak < 8 * 2**20
     assert graph_peak < 24 * 2**20
     assert pairs_peak < 8 * 2**20

@@ -13,17 +13,20 @@ from hypothesis import strategies as st
 from char_sum_oracle import character_sum, trace_counts
 from connection_oracle import connection_set
 from orbit_oracle import orbit_representatives
-from spectrum_oracle import oracle_spectrum, spectral_deviation
+import spectrum_oracle
+from spectrum_oracle import make_spectrum, oracle_spectrum, spectral_deviation
 from zeta_oracle import character_sums, trace_basis_matrix
 from grcayley import (
     IntegrityError,
     ParameterError,
     RingParams,
     SizeError,
-    Spectrum,
     build_graph,
+    check_interval,
+    energy_report,
     full_spectrum,
     make_ring,
+    spectral_interval_bound,
 )
 from grcayley import spectrum
 
@@ -224,22 +227,118 @@ def test_degree_tolerance_only_when_numeric():
     # lambda_g and multiplicity_of count a value within tol of +-d as +-d;
     # tol is 0 for exact spectra and MERGE_TOL for numeric ones
     tol = spectrum.MERGE_TOL
-    exact = Spectrum(entries=((6, 1), (5, 3), (-2, 9), (-5, 3)), exact=True, n=16, d=6)
+    exact = make_spectrum(((6, 1), (5, 3), (-2, 9), (-5, 3)), True, 16, 6)
     assert exact.tol == 0
     assert exact.lambda_g() == 5
     assert exact.multiplicity_of(6) == 1 and exact.multiplicity_of(5) == 3
     for near, holds in ((tol / 2, True), (2 * tol, False)):
         entries = ((6.0, 1), (6 - near, 3), (-2.0, 9), (-6 + near, 3))
-        numeric = Spectrum(entries=entries, exact=False, n=16, d=6)
+        numeric = make_spectrum(entries, False, 16, 6)
         assert numeric.tol == tol
         assert numeric.lambda_g() == (2.0 if holds else 6 - near)
         assert numeric.multiplicity_of(6) == (4 if holds else 1)
         assert numeric.multiplicity_of(-6) == (3 if holds else 0)
 
 
+@functools.lru_cache(maxsize=None)
+def merge_input(key):
+    """The (values, tol, weights) that full_spectrum groups on one ring."""
+    ctx = graph_of(key).ctx
+    val, re, _ = spectrum.zeta_sums(ctx)
+    eig = 2 * re if ctx.p == 2 else re
+    tol = 0 if ctx.q == 4 else spectrum.MERGE_TOL
+    return eig, tol, np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
+
+
+# hand-built spectra sit on graphs of three sizes; check_interval reads the
+# bound and d from the graph, every other reduction only the spectrum
+HAND_BUILT_KEYS = [(2, 2, 4), (3, 2, 2), (2, 3, 2)]
+
+
+@st.composite
+def hand_built(draw):
+    """(key, descending entries, exact): distinct values at d, -d, 0 and the
+    interval bound, moved by 0, +-1 when exact and by 0, +-tol/2, +-2 tol
+    when numeric, or anywhere in [-d, d]."""
+    key = draw(st.sampled_from(HAND_BUILT_KEYS))
+    d = graph_of(key).d
+    exact = draw(st.booleans())
+    tol = spectrum.MERGE_TOL
+    bound = spectral_interval_bound(*key)[3]
+    anchors = st.sampled_from([d, -d, 0, bound, -bound])
+    if exact:
+        near = st.tuples(anchors.map(round), st.sampled_from([0, 1, -1])).map(sum)
+        anywhere = st.integers(-d, d)
+    else:
+        near = st.tuples(anchors, st.sampled_from([0, tol / 2, -tol / 2, 2 * tol, -2 * tol]))
+        near = near.map(lambda pair: float(sum(pair)))
+        anywhere = st.floats(-d, d)
+    values = draw(st.lists(near | anywhere, min_size=1, max_size=12, unique=True))
+    mults = draw(st.lists(st.integers(1, 50), min_size=len(values), max_size=len(values)))
+    return key, tuple(zip(sorted(values, reverse=True), mults)), exact
+
+
+def python_scalar(x):
+    return type(x) in (int, float)
+
+
+@settings(deadline=None, max_examples=150)
+@given(ring=st.sampled_from(RINGS_UP_TO_2_12), case=st.none() | hand_built())
+def test_reductions_match_loops_property(ring, case):
+    # the array reductions against the per-entry loops they replaced, on
+    # full_spectrum of a ring, or on a hand-built spectrum when case is drawn
+    if case is None:
+        spec, sp = graph_of(ring), full_spectrum(graph_of(ring))
+    else:
+        key, entries, exact = case
+        spec = graph_of(key)
+        sp = make_spectrum(entries, exact, sum(m for _, m in entries), spec.d)
+    ctx = spec.ctx
+    c, k, pr, _ = spectral_interval_bound(ctx.p, ctx.e, ctx.r)
+    lam, mult, energy = sp.lambda_g(), sp.multiplicity_of(sp.d), sp.energy()
+    assert lam == spectrum_oracle.reference_lambda_g(sp)
+    assert mult == spectrum_oracle.reference_multiplicity_of(sp, sp.d)
+    assert energy == spectrum_oracle.reference_energy(sp)
+    rep = check_interval(spec, sp)
+    want = spectrum_oracle.reference_interval(sp, spec.d, c, k, pr)
+    assert (rep.holds, rep.observed_value, rep.witness) == want
+    integral = energy_report(sp)["integral"]
+    assert integral == spectrum_oracle.reference_integral(sp)
+    assert np.array_equal(sp.expanded(), spectrum_oracle.reference_expanded(sp))
+    assert all(map(python_scalar, (lam, energy, rep.observed_value, sp.max_value, sp.min_value)))
+    assert type(mult) is int and type(integral) is bool and type(rep.holds) is bool
+    assert rep.witness is None or python_scalar(rep.witness)
+    if sp.exact:
+        assert all(type(x) is int for x in (lam, energy, rep.observed_value))
+
+
+@settings(deadline=None, max_examples=150)
+@given(ring=st.sampled_from(RINGS_UP_TO_2_12), case=st.none() | hand_built(), data=st.data())
+def test_merge_matches_loop_property(ring, case, data):
+    # _merge_numeric against the per-group loop it replaced: the same cuts
+    # and multiplicities, and numeric means within 1e-12, on the values
+    # full_spectrum groups on a ring, or on hand-built values, shuffled
+    if case is None:
+        values, tol, weights = merge_input(ring)
+    else:
+        _, entries, exact = case
+        values = np.array([v for v, _ in entries], dtype=np.int64 if exact else np.float64)
+        weights = np.array([m for _, m in entries], dtype=np.int64)
+        order = data.draw(st.permutations(range(values.size)), label="order")
+        values, weights = values[order], weights[order]
+        tol = 0 if exact else spectrum.MERGE_TOL
+    got_values, got_mults = spectrum._merge_numeric(values, tol, weights)
+    want = spectrum_oracle.reference_merge(values, tol, weights)
+    assert got_mults.tolist() == [m for _, m in want]
+    if tol:
+        assert np.abs(got_values - [v for v, _ in want]).max() <= 1e-12
+    else:
+        assert got_values.tolist() == [v for v, _ in want]
+
+
 def test_spectrum_integrity_guard():
     with pytest.raises(IntegrityError):
-        Spectrum(entries=((6, 1), (2, 6)), exact=True, n=16, d=6)
+        make_spectrum(((6, 1), (2, 6)), True, 16, 6)
 
 
 def test_oracle_size_guard():
