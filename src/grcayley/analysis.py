@@ -85,22 +85,22 @@ def check_interval(spec: GraphSpec, spectrum: Spectrum) -> ClaimReport:
     return ClaimReport("interval", not bad.size, bound, worst, bad[0].item() if bad.size else None)
 
 
-def _wcu_norm_within_bound(
-    normsq: np.ndarray, val: np.ndarray, p: int, e: int, r: int
-) -> np.ndarray:
-    """Exact elementwise test of sqrt(normsq) <= (N-1)*sqrt(p^r) + 1 with
-    N = p^(e-1-val), for integer norms |zeta|^2.
+def _wcu_norm_within_bound(normsq: np.ndarray, n: int, pr: int) -> np.ndarray:
+    """Exact elementwise test of sqrt(normsq) <= (n-1)*sqrt(pr) + 1, for
+    integer norms |zeta|^2.
 
-    Squaring once leaves lhs = normsq - (N-1)^2 p^r - 1 <= 2(N-1)sqrt(p^r).
-    For an integer lhs >= 0 that holds exactly when lhs <= isqrt(4(N-1)^2 p^r),
+    Squaring once leaves lhs = normsq - (n-1)^2 pr - 1 <= 2(n-1)sqrt(pr).
+    For an integer lhs >= 0 that holds exactly when lhs <= isqrt(4(n-1)^2 pr),
     and for lhs < 0 it always holds, so lhs is never squared and the test
     cannot overflow int64 for any supported ring.
     """
-    pr = p**r
-    caps = [p ** (e - 1 - v) for v in range(e)]
-    offset = np.array([(c - 1) ** 2 * pr + 1 for c in caps], dtype=np.int64)
-    limit = np.array([math.isqrt(4 * (c - 1) ** 2 * pr) for c in caps], dtype=np.int64)
-    return normsq - offset[val] <= limit[val]
+    return normsq - ((n - 1) ** 2 * pr + 1) <= math.isqrt(4 * (n - 1) ** 2 * pr)
+
+
+def _witness(ctx: RingContext, v: int, bad: np.ndarray) -> str:
+    """Coefficient string of the beta at the first True of bad, entry k of
+    block v of the zeta sums: p^v (1 + p*c), c the flat index k (zeta_beta)."""
+    return coeff_string(ctx.element(zeta_beta(ctx, v, int(bad.argmax()))))
 
 
 def check_wcu_summary(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> ClaimReport:
@@ -109,49 +109,47 @@ def check_wcu_summary(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> Clai
     for every nonzero gamma; one report for the whole ring.
 
     zeta and the valuation are constant on G1-orbits, so one gamma per
-    orbit decides the claim, and a failure's witness is the coefficient
-    string of p^v (1 + p*c), read off the first failing row of the
-    transform at c (zeta_beta).  observed_value is
-    the largest float excess |zeta| - bound across the ring: rounding noise
-    around zero when the claim holds, measured up to 7.1e-15 on (7,2,3) and
-    1.2e-14 on (3,2,8); for p^e = 4 the verdict itself comes from exact
-    integer comparisons.
+    orbit decides the claim: block v of the transform, under one bound.  A
+    failure's witness is the coefficient string of p^v (1 + p*c), read off
+    the first failing entry c of the first failing block (zeta_beta).
+    observed_value is the largest float excess |zeta| - bound across the
+    ring: rounding noise around zero when the claim holds, measured up to
+    7.1e-15 on (7,2,3) and 1.2e-14 on (3,2,8); for p^e = 4 the verdict
+    itself comes from exact integer comparisons.
     """
-    p, e, r = ctx.p, ctx.e, ctx.r
-    sums = zeta_sums(ctx) if zeta is None else zeta
-    val, re, im = (a[1:] for a in sums)  # row 0 is zero
-    bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
-    mags = np.hypot(re, im)
-    if ctx.q == 4:
-        ok = _wcu_norm_within_bound(re * re + im * im, val, p, e, r)
-    else:
-        ok = mags <= bounds + MERGE_TOL
-    bad = np.flatnonzero(~ok) + 1
-    witness = coeff_string(ctx.element(zeta_beta(ctx, sums[0], bad[0]))) if bad.size else None
-    return ClaimReport("wcu", witness is None, 0.0, float((mags - bounds).max()), witness)
+    p, e, pr = ctx.p, ctx.e, ctx.p**ctx.r
+    witness, worst = None, -math.inf
+    for v, (re, im) in enumerate(zeta_sums(ctx) if zeta is None else zeta):
+        n = p ** (e - 1 - v)
+        bound = (n - 1) * math.sqrt(pr) + 1.0
+        mags = np.hypot(re, im)
+        # the rounding of x - bound rises with x, so the largest excess is at max |zeta|
+        worst = max(worst, float(mags.max() - bound))
+        if ctx.q == 4:
+            ok = _wcu_norm_within_bound(re * re + im * im, n, pr)
+        else:
+            ok = mags <= bound + MERGE_TOL
+        if witness is None and not ok.all():
+            witness = _witness(ctx, v, ~ok)
+    return ClaimReport("wcu", witness is None, 0.0, worst, witness)
 
 
 def check_bhk(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> ClaimReport:
-    """For p^e = 4: |1 + zeta(gamma)|^2 = 2^r for units, zeta(gamma) = -1
-    for nonzero non-units, and zeta(0) = 2^r - 1; checked exhaustively.
+    """For p^e = 4: |1 + zeta(gamma)|^2 = 2^r for units and zeta(gamma) = -1
+    for nonzero non-units; checked exhaustively.
 
-    zeta is constant on G1-orbits, so one gamma per orbit covers the ring,
-    and a failure's witness is the coefficient string of p^v (1 + p*c) for
-    the first failing row of the transform, c its index (zeta_beta).
+    zeta is constant on G1-orbits, so one gamma per orbit covers the ring:
+    the two blocks of the transform, the units and the one orbit of nonzero
+    non-units.  A failure's witness is the coefficient string of
+    p^v (1 + p*c) for the first failing entry c, units first (zeta_beta).
     """
     if ctx.q != 4:
         raise ParameterError("the character sum identity requires p^e = 4")
-    pr = 2**ctx.r
-    val, re, im = zeta_sums(ctx) if zeta is None else zeta
-    dev = np.where(
-        val == 0,
-        np.abs((re + 1) ** 2 + im**2 - pr),
-        np.abs(re + 1) + np.abs(im),
-    )
-    dev[0] = abs(re[0] - (pr - 1)) + abs(im[0])  # row 0 is zero
-    bad = np.flatnonzero(dev)
-    witness = coeff_string(ctx.element(zeta_beta(ctx, val, bad[0]))) if bad.size else None
-    return ClaimReport("bhk", witness is None, 0, int(dev.max()), witness)
+    (re, im), (re1, im1) = zeta_sums(ctx) if zeta is None else zeta
+    devs = (np.abs((re + 1) ** 2 + im**2 - 2**ctx.r), np.abs(re1 + 1) + np.abs(im1))
+    bad = [v for v, dev in enumerate(devs) if dev.any()]
+    witness = _witness(ctx, bad[0], devs[bad[0]] != 0) if bad else None
+    return ClaimReport("bhk", witness is None, 0, int(max(dev.max() for dev in devs)), witness)
 
 
 def check_residue_partition(
@@ -248,29 +246,25 @@ def triangle_count(spec: GraphSpec) -> int:
     match them one to one with those pair sums.  G1 acts freely on the
     ordered pairs by multiplying both entries and keeps their sum in S, and
     each orbit of pairs has one pair whose first entry is the head of its
-    G1-orbit of S.  So the pairs number p^r - 1 times those (h, s_j) over
-    one head h per orbit of S: two for p = 2 (gamma and -gamma), one for
-    odd p.  Each triangle has 3 vertices and 2 orders, hence n * count / 6.
-    The sums are formed one block of BLOCK_PAIRS digits at a time.  Raises
-    IntegrityError when S is not closed under multiplication by xi.
+    G1-orbit of S.  S lists gamma*xi^k, then -gamma*xi^k for p = 2
+    (GraphSpec), so the heads are every (p^r - 1)-th row of S: gamma and
+    -gamma for p = 2, gamma for odd p.  The pairs number p^r - 1 times the
+    (h, s_j) over those heads.  Each triangle has 3 vertices and 2 orders,
+    hence n * count / 6.  The sums are formed one block of BLOCK_PAIRS
+    digits at a time.  Raises IntegrityError when S is not closed under
+    multiplication by xi.
     """
     ctx, s = spec.ctx, spec.s_digits
     _require_xi_stable(spec)
-    blocks = list(_row_blocks(spec.d, ctx.r))
-    orbit_of = orbit_row_map(ctx)
-    heads: dict[int, int] = {}  # orbit row -> first index in S
-    for block in blocks:
-        rows, first = np.unique(orbit_of(s[block]), return_index=True)
-        for row, i in zip(rows.tolist(), (first + block.start).tolist()):
-            heads.setdefault(row, i)
+    orbit = ctx.p**ctx.r - 1
     table = np.sort(spec.s_indices)
     hits = 0
-    for head in s[list(heads.values())]:
-        for block in blocks:
+    for head in s[::orbit]:
+        for block in _row_blocks(spec.d, ctx.r):
             sums = s[block] + head
             np.subtract(sums, ctx.q, out=sums, where=sums >= ctx.q)
             hits += int(_in_sorted(ctx.indices_from_digits(sums), table).sum())
-    total = spec.n * (ctx.p**ctx.r - 1) * hits
+    total = spec.n * orbit * hits
     if total % 6:
         raise IntegrityError(f"triangle count {total} is not divisible by 6")
     return total // 6

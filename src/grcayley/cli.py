@@ -33,8 +33,6 @@ from .ring import (
 )
 from .spectrum import full_spectrum
 
-FAMILY_OBSERVED_CUTOFF = 1 << 20
-
 USAGE_ERRORS = (
     ParameterError,
     ModulusError,
@@ -134,11 +132,13 @@ def _cmd_family(args: argparse.Namespace) -> int:
         if e.denominator != 1 or e < 2:
             continue  # no member at this r
         fam = family_params(args.p, delta, r)
-        observed = "-"
-        if fam["n"] <= FAMILY_OBSERVED_CUTOFF:
+        observed = "-"  # no buildable ring, or a numeric spectrum above its cap
+        if fam["params"] is not None:
             ctx = make_ring(RingParams(fam["p"], fam["e"], fam["r"], args.seed))
-            sp = full_spectrum(build_graph(ctx))
-            observed = _fmt_value(sp.lambda_g())
+            try:
+                observed = _fmt_value(full_spectrum(build_graph(ctx)).lambda_g())
+            except SizeError:
+                pass
         rows.append(
             f"{fam['r']} {fam['e']} {fam['n']} {fam['d']} "
             f"{_fmt_value(fam['lambda_bound'])} {observed}"

@@ -16,23 +16,25 @@ over the ring with beta, the spectrum is the same for every unit gamma.
 G1 is fixed by multiplication with any u in G1, so zeta is constant on
 G1-orbits, and G1 acts freely on the nonzero elements: besides the orbit
 {0}, valuation v holds p^(r(e-1-v)) orbits of p^r - 1 elements each.
-zeta_sums gets one zeta per orbit from one Fourier transform per
-valuation.  With N = p^(e-1-v), every beta of valuation v lies in the
-orbit of exactly one beta = p^v (1 + p*c), c in (Z/N)^r, and
+zeta_sums gets one zeta per nonzero orbit, as one block of sums per
+valuation, each from one Fourier transform.  With N = p^(e-1-v), every
+beta of valuation v lies in the orbit of exactly one beta = p^v (1 + p*c),
+c in (Z/N)^r, and
     T(beta*t) = p^v T(t) + p^(v+1) c.y(t),   y(t) = trace_gram @ t mod N,
 so zeta(beta) = sum_y F_v(y) exp(2 pi i c.y / N), where
 F_v(y) = sum of omega^(p^v T(t)) over the t in G1 with y(t) = y: the
-inverse DFT of F_v over (Z/N)^r, times N^r, read at c.
+inverse DFT of F_v over (Z/N)^r, times N^r, read at c.  The bound of the
+wcu check, (N-1) sqrt(p^r) + 1, is one constant per block.
 
 For p^e = 4 the weights lie in {1, i, -1, -i} and no block has N > 2, so
 the transform is an integer Hadamard butterfly and the sums and spectra
 are exact.  Otherwise the transform is numpy.fft.ifftn in float64.
-orbit_row_map numbers the orbits in the same valuation blocks, and
-orbit_digits turns an orbit's number back into one of its elements, so the
-breadth-first search holds row numbers only.  The map reads any
-nonnegative digits congruent mod q, such as unreduced sums u + s, as r
-int32 columns, one Teichmuller digit at a time, with floor division by p
-and table lookups but no integer modulo.
+orbit_row_map numbers all orbits, zero first and then valuation by
+valuation (_valuation_starts), and orbit_digits turns an orbit's number
+back into one of its elements, so the breadth-first search holds row
+numbers only.  The map reads any nonnegative digits congruent mod q, such
+as unreduced sums u + s, as r int32 columns, one Teichmuller digit at a
+time, with floor division by p and table lookups but no integer modulo.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ class Spectrum:
 
 
 def _valuation_starts(ctx: RingContext) -> np.ndarray:
-    """First row of valuation v in orbit_row_map's numbering and in
-    zeta_sums(ctx), for v = 0..e-1, then 0 for valuation e (zero is row 0).
-    Valuation v holds p^(r(e-1-v)) rows."""
+    """First row of valuation v in orbit_row_map's numbering, for
+    v = 0..e-1, then 0 for valuation e (zero is row 0).  Valuation v holds
+    p^(r(e-1-v)) rows."""
     pr = ctx.p**ctx.r
     start = [1]
     for v in range(ctx.e - 1):
@@ -227,26 +229,25 @@ def _hadamard(f: np.ndarray, r: int) -> np.ndarray:
     return f
 
 
-ZetaSums = tuple[np.ndarray, np.ndarray, np.ndarray]
+ZetaSums = list[tuple[np.ndarray, np.ndarray]]
 
 
 def zeta_sums(ctx: RingContext) -> ZetaSums:
-    """zeta(beta) = sum_{t in G1} omega^(T(beta*t)) on one beta per G1-orbit,
-    as (valuation, re, im).
+    """zeta(beta) = sum_{t in G1} omega^(T(beta*t)) on one beta per nonzero
+    G1-orbit, as one (re, im) pair per valuation v = 0..e-1.
 
-    Row 0 is beta = 0; then come the valuations v = 0..e-1 in the blocks of
-    _valuation_starts, row start[v] + (flat index of c) standing for
-    beta = p^v (1 + p*c), c in (Z/N)^r, N = p^(e-1-v) (zeta_beta).  Each
-    block is one transform of G1 bucketed by y(t) = trace_gram @ t mod N.
-    Exact int64 parts when p^e = 4, float64 otherwise.  Raises SizeError
-    before allocating when a block exceeds ORBIT_CUTOFF entries.
+    Entry k of block v stands for beta = p^v (1 + p*c), c the flat index k
+    in (Z/N)^r, N = p^(e-1-v) (zeta_beta); zeta(0) = p^r - 1 is left out.
+    Each block is one transform of G1 bucketed by y(t) = trace_gram @ t
+    mod N.  Exact int64 parts when p^e = 4, float64 otherwise.  Raises
+    SizeError before allocating when a block exceeds ORBIT_CUTOFF entries.
     """
     p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
     largest = p ** (r * (e - 1))
     if largest > ORBIT_CUTOFF:
         raise SizeError(f"a transform of {largest} entries exceeds the cutoff {ORBIT_CUTOFF}")
     y = _matmul_mod(ctx.teich_digits, ctx.trace_gram, q)  # column i: T(x^i * t)
-    vals, res, ims = [np.array([e])], [np.array([len(y)])], [np.array([0])]
+    blocks = []
     for v in range(e):
         n = p ** (e - 1 - v)
         cell = np.ravel_multi_index(tuple((y % n).T), (n,) * r)
@@ -256,7 +257,7 @@ def zeta_sums(ctx: RingContext) -> ZetaSums:
             counts = np.bincount(4 * cell + k, minlength=4 * n**r).reshape(-1, 4)
             f = counts[:, :2] - counts[:, 2:]  # (re, im) of F_v
             z = _hadamard(f, r) if n == 2 else f
-            re, im = z[:, 0], z[:, 1]
+            blocks.append((z[:, 0], z[:, 1]))
         else:
             angle = 2.0 * np.pi / q * k
             f = np.bincount(cell, np.cos(angle), n**r) + 1j * np.bincount(
@@ -264,24 +265,16 @@ def zeta_sums(ctx: RingContext) -> ZetaSums:
             )
             z = np.fft.ifftn(f.reshape((n,) * r)).ravel()
             z *= n**r
-            re, im = z.real, z.imag
-        vals.append(np.full(n**r, v))
-        res.append(re)
-        ims.append(im)
-    return np.concatenate(vals), np.concatenate(res), np.concatenate(ims)
+            blocks.append((z.real, z.imag))
+    return blocks
 
 
-def zeta_beta(ctx: RingContext, val: np.ndarray, row: int) -> np.ndarray:
-    """Coefficients of the beta that row `row` of zeta_sums stands for, given
-    the sums' valuation column: p^v (1 + p*c), c the row's flat index in its
-    block, or zero for row 0."""
+def zeta_beta(ctx: RingContext, v: int, k: int) -> np.ndarray:
+    """Coefficients of the beta that entry k of block v of zeta_sums stands
+    for: p^v (1 + p*c), c the flat index k in (Z/N)^r, N = p^(e-1-v)."""
     p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
-    v = int(val[row])
-    if v == e:
-        return np.zeros(r, dtype=np.int64)
     n = p ** (e - 1 - v)
-    c = np.unravel_index(row - _valuation_starts(ctx)[v], (n,) * r)
-    beta = p ** (v + 1) * np.array(c, dtype=np.int64)
+    beta = p ** (v + 1) * np.array(np.unravel_index(k, (n,) * r), dtype=np.int64)
     beta[0] += p**v
     return beta % q
 
@@ -296,8 +289,9 @@ def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
     """Spectrum of the graph from zeta_sums(spec.ctx), computed here unless
     given as zeta.
 
-    Each orbit's eigenvalue, 2 Re zeta for p = 2 and zeta for odd p, counts
-    once per element of the orbit; of the connection set only d is read.
+    Each nonzero orbit's eigenvalue, 2 Re zeta for p = 2 and zeta for odd
+    p, counts once per element of the orbit, after d once for beta = 0; of
+    the connection set only d is read.
     Exact for p^e = 4 (int64 moments: n*d < 2^49), tolerance MERGE_TOL and
     at most 2^24 vertices otherwise.  Raises IntegrityError when the moments
     disagree with n and d by more than tol*n*d.
@@ -306,9 +300,10 @@ def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
     ctx = spec.ctx
     n, d = spec.n, spec.d
     tol = 0 if ctx.q == 4 else MERGE_TOL
-    val, re, _ = zeta_sums(ctx) if zeta is None else zeta
-    eig = 2 * re if ctx.p == 2 else re
-    weights = np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
+    blocks = zeta_sums(ctx) if zeta is None else zeta
+    eig = np.concatenate([[d]] + [2 * re if ctx.p == 2 else re for re, _ in blocks])
+    weights = np.full(eig.size, ctx.p**ctx.r - 1)
+    weights[0] = 1
     first = eig @ weights
     second = (eig * eig) @ weights
     if abs(first) > tol * n * d or abs(second - n * d) > tol * n * d:

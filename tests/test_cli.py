@@ -305,6 +305,22 @@ def test_family_third_delta(capsys):
 
 
 @pytest.mark.parametrize(
+    "delta, r, row",
+    [
+        # GR(4, 4^16), 2^32 vertices: the exact spectrum reads 2^16 orbits
+        ("1/8", 16, "16 2 4294967296 131070 514 514"),
+        ("1/6", 12, "12 2 16777216 8190 130 130"),
+    ],
+)
+def test_family_observes_every_buildable_exact_member(capsys, delta, r, row):
+    code, out, _ = run_cli(
+        capsys, ["family", "-p", "2", "--delta", delta, "--r-min", str(r), "--r-max", str(r)]
+    )
+    assert code == 0
+    assert out.splitlines() == ["r e n d lambda_bound observed_lambda", row]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["family", "-p", "2", "--delta", "0"],

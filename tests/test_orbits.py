@@ -95,7 +95,10 @@ def sweep_wcu(ctx):
     bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
     mags = np.hypot(re, im)
     if ctx.q == 4:
-        ok = _wcu_norm_within_bound(re * re + im * im, val, p, e, r)
+        normsq = re * re + im * im
+        ok = np.choose(
+            val, [_wcu_norm_within_bound(normsq, p ** (e - 1 - v), p**r) for v in range(e)]
+        )
     else:
         ok = mags <= bounds + ORACLE_TOL
     return bool(ok.all()), float((mags - bounds).max())
@@ -160,32 +163,35 @@ def test_zeta_spectrum_matches_sweep_property(key, seed, data):
 
 
 def transform_betas(ctx):
-    """Digits of p^v (1 + p*c) for every row of zeta_sums, c running over
-    (Z/N)^r in C order within each valuation block, after zero."""
+    """Digits of p^v (1 + p*c) for every entry of zeta_sums, one array per
+    valuation block v, c running over (Z/N)^r in C order."""
     p, e, r = ctx.p, ctx.e, ctx.r
-    rows = [np.zeros((1, r), dtype=np.int64)]
+    blocks = []
     for v in range(e):
         n = p ** (e - 1 - v)
         c = np.stack(np.unravel_index(np.arange(n**r), (n,) * r), axis=1)
         beta = p ** (v + 1) * c
         beta[:, 0] += p**v
-        rows.append(beta % ctx.q)
-    return np.concatenate(rows)
+        blocks.append(beta % ctx.q)
+    return blocks
 
 
 def assert_zeta_matches_row_sweep(ctx):
-    """zeta_sums against the row sweep at the orbit of each row's beta:
-    equal int64 for p^e = 4, within 1e-9 otherwise."""
-    val, re, im = zeta_sums(ctx)
+    """zeta_sums against the row sweep at the orbit of each entry's beta:
+    equal int64 for p^e = 4, within 1e-9 otherwise.  Zero and the blocks
+    name every orbit once, block v those of valuation v."""
+    blocks = zeta_sums(ctx)
     digits, want_val, want_re, want_im = row_zeta_sums(ctx)
-    row = orbit_row_map(ctx)(transform_betas(ctx))
-    assert sorted(row.tolist()) == list(range(len(digits)))
-    assert (want_val[row] == val).all()
-    for got, want in ((re, want_re[row]), (im, want_im[row])):
-        if ctx.q == 4:
-            assert got.dtype == np.int64 and (got == want).all()
-        else:
-            assert np.allclose(got, want, rtol=0, atol=1e-9)
+    rows = [orbit_row_map(ctx)(betas) for betas in transform_betas(ctx)]
+    assert len(blocks) == ctx.e
+    assert sorted(np.concatenate([[0], *rows]).tolist()) == list(range(len(digits)))
+    for v, ((re, im), row) in enumerate(zip(blocks, rows)):
+        assert (want_val[row] == v).all()
+        for got, want in ((re, want_re[row]), (im, want_im[row])):
+            if ctx.q == 4:
+                assert got.dtype == np.int64 and (got == want).all()
+            else:
+                assert np.allclose(got, want, rtol=0, atol=1e-9)
 
 
 @settings(deadline=None, max_examples=40)
@@ -193,9 +199,9 @@ def assert_zeta_matches_row_sweep(ctx):
 def test_zeta_transform_matches_row_sweep_property(key, seed):
     ctx = make_ring(RingParams(*key, seed=seed))
     assert_zeta_matches_row_sweep(ctx)
-    val, betas = zeta_sums(ctx)[0], transform_betas(ctx)
-    for i in (0, 1, len(val) // 2, len(val) - 1):
-        assert zeta_beta(ctx, val, i).tolist() == betas[i].tolist()
+    for v, betas in enumerate(transform_betas(ctx)):
+        for k in {0, len(betas) // 2, len(betas) - 1}:
+            assert zeta_beta(ctx, v, k).tolist() == betas[k].tolist()
 
 
 @pytest.mark.parametrize("key", _instances(WCU_LIMIT))
@@ -205,19 +211,19 @@ def test_zeta_transform_matches_row_sweep_on_catalog(key):
 
 @pytest.mark.parametrize("key", SMALL_KEYS)
 def test_transform_blocks_are_distinct_orbits(key):
-    # the p^(r(e-1-v)) rows of block v name p^(r(e-1-v)) different orbits
-    # of valuation v, found element by element
+    # the p^(r(e-1-v)) entries of block v name p^(r(e-1-v)) different
+    # orbits of valuation v, found element by element
     ctx = make_ring(RingParams(*key))
-    val = zeta_sums(ctx)[0]
     oracle = orbit_row_oracle(ctx)
     _, want_val = orbit_representatives(ctx)
-    start = _valuation_starts(ctx)
-    rows = [oracle(ctx.element(zeta_beta(ctx, val, i))) for i in range(len(val))]
-    assert sorted(rows) == list(range(len(val)))
-    assert (want_val[rows] == val).all()
-    for v in range(ctx.e):
-        size = ctx.p ** (ctx.r * (ctx.e - 1 - v))
-        assert (val[start[v] : start[v] + size] == v).all()
+    rows = [
+        [oracle(ctx.element(zeta_beta(ctx, v, k))) for k in range(len(re))]
+        for v, (re, _) in enumerate(zeta_sums(ctx))
+    ]
+    assert sorted([0] + [row for block in rows for row in block]) == list(range(len(want_val)))
+    for v, block in enumerate(rows):
+        assert len(block) == ctx.p ** (ctx.r * (ctx.e - 1 - v))
+        assert (want_val[block] == v).all()
 
 
 @pytest.mark.parametrize("key", SWEEP_KEYS)
@@ -327,24 +333,33 @@ def test_orbit_size_guard(monkeypatch):
         with pytest.raises(SizeError):
             check(ctx)
     monkeypatch.setattr(spectrum, "ORBIT_CUTOFF", largest)
-    assert len(zeta_sums(ctx)[0]) == 10
+    assert [len(re) for re, _ in zeta_sums(ctx)] == [8, 1]
     assert check_wcu_summary(ctx).holds and check_bhk(ctx).holds
 
 
 def test_failure_witness_is_an_orbit_representative():
-    # shift one output of the transform; the witness must name an element
-    # of the orbit that row stands for
+    # shift outputs of the transform; the witness must name an element of
+    # the orbit of the first shifted entry: one entry alone, or the end of
+    # block 0 together with the start of the last block, where the first
+    # failing block decides
     for key in ((2, 2, 3), (3, 2, 2), (2, 3, 2)):
         ctx = make_ring(RingParams(*key))
         oracle = orbit_row_oracle(ctx)
-        val, re, im = zeta_sums(ctx)
+        betas = transform_betas(ctx)
         checks = (check_wcu_summary, check_bhk) if ctx.q == 4 else (check_wcu_summary,)
-        for row in (_valuation_starts(ctx)[0] + 3, len(val) - 1):
-            shifted = re.copy()
-            shifted[row] += 100
-            failing = oracle(ctx.element(transform_betas(ctx)[row]))
+        last = ctx.e - 1
+        for shifts in (
+            [(0, 3)],
+            [(last, len(betas[last]) - 1)],
+            [(0, len(betas[0]) - 1), (last, 0)],
+        ):
+            zeta = [(re.copy(), im) for re, im in zeta_sums(ctx)]
+            for v, k in shifts:
+                zeta[v][0][k] += 100
+            v, k = shifts[0]
+            failing = oracle(ctx.element(betas[v][k]))
             for check in checks:
-                rep = check(ctx, (val, shifted, im))
+                rep = check(ctx, zeta)
                 assert not rep.holds
                 assert oracle(parse_coeff_string(ctx, rep.witness)) == failing
 

@@ -243,11 +243,14 @@ def test_degree_tolerance_only_when_numeric():
 @functools.lru_cache(maxsize=None)
 def merge_input(key):
     """The (values, tol, weights) that full_spectrum groups on one ring."""
-    ctx = graph_of(key).ctx
-    val, re, _ = spectrum.zeta_sums(ctx)
-    eig = 2 * re if ctx.p == 2 else re
+    spec = graph_of(key)
+    ctx = spec.ctx
+    blocks = spectrum.zeta_sums(ctx)
+    eig = np.concatenate([[spec.d]] + [2 * re if ctx.p == 2 else re for re, _ in blocks])
     tol = 0 if ctx.q == 4 else spectrum.MERGE_TOL
-    return eig, tol, np.where(val == ctx.e, 1, ctx.p**ctx.r - 1)
+    weights = np.full(eig.size, ctx.p**ctx.r - 1)
+    weights[0] = 1
+    return eig, tol, weights
 
 
 # hand-built spectra sit on graphs of three sizes; check_interval reads the
