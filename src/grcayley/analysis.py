@@ -13,6 +13,7 @@ c*sqrt(p^r) + k are tested by squaring rather than through floats.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -24,7 +25,7 @@ from .cayley import (
 from .errors import IntegrityError, ParameterError, SizeError
 from .ring import (
     RingContext, RingElement, _matmul_mod, _multiplication_matrix, _row_blocks, coeff_string,
-    is_unit,
+    is_unit, log,
 )
 from . import spectrum as _spectrum
 from .spectrum import (
@@ -131,6 +132,7 @@ def check_wcu_summary(ctx: RingContext, zeta: Optional[ZetaSums] = None) -> Clai
             ok = mags <= bound + MERGE_TOL
         if witness is None and not ok.all():
             witness = _witness(ctx, v, ~ok)
+        del mags, ok  # before the next block's are formed
     return ClaimReport("wcu", witness is None, 0.0, worst, witness)
 
 
@@ -494,7 +496,11 @@ def verify_graph(
     reads_zeta = ZETA_CLAIMS if ctx.q == 4 else ZETA_CLAIMS - {"bhk"}
     zeta = zeta_sums(ctx) if reads_zeta.intersection(selected) else None
     spectrum = full_spectrum(spec, zeta) if spectral else None
-    reports = {c: CLAIMS[c](spec, spectrum, zeta) for c in selected}
+    reports = {}
+    for c in selected:
+        start = time.perf_counter()
+        reports[c] = CLAIMS[c](spec, spectrum, zeta)
+        log.debug("claim %s: %.4f s", c, time.perf_counter() - start)
     return {
         "graph": {
             "p": ctx.p,

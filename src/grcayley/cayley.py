@@ -17,6 +17,7 @@ gamma, and -gamma*G1 follows it for p = 2, both written straight into one
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Optional, Union
@@ -36,6 +37,7 @@ from .ring import (
     _row_blocks,
     coeff_string,
     is_unit,
+    log,
 )
 
 
@@ -55,6 +57,7 @@ class GraphSpec:
 
 def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphSpec:
     """Construct Cay(GR+, gamma*G1 (union -gamma*G1 for p = 2))."""
+    start = time.perf_counter()
     if gamma is None:
         gamma = ctx.one
     if gamma.ctx.key != ctx.key:
@@ -89,6 +92,7 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
             f"connection set has {len(s_indices)} elements, expected {expected_d}"
         )
 
+    log.debug("build_graph d = %d: %.4f s", expected_d, time.perf_counter() - start)
     return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
 
 
@@ -102,9 +106,13 @@ def _sorted_image(ctx: RingContext, digits: np.ndarray, f) -> np.ndarray:
 
 
 def _negate(digits: np.ndarray, q: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """-digits mod q for digits in [0, q): q - x, with 0 kept at 0."""
-    out = np.subtract(q, digits, out=out)
-    out[out == q] = 0
+    """-digits mod q for (m, r) int32 digit rows in [0, q): q - x, with 0
+    kept at 0 by subtracting q where q - x = q, one block of rows at a time."""
+    out = np.empty_like(digits) if out is None else out
+    q32 = np.int32(q)
+    for block in _row_blocks(len(digits), digits.shape[1]):
+        o = np.subtract(q32, digits[block], out=out[block])
+        o -= (o == q32).view(np.uint8) * q32
     return out
 
 

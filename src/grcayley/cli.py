@@ -101,9 +101,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
-        lines = ["eigenvalue,multiplicity"]
-        lines.extend(f"{_fmt_value(v)},{m}" for v, m in sp.entries)
-        _emit("\n".join(lines) + "\n", args.output)
+        row = "{},{}" if sp.exact else "{:.12g},{}"  # as _fmt_value writes each value
+        rows = "\n".join(map(row.format, sp.values.tolist(), sp.mults.tolist()))
+        _emit(f"eigenvalue,multiplicity\n{rows}\n", args.output)
     return 0
 
 

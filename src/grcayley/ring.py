@@ -32,10 +32,12 @@ so no (m, r) int64 array is made beyond one block.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
+import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,6 +52,8 @@ from .errors import (
 
 MAX_RING_SIZE = 2**32
 BLOCK_PAIRS = 1 << 16  # (row, s) pairs formed per block by every sweep
+
+log = logging.getLogger("grcayley")
 
 
 def _is_prime(n: int) -> bool:
@@ -104,12 +108,15 @@ def _companion(coeffs: Sequence[int], mod: int) -> np.ndarray:
     return c
 
 
-def _x_is_primitive(f: Sequence[int], p: int) -> bool:
+@cache
+def _x_is_primitive(f: tuple[int, ...], p: int) -> bool:
     """Whether x has order p^r - 1 in F_p[x]/(f), f monic of degree r, as
     the order of the companion matrix of f mod p.
 
     That also makes f irreducible mod p: for a reducible f the quotient is
-    not a field and has fewer than p^r - 1 units."""
+    not a field and has fewer than p^r - 1 units.  Cached; both callers pass
+    f reduced mod p, so the modulus the search finds is not tested again
+    by validate_for."""
     c = _companion(f, p)
     eye = np.eye(len(c), dtype=np.int64)
     order = p ** len(c) - 1
@@ -205,7 +212,7 @@ class ModulusPoly:
             )
         if any(c >= params.q for c in self.coeffs):
             raise ModulusError(f"modulus coefficients must lie in [0, {params.q})")
-        if not _x_is_primitive(self.coeffs, params.p):
+        if not _x_is_primitive(self.reduced_mod(params.p), params.p):
             raise ModulusError(
                 f"modulus {self.serialize()} is not primitive mod {params.p}: x must "
                 f"have order p^r - 1 mod p, so that the reduction is irreducible and "
@@ -436,13 +443,14 @@ class RingContext:
 
     def indices_from_digits(self, digits: np.ndarray) -> np.ndarray:
         """(..., r) digit rows -> int64 flat indices of shape (...), one block
-        of BLOCK_PAIRS digits at a time."""
+        of BLOCK_PAIRS digits at a time.  The product with the weights runs
+        in float64, in BLAS, and is exact: every index is below 2^32 < 2^53."""
         digits = np.asarray(digits)
         rows = digits.reshape(-1, self.r)
-        weights = np.array(self._weights, dtype=np.int64)
+        weights = np.array(self._weights, dtype=np.float64)
         out = np.empty(len(rows), dtype=np.int64)
         for block in _row_blocks(len(rows), self.r):
-            out[block] = rows[block].astype(np.int64) @ weights
+            out[block] = rows[block].astype(np.float64) @ weights
         return out.reshape(digits.shape[:-1])
 
 
@@ -467,21 +475,33 @@ def _matmul_mod(
     below q, written into `out` when given.
 
     The float64 product runs in BLAS (int64 would not), one block of
-    BLOCK_PAIRS digits at a time; it is exact, as r*q^2 < 2^53, and each
-    block is reduced in int64."""
+    BLOCK_PAIRS digits at a time, and is reduced in float64 as
+    prod - floor(prod / q) * q, written straight into the int32 rows.  Both
+    steps are exact: every product is an integer below r*q^2 <= 2^37, so
+    prod / q, correctly rounded, is off by far less than 1/q and floors to
+    the true quotient.  (prod * (1/q) is not exact: 1/q rounds, and a
+    multiple of q can floor one below its quotient.)"""
     m = m.astype(np.float64)
     if out is None:
         out = np.empty(rows.shape, dtype=np.int32)
     for block in _row_blocks(len(rows), len(m)):
-        out[block] = (rows[block].astype(np.float64) @ m).astype(np.int64) % q
+        prod = rows[block].astype(np.float64) @ m
+        quot = prod / q
+        np.floor(quot, out=quot)
+        quot *= q
+        np.subtract(prod, quot, out=out[block], casting="unsafe")
+        del prod, quot  # before the next block's are formed
     return out
 
 
 def make_ring(params: RingParams, modulus: Optional[ModulusPoly] = None) -> RingContext:
     """Build a ring context, searching for a modulus when none is given."""
+    start = time.perf_counter()
     if modulus is None:
         modulus = find_basic_irreducible(params)
-    return RingContext(params, modulus)
+    ctx = RingContext(params, modulus)
+    log.debug("make_ring %r: %.4f s", ctx, time.perf_counter() - start)
+    return ctx
 
 
 # ---------------------------------------------------------------------------

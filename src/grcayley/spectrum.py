@@ -260,12 +260,15 @@ def zeta_sums(ctx: RingContext) -> ZetaSums:
             blocks.append((z[:, 0], z[:, 1]))
         else:
             angle = 2.0 * np.pi / q * k
-            f = np.bincount(cell, np.cos(angle), n**r) + 1j * np.bincount(
-                cell, np.sin(angle), n**r
-            )
-            z = np.fft.ifftn(f.reshape((n,) * r)).ravel()
-            z *= n**r
-            blocks.append((z.real, z.imag))
+            f = np.empty(n**r, dtype=np.complex128)  # F_v, transformed in place
+            f.real = np.bincount(cell, np.cos(angle), n**r)
+            f.imag = np.bincount(cell, np.sin(angle), n**r)
+            grid = f.reshape((n,) * r)
+            # scaled after, not norm="forward", which rounds odd-p results apart
+            # from the frozen outputs in their last digit
+            np.fft.ifftn(grid, out=grid)
+            f *= n**r
+            blocks.append((f.real, f.imag))
     return blocks
 
 

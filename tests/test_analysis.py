@@ -249,9 +249,11 @@ def test_wcu_and_bhk_hold_at_r16():
 
 def test_wcu_memory_per_zeta_entry():
     # (2,10,2): 349 525 zeta entries in ten blocks, the largest 2^18.  The
-    # blocks are held as the transform returns them and each is reduced
-    # under one scalar bound: 36 bytes per entry; a concatenated copy with
-    # a valuation column takes 49
+    # blocks are held as the transform returns them, each transformed in
+    # place as one complex array (16 bytes per entry), and reduced under one
+    # scalar bound, one block's |zeta| at a time: 23 bytes per entry in all;
+    # separate real and imaginary bincounts beside the transform's output
+    # took 36, and a concatenated copy with a valuation column 49
     ctx = make_ring(RingParams(2, 10, 2))
     entries = (ctx.size - 1) // (ctx.p**ctx.r - 1)
     tracemalloc.start()
@@ -262,7 +264,7 @@ def test_wcu_memory_per_zeta_entry():
         tracemalloc.stop()
     assert rep.holds
     assert entries == 349525
-    assert peak <= 40 * entries
+    assert peak <= 24 * entries
 
 
 @pytest.mark.parametrize("r", range(2, 9))

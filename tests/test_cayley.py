@@ -1,6 +1,7 @@
 """Graph construction, neighbours, export format, and families."""
 
 import io
+import logging
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -175,6 +176,40 @@ def test_neighbors_on_large_q_ring_stay_small():
     weights = np.array(ctx._weights, dtype=np.int64)
     expected = (ctx.digits_of(np.array([v])) + spec.s_digits) % ctx.q @ weights
     assert got == sorted(expected.tolist())
+
+
+@pytest.mark.parametrize("q", [4, 9, 49, 2**16])
+def test_negate_every_digit(q):
+    # every digit 0..q-1, repeated over three blocks of rows (the last
+    # partial): -x mod q is q - x, and 0 stays 0, into a slice of a larger
+    # array or into a new int32 array
+    r = 16
+    digits = np.resize(np.arange(q, dtype=np.int32), (2 * cayley.BLOCK_PAIRS // r + 3, r))
+    assert np.unique(digits).size == q
+    want = -digits.astype(np.int64) % q
+    out = np.full((len(digits) + 2, r), -1, dtype=np.int32)
+    got = cayley._negate(digits, q, out=out[1:-1])
+    assert got.base is out and np.array_equal(got, want)
+    assert (out[0] == -1).all() and (out[-1] == -1).all()
+    got = cayley._negate(digits, q)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+def test_phase_boundaries_logged_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="grcayley"):
+        ctx = make_ring(RingParams(2, 2, 3))
+        spec = build_graph(ctx)
+        verify_graph(spec, checks=["wcu", "girth"])
+    records = [rec for rec in caplog.records if rec.name == "grcayley"]
+    assert {rec.levelno for rec in records} == {logging.DEBUG}
+    phases = [rec.getMessage().rsplit(": ", 1) for rec in records]
+    assert [phase for phase, _ in phases] == [
+        f"make_ring {ctx!r}",
+        "build_graph d = 14",
+        "claim girth",
+        "claim wcu",
+    ]
+    assert all(seconds.endswith(" s") and float(seconds[:-2]) >= 0 for _, seconds in phases)
 
 
 def test_setup_on_largest_char4_ring_stays_small():

@@ -1,6 +1,7 @@
 """Ring construction and structure maps, checked against reference
 implementations written directly in this file."""
 
+import functools
 import hashlib
 import random
 
@@ -254,6 +255,63 @@ def test_root_filter_skips_primitivity_tests(monkeypatch, r, unfiltered, filtere
     assert len(calls) == filtered
 
 
+# (p, e, r, seed) -> the modulus the search finds, recorded before the
+# primitivity verdicts were cached and shared with validate_for
+PINNED_MODULI = {
+    (2, 2, 16, 0): "1,0,0,0,0,0,1,0,1,0,1,0,0,0,1,1,1",
+    (2, 2, 16, 1): "1,0,0,0,0,1,1,1,0,0,1,0,0,0,1,0,1",
+    (2, 2, 12, 1): "1,1,1,1,0,0,1,0,0,0,1,0,1",
+    (2, 2, 9, 2): "1,0,0,1,1,0,1,0,0,1",
+    (2, 4, 5, 1): "1,0,0,1,0,1",
+    (2, 16, 2, 0): "1,1,1",
+    (3, 2, 7, 5): "1,0,0,0,1,1,1,1",
+    (3, 10, 2, 1): "2,1,1",
+    (5, 2, 3, 0): "2,4,4,1",
+    (7, 2, 3, 1): "2,5,1,1",
+    (7, 3, 2, 3): "3,2,1",
+    (13, 2, 2, 3): "11,4,1",
+    (17, 2, 3, 1): "12,13,3,1",
+    (251, 2, 2, 0): "120,220,1",
+    (251, 2, 2, 3): "37,62,1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MODULI))
+def test_make_ring_modulus_pinned(key):
+    assert make_ring(RingParams(*key)).modulus.serialize() == PINNED_MODULI[key]
+
+
+def test_make_ring_tests_each_candidate_once(monkeypatch):
+    # one primitivity test per distinct reduced candidate: validate_for
+    # reuses the search's verdict, also for a lift of the modulus with
+    # coefficients >= p, and a second make_ring tests nothing again
+    params = RingParams(2, 2, 16, seed=1)
+    _x_is_primitive.cache_clear()
+    make_ring(params)
+    info = _x_is_primitive.cache_info()
+    assert (info.misses, info.hits) == (6, 1)
+
+    tested = []
+
+    def counted(f, p):
+        tested.append((f, p))
+        return _x_is_primitive.__wrapped__(f, p)
+
+    monkeypatch.setattr(ring, "_x_is_primitive", functools.cache(counted))
+    ctx = make_ring(params)
+    # six candidates pass the root filter (test_root_filter_skips_primitivity_tests)
+    assert len(tested) == 6
+    assert tested[-1] == (ctx.modulus.coeffs, 2)
+    make_ring(params)
+    lifted = ModulusPoly(tuple(c + 2 if c else c for c in ctx.modulus.coeffs[:-1]) + (1,))
+    assert lifted.reduced_mod(2) == ctx.modulus.coeffs != lifted.coeffs
+    assert make_ring(params, lifted).modulus == lifted
+    assert len(tested) == 6
+    for key in PINNED_MODULI:
+        make_ring(RingParams(*key))
+    assert len(tested) == len(set(tested))
+
+
 def test_seed_determinism_and_variation():
     a = find_basic_irreducible(RingParams(2, 2, 4, seed=3))
     b = find_basic_irreducible(RingParams(2, 2, 4, seed=3))
@@ -417,6 +475,32 @@ def test_matmul_mod_across_blocks_into_out():
     out = np.full(rows.shape, -1, dtype=np.int32)
     assert ring._matmul_mod(rows, m, q, out=out) is out
     assert np.array_equal(out, rows.astype(np.int64) @ m % q)
+
+
+@pytest.mark.parametrize("q,r", [(2**16, 16), (251**2, 2)])
+def test_matmul_mod_at_top_digits(q, r):
+    # all-(q - 1) rows and matrices give the largest product, r*(q - 1)^2
+    # (2^36 at q = 2^16, r = 16), which the float64 reduction must still
+    # take mod q exactly; random rows fill three blocks, the last partial
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, q, (2 * ring.BLOCK_PAIRS // r + 3, r)).astype(np.int32)
+    rows[::5] = q - 1
+    for m in (np.full((r, r), q - 1), rng.integers(0, q, (r, r))):
+        got = ring._matmul_mod(rows, m, q)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, rows.astype(np.int64) @ m % q)
+
+
+def test_matmul_mod_on_multiples_of_q():
+    # q = 49: every pair of digits against q - 1 and 1 sums to every
+    # multiple of q up to 48 * 49, each of which must reduce to 0 (rounding
+    # prod * (1/q) in place of prod / q floors some of them one too low)
+    q = 49
+    rows = np.stack(np.meshgrid(np.arange(q), np.arange(q)), axis=-1).reshape(-1, 2)
+    m = np.array([[q - 1, 1], [1, q - 1]])
+    got = ring._matmul_mod(rows.astype(np.int32), m, q)
+    assert np.array_equal(got, rows @ m % q)
+    assert (got == 0).sum() == 2 * q  # the rows a = b, in both columns
 
 
 def test_coeff_string_roundtrip(ctx22):
