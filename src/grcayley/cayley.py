@@ -82,8 +82,14 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
         raise IntegrityError("connection set has repeated elements")
     if ordered[0] == 0:
         raise IntegrityError("connection set contains zero")
-    # negation is injective, so S holds -S exactly when both sort the same
-    if (_sorted_image(ctx, s_digits, lambda rows: _negate(rows, q)) != ordered).any():
+    # -S = S when row k + m of the 2m rows negates to row k: for p = 2 the
+    # second half is -gamma*G1; for odd p, -1 = xi^(h/2), so row k + h/2 is
+    # -gamma*xi^k.  Negation is an involution, so each pair holds both ways.
+    m, odd = divmod(len(s_digits), 2)
+    if odd or any(
+        not np.array_equal(_negate(s_digits[m:][rows], q), s_digits[:m][rows])
+        for rows in _row_blocks(m, ctx.r)
+    ):
         raise IntegrityError("connection set is not closed under negation")
 
     expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
@@ -151,26 +157,41 @@ def _decimal_chunks() -> np.ndarray:
     Entry c writes c with leading zeros, for a chunk with a nonzero chunk
     above it.  Entry 10^4 + c writes NUL bytes in place of those zeros (0 is
     all NUL), for a chunk with none above it; entry 2*10^4 + c is the same
-    but writes 0 as "0", for the lowest chunk with none above it.
+    but writes 0 as "0", for the lowest chunk with none above it.  The
+    padded digits are broadcast one byte column at a time, and the zeros
+    blanked as the slices below 1000, 100, 10 and 1 of each byte column.
     """
-    c = np.arange(10_000)[:, None]
-    place = np.array([1000, 100, 10, 1])
-    padded = c // place % 10 + ord("0")
-    leading = np.where(c >= place, padded, 0)
-    lowest = np.where((c >= place) | (place == 1), padded, 0)
-    return np.vstack([padded, leading, lowest]).astype(np.uint8).view(np.uint32).ravel()
+    table = np.empty((3, 10_000, 4), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    padded = table[0].reshape(10, 10, 10, 10, 4)
+    for b in range(4):
+        padded[..., b] = digits.reshape((10,) + (1,) * (3 - b))
+    table[1] = table[0]
+    for b in range(4):
+        table[1, : 10 ** (3 - b), b] = 0
+    table[2] = table[1]
+    table[2, 0, 3] = ord("0")
+    return table.view(np.uint32).ravel()
 
 
 def _decimal(x: np.ndarray, words: int, chunks: np.ndarray) -> np.ndarray:
-    """(m, words) uint32 chunk words of the decimal ASCII of m integers in
-    [0, min(10^(4*words), 2^32)), right aligned, NUL bytes in place of
-    leading zeros."""
-    x = x.astype(np.uint32, copy=False)
-    out = np.empty((len(x), words), dtype=np.uint32)
+    """(words, m) uint32 chunk words of the decimal ASCII of m integers in
+    [0, min(10^(4*words), 2^32)), word-major: row k holds chunk k of every
+    number, right aligned, NUL bytes in place of leading zeros.
+
+    Each chunk is split off as x - 10^4 * (x // 10^4), as numpy divides by
+    a scalar far faster than it takes a remainder, and gathered with
+    mode="clip", which writes into out unbuffered; every index is below
+    3 * 10^4 already."""
+    low = x.astype(np.uint32)
+    high = np.empty_like(low)
+    out = np.empty((words, len(low)), dtype=np.uint32)
     for k in range(words - 1, -1, -1):
-        x, low = np.divmod(x, np.uint32(10_000))
-        lead = 20_000 if k == words - 1 else 10_000
-        out[:, k] = chunks[np.where(x, low, low + lead)]
+        np.floor_divide(low, np.uint32(10_000), out=high)
+        low -= high * np.uint32(10_000)
+        low += (high == 0) * np.uint32(20_000 if k == words - 1 else 10_000)
+        np.take(chunks, low, out=out[k], mode="clip")
+        low, high = high, low
     return out
 
 
@@ -181,12 +202,15 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     u < v, sorted by u then v.  The edges are formed, sorted and formatted
     a block of about BLOCK_PAIRS neighbours at a time: each line is laid
     out at a fixed width with NUL bytes for leading zeros, which are then
-    dropped, so no Python code runs per edge.  Neighbours come by
-    translation: l = u mod q^k and h = u - l share no nonzero digit, so
-    idx(u + s) = idx(l + s) + idx(h + s) - idx(s).  One (q^k, d) table of
-    idx(l + s) - idx(s) serves every block, which forms h + S for its high
-    parts h only and adds the table: one uint32 add per edge.  The table
-    wraps mod 2^32, harmlessly, as every true index is below n <= 2^32.
+    dropped, so no Python code runs per edge.  The numbers are formatted
+    word-major (one row of chunk words per decimal chunk), and each line
+    is filled one byte column at a time from byte b of those rows, u's
+    words repeated once per edge.  Neighbours come by translation: l = u
+    mod q^k and h = u - l share no nonzero digit, so idx(u + s) = idx(l +
+    s) + idx(h + s) - idx(s).  One (q^k, d) table of idx(l + s) - idx(s)
+    serves every block, which forms h + S for its high parts h only and
+    adds the table: one uint32 add per edge.  The table wraps mod 2^32,
+    harmlessly, as every true index is below n <= 2^32.
     """
     ctx = spec.ctx
     sink.write(
@@ -195,7 +219,8 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     chunks = _decimal_chunks()
     width = len(str(spec.n - 1))
     words = -(-width // 4)
-    field = slice(4 * words - width, None)
+    # byte column j of a number's field is byte b of its chunk word k
+    columns = [divmod(4 * words - width + j, 4) for j in range(width)]
     count = 0
     rows = 1  # q^k, the largest with q^k * q * d <= BLOCK_PAIRS and q^k <= n
     while rows < spec.n and rows * ctx.q * ctx.q * spec.d <= BLOCK_PAIRS:
@@ -204,20 +229,21 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     low -= spec.s_indices.astype(np.uint32)
     step = rows * max(1, BLOCK_PAIRS // (rows * spec.d))
     for lo in range(0, spec.n, step):
-        block = np.arange(lo, min(lo + step, spec.n), dtype=np.int64)
+        block = np.arange(lo, min(lo + step, spec.n), dtype=np.uint32)
         high = _neighbour_indices(spec, ctx.digits_of(block[::rows]))
         targets = (high[:, None, :] + low).reshape(-1, spec.d)
         targets.sort(axis=1)
         later = targets > block[:, None]
-        ws = targets[later]
-        us = np.repeat(_decimal(block, words, chunks), later.sum(axis=1), axis=0)
-        line = np.empty((len(ws), 2 * width + 2), dtype=np.uint8)
-        line[:, :width] = us.view(np.uint8)[:, field]
+        ws = _decimal(targets[later], words, chunks)
+        us = np.repeat(_decimal(block, words, chunks), later.sum(axis=1), axis=1)
+        line = np.empty((ws.shape[1], 2 * width + 2), dtype=np.uint8)
+        for j, (k, b) in enumerate(columns):
+            line[:, j] = us[k].view(np.uint8)[b::4]
+            line[:, width + 1 + j] = ws[k].view(np.uint8)[b::4]
         line[:, width] = ord(" ")
-        line[:, width + 1 : -1] = _decimal(ws, words, chunks).view(np.uint8)[:, field]
         line[:, -1] = ord("\n")
         sink.write(line.tobytes().translate(None, b"\0").decode("ascii"))
-        count += len(ws)
+        count += len(line)
     expected = spec.n * spec.d // 2
     if count != expected:
         raise IntegrityError(f"wrote {count} edges, expected {expected}")

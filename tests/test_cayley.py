@@ -111,8 +111,10 @@ def test_connection_set_matches_oracle_on_large_rings(key):
         ((2, 2, 3), lambda t: np.vstack([t[:-1], (-t[:1]) % 4]), "meets its own negation"),
         # xi^7 is missing, so -xi^3 = xi^7 has no negation partner
         ((3, 2, 2), lambda t: t[:-1], "not closed under negation"),
+        # an even count: xi^6 and xi^7 are missing, so -xi^2 has no partner
+        ((3, 2, 2), lambda t: t[:-2], "not closed under negation"),
     ],
-    ids=["repeated", "zero", "mirror", "unclosed"],
+    ids=["repeated", "zero", "mirror", "unclosed", "unclosed-even"],
 )
 def test_build_graph_integrity_failures(monkeypatch, key, edit, message):
     ctx = make_ring(RingParams(*key))
@@ -349,15 +351,32 @@ def test_export_matches_oracle_past_four_digits(key):
 
 
 def test_decimal_words_match_str():
+    # word-major: row k holds chunk k of every number; the chunk boundaries
+    # 0, 9, 9 999, 10^4, 99 999 999, 10^8 and 2^32 - 1 wherever they fit
     chunks = cayley._decimal_chunks()
     x = np.array([0, 1, 9, 10, 999, 1000, 9999, 10_000, 10_001, 99_999_999,
                   100_000_000, 100_000_001, 2**32 - 1], dtype=np.int64)
     for words in (1, 2, 3):
-        fits = x[x < 10 ** (4 * words)]
-        text = cayley._decimal(fits, words, chunks).view(np.uint8)
-        assert [bytes(t).replace(b"\0", b"").decode() for t in text] == [
-            str(v) for v in fits.tolist()
-        ]
+        for dtype in (np.int64, np.uint32):
+            fits = x[x < 10 ** (4 * words)].astype(dtype)
+            kept = fits.copy()
+            out = cayley._decimal(fits, words, chunks)
+            assert out.shape == (words, len(fits)) and out.dtype == np.uint32
+            np.testing.assert_array_equal(fits, kept)
+            text = np.ascontiguousarray(out.T).view(np.uint8)
+            assert [bytes(t).replace(b"\0", b"").decode() for t in text] == [
+                str(v) for v in fits.tolist()
+            ]
+
+
+def test_decimal_chunks_table():
+    words = cayley._decimal_chunks()
+    assert words.shape == (30_000,) and words.dtype == np.uint32
+    text = [bytes(w) for w in words.view(np.uint8).reshape(-1, 4)]
+    for c in range(10_000):
+        assert text[c] == b"%04d" % c
+        assert text[10_000 + c] == (b"%d" % c if c else b"").rjust(4, b"\0")
+        assert text[20_000 + c] == (b"%d" % c).rjust(4, b"\0")
 
 
 def test_bfs_distances_match_networkx(h16, h81):

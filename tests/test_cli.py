@@ -103,19 +103,28 @@ def test_graph_export_stdout_matches_file(capsys, tmp_path):
 @pytest.mark.parametrize(
     "args,digest",
     [
-        # 256 rows per export block (4 high parts of 64 rows): 64 blocks
+        # 256 rows per export block (4 high parts of 64 rows): 64 blocks;
+        # 2 080 769 lines, 22 147 308 bytes, 5-digit ids over two chunk words
         (["-p", "2", "-e", "2", "-r", "7"],
          "b40c30333b8ad5fd01cc2c8d0a6e1c2553b0718f134223ed9a592a3882f87f37"),
         (["-p", "3", "-e", "2", "-r", "4", "--gamma", "1,2,0,1"],
          "135f7198f476e83b2113d22068b04807ed67ca61c9c1f1f319ec0b3d08b1c6cd"),
+        (["-p", "5", "-e", "2", "-r", "3"],
+         "fac1d18d0b8aa92b832cef10eb9b1f76d5d800b671093a07cf999b2768e7dbeb"),
+        (["-p", "2", "-e", "4", "-r", "4"],
+         "3bd50a2bfc1c6a794465de5273b73d67187993fde43ab2f6651fd63486a9ed3f"),
     ],
-    ids=["gr4-7", "gr9-4-twisted"],
+    ids=["gr4-7", "gr9-4-twisted", "gr25-3", "gr16-4"],
 )
 def test_graph_export_frozen_digest(capsys, tmp_path, args, digest):
+    # both text sinks: a file and stdout
     path = tmp_path / "edges.txt"
-    code, _, _ = run_cli(capsys, ["graph-export", *args, "--output", str(path)])
-    assert code == 0
+    code, out, _ = run_cli(capsys, ["graph-export", *args, "--output", str(path)])
+    assert code == 0 and out == ""
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    code, out, _ = run_cli(capsys, ["graph-export", *args, "--output", "-"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
