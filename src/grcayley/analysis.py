@@ -280,9 +280,11 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
     is a graph automorphism and the distance is constant on each orbit;
     translation gives the distances from any other root.
 
-    Each level maps neighbours to their orbit rows, in blocks of at most
-    BLOCK_PAIRS neighbours, from whichever side costs fewer maps; a block's
-    own rows become digits through orbit_digits, so no table of orbit
+    Each level maps neighbours to their orbit rows from whichever side
+    costs fewer maps, in blocks of at most BLOCK_PAIRS digits, r per
+    neighbour, or of one row's neighbours when those alone exceed it (the
+    map then walks them BLOCK_PAIRS digits at a time); a block's own rows
+    become digits through orbit_digits, so no table of orbit
     representatives is held, and the sums u + s go to the map unreduced.
     Top-down maps all d neighbours of one representative per frontier
     orbit.  Bottom-up maps neighbours of the unseen orbits, expected to
@@ -314,14 +316,16 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
 
     def neighbour_blocks(part: np.ndarray, s_digits: np.ndarray):
         # orbit rows of u + s over u in part and s in s_digits, one
-        # (rows, len(s_digits)) block of at most BLOCK_PAIRS at a time,
-        # summed in the map's layout: r contiguous int32 columns
-        step = max(1, BLOCK_PAIRS // len(s_digits))
+        # (rows, len(s_digits)) block of at most BLOCK_PAIRS digits at a
+        # time, summed in the map's layout: r contiguous int32 columns
+        step = max(1, BLOCK_PAIRS // (r * len(s_digits)))
         s_cols = s_digits.T
         for i in range(0, part.size, step):
             u_cols = orbit_digits(ctx, part[i : i + step]).T
             nb = u_cols[:, :, None] + s_cols[:, None, :]
-            yield orbit_of(nb.reshape(r, -1).T).reshape(-1, len(s_digits))
+            rows = orbit_of(nb.reshape(r, -1).T)
+            del nb  # before the next block's sums are formed
+            yield rows.reshape(-1, len(s_digits))
 
     while frontier.size and reached < spec.n:
         level += 1

@@ -51,7 +51,9 @@ from .errors import (
 )
 
 MAX_RING_SIZE = 2**32
-BLOCK_PAIRS = 1 << 16  # (row, s) pairs formed per block by every sweep
+# digits per block of every digit sweep (_row_blocks, the orbit map, the
+# BFS); export_edges forms this many neighbours per block
+BLOCK_PAIRS = 1 << 16
 
 log = logging.getLogger("grcayley")
 

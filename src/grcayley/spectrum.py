@@ -46,7 +46,7 @@ import numpy as np
 
 from .cayley import GraphSpec
 from .errors import IntegrityError, SizeError
-from .ring import RingContext, _matmul_mod
+from .ring import RingContext, _matmul_mod, _row_blocks
 
 MERGE_TOL = 1e-6
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
@@ -141,12 +141,16 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     p^(i-v)).  Its row is therefore the first row of valuation v plus a
     mixed-radix number over the digit ratios t_i/t_v, each read as 0 for
     zero and 1 + k for xi^k through a discrete-log table on the residue
-    field.  The rows are held as r contiguous int32 columns, and each digit
-    t_i takes a few passes over them with no integer modulo: the residues
-    are x - (x // p) * p, their index in the residue field comes by
-    Horner's rule, and x // p + adj (ctx._residue_lift, uint16) is
-    (x - t_i)/p + q/p in int32, nonnegative and exact mod q/p^(i+1).  No ring
-    multiplication and no n-sized table is involved.
+    field.  The input is read one block of BLOCK_PAIRS digits at a time
+    (ring._row_blocks), so the working arrays stay cache-sized whatever the
+    caller passes.  A block is held as r contiguous int32 columns, and each
+    digit t_i takes a few passes over them with no integer modulo and no
+    masked store: the residues are x - (x // p) * p, their index in the
+    residue field comes by Horner's rule, x // p + adj (ctx._residue_lift,
+    uint16) is (x - t_i)/p + q/p in int32, nonnegative and exact mod
+    q/p^(i+1), and the conditional updates add a uint8 view of a comparison
+    times the change.  No ring multiplication and no n-sized table is
+    involved.
     """
     p, e, r = ctx.p, ctx.e, ctx.r
     pr = p**r
@@ -156,33 +160,38 @@ def orbit_row_map(ctx: RingContext) -> Callable[[np.ndarray], np.ndarray]:
     # still negative after the wrap by pr - 1, so its ratio is clamped to 0
     unset = 2 * pr
     plus_one = np.where(log < 0, -unset, log + 1).astype(np.int32)
-    lead_of = np.where(log < 0, unset, log).astype(np.int32)
+    set_lead = np.where(log < 0, 0, log - unset).astype(np.int32)  # unset -> log t_v
+    wrap = np.int32(pr - 1)
     start = _valuation_starts(ctx).astype(np.int32)
 
     def rows(digits: np.ndarray) -> np.ndarray:
-        x = np.array(np.asarray(digits).T, dtype=np.int32, order="C")
-        high = np.empty_like(x)
-        lead = np.full(x.shape[1], unset, dtype=np.int32)  # log t_v once set
-        val = np.zeros(x.shape[1], dtype=np.int32)
-        row = np.zeros(x.shape[1], dtype=np.int32)  # stays 0 up to t_v
-        for i in range(e):
-            np.floor_divide(x, p, out=high)
-            x -= high * p
-            k = x[r - 1].copy()  # residue index of t_i
-            for j in range(r - 2, -1, -1):
-                k *= p
-                k += x[j]
-            ratio = plus_one.take(k)
-            ratio -= lead  # 1 + (log t_i - log t_v) when both are set
-            np.add(ratio, pr - 1, out=ratio, where=ratio < 1)
-            np.maximum(ratio, 0, out=ratio)
-            row *= pr
-            row += ratio
-            np.copyto(lead, lead_of.take(k), where=lead == unset)
-            val += lead == unset  # ends as v, or e for zero
-            if i + 1 < e:
-                np.add(high, adj.take(k, axis=1), out=x)
-        return row + start[val]
+        digits = np.asarray(digits)
+        out = np.zeros(len(digits), dtype=np.int32)
+        for block in _row_blocks(len(digits), r):
+            x = np.array(digits[block].T, dtype=np.int32, order="C")
+            high, low = np.empty_like(x), np.empty_like(x)
+            lead = np.full(x.shape[1], unset, dtype=np.int32)  # log t_v once set
+            val = np.zeros(x.shape[1], dtype=np.int32)
+            row = out[block]  # stays 0 up to t_v
+            for i in range(e):
+                np.floor_divide(x, p, out=high)
+                x -= np.multiply(high, p, out=low)
+                k = x[r - 1].copy()  # residue index of t_i
+                for j in range(r - 2, -1, -1):
+                    k *= p
+                    k += x[j]
+                ratio = plus_one.take(k)
+                ratio -= lead  # 1 + (log t_i - log t_v) when both are set
+                ratio += (ratio < 1).view(np.uint8) * wrap
+                np.maximum(ratio, 0, out=ratio)
+                row *= pr
+                row += ratio
+                lead += (lead == unset).view(np.uint8) * set_lead.take(k)
+                val += lead == unset  # ends as v, or e for zero
+                if i + 1 < e:
+                    np.add(high, adj.take(k, axis=1), out=x)
+            row += start.take(val)
+        return out
 
     return rows
 
@@ -323,9 +332,12 @@ def _merge_numeric(
     counting weights[i] times, as (values, total weights), descending.
 
     A group's value is the one value it holds when tol is 0, else its
-    weighted mean; bincount sums each group in order, as a loop would.
+    weighted mean; bincount sums each group in ascending order, as a loop
+    would.  The sort need not be stable: in full_spectrum's input equal
+    values carry equal weights p^r - 1, but for d, whose products with its
+    weight are exact integers, so the order of equal values changes no bit.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     values, weights = values[order], weights[order]
     first = np.concatenate(([True], np.diff(values) > tol))
     starts = np.flatnonzero(first)

@@ -39,6 +39,7 @@ from grcayley import (
 )
 from grcayley import analysis, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
+from grcayley.ring import BLOCK_PAIRS
 
 SMALL_KEYS = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
 # every supported ring with n <= 2^17
@@ -397,6 +398,43 @@ def test_bfs_work_guard(monkeypatch):
     monkeypatch.setattr(analysis, "orbit_row_map", counting)
     bfs_distances(spec)
     assert 0 < sum(mapped) <= 200_000
+
+
+def test_bfs_block_budget(monkeypatch):
+    # each neighbour block holds at most BLOCK_PAIRS digits, r per neighbour
+    spec = graph_for(2, 4, 5)
+    sizes = []
+    row_map = analysis.orbit_row_map
+
+    def counting(ctx):
+        rows = row_map(ctx)
+
+        def count(digits):
+            sizes.append(digits.size)
+            return rows(digits)
+
+        return count
+
+    monkeypatch.setattr(analysis, "orbit_row_map", counting)
+    bfs_distances(spec)
+    assert sizes and max(sizes) <= BLOCK_PAIRS
+
+
+@pytest.mark.parametrize("key, mib", [((2, 4, 5), 3), ((2, 2, 16), 24)])
+def test_bfs_memory(key, mib):
+    # blocks of BLOCK_PAIRS digits, and on GR(4, 4^16), where one row's
+    # d * r = 2.1 M digits exceed that, the map's own walk over them: 2.0
+    # and 18.1 MiB with the ring's cached lookup tables built on this call;
+    # blocks of BLOCK_PAIRS neighbours, mapped at once, took 6.4 and 42.8
+    spec = graph_for(*key)
+    tracemalloc.start()
+    try:
+        dist = bfs_distances(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dist >= 0).all()
+    assert peak <= mib << 20
 
 
 def test_girth_without_short_cycle_raises():

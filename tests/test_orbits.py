@@ -35,7 +35,7 @@ from grcayley import (
     make_ring,
     triangle_count,
 )
-from grcayley import analysis, spectrum
+from grcayley import analysis, ring, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import parse_coeff_string
 from grcayley.spectrum import (
@@ -295,6 +295,26 @@ def test_orbit_row_map_reads_unreduced_digits_property(key, data):
     rows = orbit_row_map(ctx)(given_digits)
     assert np.array_equal(given_digits, before)
     assert rows.tolist() == [oracle(ctx.element(row)) for row in digits.tolist()]
+
+
+@pytest.mark.parametrize("key", [(2, 4, 5), (7, 2, 3), (2, 2, 16)])
+def test_orbit_row_map_block_boundaries(monkeypatch, key):
+    # the map walks its input BLOCK_PAIRS digits at a time; blocks of 5 rows
+    # put 201 boundaries, the last block partial, through unreduced digits
+    # of every valuation, in both layouts the callers pass
+    ctx = make_ring(RingParams(*key))
+    p, e, r, q = ctx.p, ctx.e, ctx.r, ctx.q
+    rng = np.random.default_rng(sum(key))
+    m = 1003
+    digits = rng.integers(0, q, (m, r)) * p ** rng.integers(0, e + 1, (m, 1)) % q
+    digits += q * rng.integers(0, (2**31 - 1) // q - 1, (m, r))
+    for laid_out in (digits.astype(np.int32), np.asfortranarray(digits, dtype=np.int32)):
+        want = orbit_row_map(ctx)(laid_out)
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "BLOCK_PAIRS", 5 * r)
+            before = laid_out.copy()
+            assert np.array_equal(orbit_row_map(ctx)(laid_out), want)
+            assert np.array_equal(laid_out, before)
 
 
 @pytest.mark.parametrize("key", BFS_ORACLE_KEYS)
