@@ -33,6 +33,7 @@ from .spectrum import (
     Spectrum,
     ZetaSums,
     _require_spectrum_size,
+    frobenius_cycles,
     full_spectrum,
     orbit_digits,
     orbit_row_map,
@@ -272,89 +273,138 @@ def triangle_count(spec: GraphSpec) -> int:
     return total // 6
 
 
+def _require_gamma_g1(spec: GraphSpec) -> None:
+    """Raise IntegrityError unless gamma^-1 S = +-G1 (G1 for odd p): S is
+    xi-stable (_require_xi_stable), has d = 2(p^r - 1) rows (p^r - 1 for odd
+    p), and its heads, rows 0 and p^r - 1, are gamma and -gamma (row 0 alone,
+    gamma, for odd p).  S is then a union of G1-orbits with multiplicities
+    that holds the orbits of gamma and -gamma, disjoint for p = 2, and has
+    no room for more."""
+    _require_xi_stable(spec)
+    ctx = spec.ctx
+    orbit = ctx.p**ctx.r - 1
+    gamma = np.array(spec.gamma.coeffs)
+    heads = np.array([gamma, -gamma % ctx.q] if ctx.p == 2 else [gamma])
+    d = len(heads) * orbit
+    if spec.d != d or len(spec.s_digits) != d or (spec.s_digits[::orbit] != heads).any():
+        raise IntegrityError("connection set is not +-gamma*G1 headed by gamma and -gamma")
+
+
 def bfs_distances(spec: GraphSpec) -> np.ndarray:
-    """Distance from vertex 0 to each G1-orbit, one int32 per orbit row in
-    orbit_row_map's numbering, -1 where unreachable.
+    """Distance from vertex 0 to gamma*O_k for each G1-orbit O_k, one int32
+    per orbit row k in orbit_row_map's numbering, -1 where unreachable; for
+    gamma = 1 that is the distance to O_k.
 
-    Multiplication by a Teichmuller unit maps S to itself and fixes 0, so it
-    is a graph automorphism and the distance is constant on each orbit;
-    translation gives the distances from any other root.
+    x -> gamma^-1 x is an isomorphism from Cay(R, S), S = +-gamma*G1, onto
+    Cay(R, S1), S1 = +-G1 (G1 for odd p), that fixes 0, so the search runs
+    on the untwisted graph; _require_gamma_g1 checks gamma^-1 S = S1 first.
+    Multiplication by a Teichmuller unit and the Frobenius sigma both fix 0
+    and map S1 onto itself, so the distance is constant on each sigma-cycle
+    of orbits, and the search holds one row per cycle, its least row
+    (frobenius_cycles): the frontier and the pending rows are such rows,
+    every mapped neighbour goes through the table before its distance is
+    read, and a found row weighs its cycle length times p^r - 1 vertices.
+    Level 1 is S1 itself, the rows of 1 and -1, each fixed by sigma.
 
-    Each level maps neighbours to their orbit rows from whichever side
+    Each further level maps neighbours to their rows from whichever side
     costs fewer maps, in blocks of at most BLOCK_PAIRS digits, r per
-    neighbour, or of one row's neighbours when those alone exceed it (the
-    map then walks them BLOCK_PAIRS digits at a time); a block's own rows
-    become digits through orbit_digits, so no table of orbit
-    representatives is held, and the sums u + s go to the map unreduced.
-    Top-down maps all d neighbours of one representative per frontier
-    orbit.  Bottom-up maps neighbours of the unseen orbits, expected to
-    take min(d, n / f) tries each before one lands in the f frontier
-    vertices.  It takes the unseen rows from one block of BLOCK_PAIRS
-    rows of the distances at a time, goes through S in column chunks of
-    width 1, 2, 4, ... and drops a row from the search at its first
-    neighbour on the previous level.  That early exit is exact: an unseen
-    row is at least this level away, so one such neighbour fixes its
+    neighbour, split by columns of S1 where one row's d*r digits exceed
+    that.  A row's element comes from orbit_digits, u + t over G1 and
+    u + q - t over -G1 go to the map unreduced, and no table of S1 beyond
+    ctx.teich_digits is built.
+    Top-down maps all d neighbours of one element per frontier row.
+    Bottom-up maps neighbours of the unseen rows, expected to take
+    min(d, n / f) tries each before one lands in the f frontier vertices.
+    It takes the unseen rows from one block of BLOCK_PAIRS rows of the
+    distances at a time, decodes them once, goes through S1 in column
+    chunks of width 1, 2, 4, ... and drops a row from the search at its
+    first neighbour on the previous level.  That early exit is exact: an
+    unseen row is at least this level away, so one such neighbour fixes its
     distance, and a row with none among all d stays unseen; and a level
     reads no distance but those of the previous level, so the blocks give
-    the same distances in any order.  The frontier is held as int32 rows.
-    The search stops once the reached orbits hold all n vertices.  Raises
-    IntegrityError when S is not closed under multiplication by xi, and
+    the same distances in any order.  The search stops once the reached
+    rows hold all n vertices, and each row then takes the distance of its
+    cycle's least row.  Raises IntegrityError unless gamma^-1 S = S1, and
     SizeError before allocating when the orbit rows exceed
     spectrum.ORBIT_CUTOFF.
     """
     ctx = spec.ctx
-    _require_xi_stable(spec)
-    d, r, orbit = spec.d, ctx.r, ctx.p**ctx.r - 1
+    _require_gamma_g1(spec)
+    d, r, q, orbit = spec.d, ctx.r, ctx.q, ctx.p**ctx.r - 1
     count = (ctx.size - 1) // orbit + 1
     if count > _spectrum.ORBIT_CUTOFF:
         raise SizeError(f"{count} orbit rows exceed the cutoff {_spectrum.ORBIT_CUTOFF}")
     orbit_of = orbit_row_map(ctx)
-    dist = np.full(count, -1, dtype=np.int32)
+    canon, lengths = frobenius_cycles(ctx)
+    # -1 on the unseen least rows of their cycles, -2 on every other row,
+    # whose distance is read off its least row at the end
+    dist = np.empty(count, dtype=np.int32)
+    unseen = 0
+    for block in _row_blocks(count, 1):
+        own = canon[block]
+        least = own == np.arange(block.start, block.start + own.size)
+        dist[block] = np.where(least, -1, -2)
+        unseen += int(np.count_nonzero(least))
     dist[0] = 0
-    frontier = np.zeros(1, dtype=np.int32)
-    unseen, frontier_vertices, reached, level = len(dist) - 1, 1, 1, 0
+    g1 = ctx.teich_digits.T
+    widest = max(1, BLOCK_PAIRS // r)  # columns of S1 in one block
 
-    def neighbour_blocks(part: np.ndarray, s_digits: np.ndarray):
-        # orbit rows of u + s over u in part and s in s_digits, one
-        # (rows, len(s_digits)) block of at most BLOCK_PAIRS digits at a
-        # time, summed in the map's layout: r contiguous int32 columns
-        step = max(1, BLOCK_PAIRS // (r * len(s_digits)))
-        s_cols = s_digits.T
-        for i in range(0, part.size, step):
-            u_cols = orbit_digits(ctx, part[i : i + step]).T
-            nb = u_cols[:, :, None] + s_cols[:, None, :]
-            rows = orbit_of(nb.reshape(r, -1).T)
-            del nb  # before the next block's sums are formed
-            yield rows.reshape(-1, len(s_digits))
+    def neighbour_rows(u_cols: np.ndarray, lo: int, hi: int):
+        # least rows of u + s over the columns u_cols and s in S1[lo:hi],
+        # in (rows, columns) blocks of at most BLOCK_PAIRS digits, row blocks
+        # in order within each chunk of `widest` columns, summed in the map's
+        # layout, r contiguous int32 columns
+        for c_lo in range(lo, hi, widest):
+            c_hi = min(c_lo + widest, hi)
+            mid = min(max(c_lo, orbit), c_hi)
+            # S1 is G1 and then, for p = 2, -G1, read as q - t >= 0
+            s_cols = np.concatenate([g1[:, c_lo:mid], q - g1[:, mid - orbit : c_hi - orbit]], axis=1)
+            step = max(1, BLOCK_PAIRS // (r * s_cols.shape[1]))
+            for i in range(0, u_cols.shape[1], step):
+                nb = u_cols[:, i : i + step, None] + s_cols[:, None, :]
+                rows = canon.take(orbit_of(nb.reshape(r, -1).T))
+                del nb  # before the next block's sums are formed
+                yield rows.reshape(-1, s_cols.shape[1])
 
+    def vertices(rows: np.ndarray) -> int:
+        return orbit * int(lengths.take(rows).sum())
+
+    # level 1 is S1: the orbit of 1 and, for p = 2, that of -1
+    heads = np.zeros((d // orbit, r), dtype=np.int32)
+    heads[:, 0] = (1, q - 1)[: len(heads)]
+    frontier = canon.take(orbit_of(heads))
+    dist[frontier] = level = 1
+    unseen -= 1 + frontier.size
+    frontier_vertices = vertices(frontier)
+    reached = 1 + frontier_vertices
     while frontier.size and reached < spec.n:
         level += 1
         found = []
         if unseen * min(d, spec.n / frontier_vertices) < frontier.size * d:
-            for first in range(0, count, BLOCK_PAIRS):
-                block = dist[first : first + BLOCK_PAIRS]
-                pending = np.flatnonzero(block < 0).astype(np.int32) + first
+            for block in _row_blocks(count, 1):
+                pending = np.flatnonzero(dist[block] == -1).astype(np.int32) + block.start
+                u_cols = orbit_digits(ctx, pending).T
                 lo, width = 0, 1
                 while pending.size and lo < d:
-                    chunk = spec.s_digits[lo : lo + width]
-                    blocks = neighbour_blocks(pending, chunk)
-                    near = np.concatenate(
-                        [(dist[nb] == level - 1).any(axis=1) for nb in blocks]
-                    )
+                    hi = min(lo + width, d)
+                    blocks = neighbour_rows(u_cols, lo, hi)
+                    near = np.concatenate([(dist.take(nb) == level - 1).any(axis=1) for nb in blocks])
                     found.append(pending[near])
                     dist[found[-1]] = level
-                    pending = pending[~near]
-                    lo += width
-                    width *= 2
+                    pending, u_cols = pending[~near], u_cols[:, ~near]
+                    lo, width = hi, min(2 * width, widest)
         else:
-            for nb in neighbour_blocks(frontier, spec.s_digits):
-                new = np.sort(nb[dist[nb] < 0])
-                found.append(new[np.diff(new, prepend=-1) != 0])  # rows are >= 0
-                dist[found[-1]] = level
+            for part in _row_blocks(frontier.size, r):
+                for nb in neighbour_rows(orbit_digits(ctx, frontier[part]).T, 0, d):
+                    new = np.sort(nb[dist.take(nb) == -1])
+                    found.append(new[np.diff(new, prepend=-1) != 0])  # rows are >= 0
+                    dist[found[-1]] = level
         frontier = np.concatenate(found)
         unseen -= frontier.size
-        frontier_vertices = frontier.size * orbit
+        frontier_vertices = vertices(frontier)
         reached += frontier_vertices
+    for block in _row_blocks(count, 1):
+        dist[block] = dist.take(canon[block])  # least rows keep their own
     return dist
 
 

@@ -391,7 +391,7 @@ class RingContext:
         for i in range(1, self.e):
             # p^i * t < q^2 / p <= 2^31
             np.multiply(self.teich_digits.T, p**i, out=slots[i - 1, :, 1:])
-            slots[i - 1] -= slots[i - 1] // q * q
+            np.remainder(slots[i - 1], q, out=slots[i - 1])  # in place: 4 MiB on GR(4, 4^16)
         return slots
 
     @cached_property

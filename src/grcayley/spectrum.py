@@ -32,9 +32,11 @@ are exact.  Otherwise the transform is numpy.fft.ifftn in float64.
 orbit_row_map numbers all orbits, zero first and then valuation by
 valuation (_valuation_starts), and orbit_digits turns an orbit's number
 back into one of its elements, so the breadth-first search holds row
-numbers only.  The map reads any nonnegative digits congruent mod q, such
-as unreduced sums u + s, as r int32 columns, one Teichmuller digit at a
-time, with floor division by p and table lookups but no integer modulo.
+numbers only; frobenius_cycles gives the least row of each row's cycle
+under the Frobenius, and its length, from row numbers alone.  The map reads any
+nonnegative digits congruent mod q, such as unreduced sums u + s, as r
+int32 columns, one Teichmuller digit at a time, with floor division by p
+and table lookups but no integer modulo.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .cayley import GraphSpec
 from .errors import IntegrityError, SizeError
-from .ring import RingContext, _matmul_mod, _row_blocks
+from .ring import BLOCK_PAIRS, RingContext, _matmul_mod, _row_blocks
 
 MERGE_TOL = 1e-6
 NUMERIC_SPECTRUM_CUTOFF = 1 << 24
@@ -224,6 +226,60 @@ def orbit_digits(ctx: RingContext, rows: np.ndarray) -> np.ndarray:
         k = high
     out -= out // q * q
     return out.T
+
+
+def frobenius_cycles(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
+    """The least row of each row's cycle under the Frobenius sigma, int32,
+    and the cycle's length, uint8, one of each per row of orbit_row_map's
+    numbering.
+
+    sigma(xi) = xi^p generates Gal(GR(p^e, p^er) / Z/p^e).  It fixes Z/p^e
+    and maps xi^m to xi^(pm), so it takes the orbit of p^v (1 + sum b_i p^i)
+    to that of p^v (1 + sum sigma(b_i) p^i), fixes 0, maps G1 onto itself
+    and is an automorphism of Cay(R, +-G1).  On a row number it keeps the
+    valuation's first row (_valuation_starts) and maps each base-p^r digit
+    of the offset, 0 to 0 and 1 + m to 1 + (p*m mod (p^r - 1))
+    (orbit_digits).  So the tables come from row numbers alone, with no
+    ring arithmetic: one block of BLOCK_PAIRS rows at a time, its offsets
+    read once, in groups of as many digits as a table of at most
+    BLOCK_PAIRS entries maps at a time, and sigma^i for i = 1 .. r - 1
+    applied group by group.  The length is r over the number of i < r with
+    sigma^i(row) = row.
+    """
+    p, e, r = ctx.p, ctx.e, ctx.r
+    pr = p**r
+    slot = np.zeros(pr, dtype=np.int32)
+    slot[1:] = 1 + p * np.arange(pr - 1) % (pr - 1)
+    table, width = slot, 1  # sigma on `width` digits, the last the least
+    while width < e - 1 and table.size * pr <= BLOCK_PAIRS:
+        table, width = (table[:, None] * pr + slot).ravel(), width + 1
+    radix = table.size
+    start = _valuation_starts(ctx).astype(np.int32)
+    count = (ctx.size - 1) // (pr - 1) + 1
+    canon = np.empty(count, dtype=np.int32)
+    lengths = np.empty(count, dtype=np.uint8)
+    for block in _row_blocks(count, 1):
+        least = canon[block]
+        rows = np.arange(block.start, block.start + least.size, dtype=np.int32)
+        least[:] = rows
+        base = start.take(np.searchsorted(start[:-1], rows, side="right") - 1)
+        k = rows - base
+        groups = np.empty((-(-(e - 1) // width), rows.size), dtype=np.int32)  # least first
+        for i in range(len(groups)):
+            high = k // radix
+            groups[i] = k - high * radix
+            k = high
+        fixed = np.ones(rows.size, dtype=np.uint8)
+        for _ in range(r - 1):
+            groups = table.take(groups)
+            image = groups[-1]
+            for group in groups[-2::-1]:
+                image = image * radix + group
+            image = image + base
+            np.minimum(least, image, out=least)
+            fixed += image == rows
+        np.floor_divide(r, fixed, out=lengths[block])
+    return canon, lengths
 
 
 def _hadamard(f: np.ndarray, r: int) -> np.ndarray:

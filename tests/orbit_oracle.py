@@ -4,8 +4,11 @@ orbit_representatives builds one element per G1-orbit, row by row in the
 numbering of spectrum.orbit_row_map, from nested sums over Teichmuller
 digits.  orbit_row_oracle finds the orbit of an element by dividing out its
 leading Teichmuller digit (from ring_oracle.padic_coords) with RingElement
-multiplication, then looking the quotient up among those rows.  Neither
-shares code with the vectorised digit-ratio map or its inverse,
+multiplication, then looking the quotient up among those rows.
+twisted_rows finds the row of gamma times each representative in a table
+of the row of every element, each row times each Teichmuller unit; its
+products come from matrices whose columns are RingElement products.  None
+of it shares code with the vectorised digit-ratio map or its inverse,
 spectrum.orbit_digits.
 """
 
@@ -65,7 +68,34 @@ def orbit_row_oracle(ctx):
     return row
 
 
+def multiplication_by(a):
+    """(r, r) int64 matrix of b -> a*b on coefficient vectors: column i is
+    the RingElement product a * x^i."""
+    ctx = a.ctx
+    cols = [(a * ctx.element([0] * i + [1])).coeffs for i in range(ctx.r)]
+    return np.array(cols, dtype=np.int64).T
+
+
+def twisted_rows(ctx, gamma):
+    """Row of gamma * rep(k) for each row k of orbit_representatives(ctx),
+    read off the row of every element: each row times each Teichmuller
+    unit covers the ring."""
+    digits, _ = orbit_representatives(ctx)
+    rows = np.arange(len(digits))
+    table = np.full(ctx.size, -1, dtype=np.int64)
+    for unit in ctx.teichmuller_units:
+        table[ctx.indices_from_digits(digits @ multiplication_by(unit).T % ctx.q)] = rows
+    assert (table >= 0).all(), "the orbits do not cover the ring"
+    gamma_reps = digits @ multiplication_by(gamma).T % ctx.q
+    return table[ctx.indices_from_digits(gamma_reps)]
+
+
 def vertex_distances(spec, dist):
-    """Per-orbit distances expanded to one distance per vertex."""
-    row = orbit_row_oracle(spec.ctx)
-    return [int(dist[row(spec.ctx.from_index(v))]) for v in range(spec.n)]
+    """Distances from bfs_distances(spec), entry k that of gamma * O_k,
+    expanded to one distance per vertex: v lies in gamma * O_k for k the row
+    of gamma^-1 v, gamma^-1 = gamma^(|R^x| - 1)."""
+    ctx = spec.ctx
+    units = ctx.p ** ((ctx.e - 1) * ctx.r) * (ctx.p**ctx.r - 1)
+    inverse = spec.gamma ** (units - 1)
+    row = orbit_row_oracle(ctx)
+    return [int(dist[row(inverse * ctx.from_index(v))]) for v in range(spec.n)]

@@ -12,6 +12,7 @@ import bfs_oracle
 import pair_sum_oracle
 from char_sum_oracle import character_sum
 from connection_oracle import neighbors
+from orbit_oracle import twisted_rows
 from residue_oracle import residue_partition
 from ring_oracle import padic_coords
 from spectrum_oracle import make_spectrum, oracle_spectrum
@@ -372,16 +373,28 @@ def test_bfs_sphere_sizes_frozen(key):
 @pytest.mark.parametrize("key", BFS_ORACLE_KEYS)
 def test_bfs_distances_match_oracle(key):
     # covers bottom-up levels whose last chunk leaves rows without a parent:
-    # on (2, 4, 5) the 50 rows at distance 6 find none at distance 4
+    # on (2, 4, 5) the 50 rows at distance 6 find none at distance 4; entry
+    # k is the distance to gamma * O_k, the oracle's at the row of gamma * rep(k)
     ctx = make_ring(RingParams(*key))
     for gamma in (ctx.one, random_unit(ctx, sum(key))):
         spec = build_graph(ctx, gamma)
-        assert np.array_equal(bfs_distances(spec), bfs_oracle.bfs_distances(spec))
+        want = bfs_oracle.bfs_distances(spec)[twisted_rows(ctx, gamma)]
+        assert np.array_equal(bfs_distances(spec), want)
+
+
+@pytest.mark.parametrize("key", BFS_ORACLE_KEYS)
+def test_bfs_diameter_within_teichmuller_bound(key):
+    # x = sum t_i p^i over Teichmuller digits t_i, and p^i t_i is a sum of
+    # p^i elements of S1, so no vertex is further than D_T = (p^e - 1)/(p - 1)
+    p, e, _ = key
+    dist = bfs_distances(graph_for(*key))
+    assert (dist >= 0).all() and dist.max() <= (p**e - 1) // (p - 1)
 
 
 def test_bfs_work_guard(monkeypatch):
-    # rows mapped, not seconds: the bottom-up levels stop each row at its
-    # first parent, where mapping every neighbour of (2, 4, 5) takes ~0.85 M
+    # rows mapped, not seconds: the search holds one row per Frobenius
+    # cycle and the bottom-up levels stop each row at its first parent,
+    # where mapping every neighbour of (2, 4, 5) takes ~0.85 M
     spec = graph_for(2, 4, 5)
     mapped = []
     row_map = analysis.orbit_row_map
@@ -397,7 +410,7 @@ def test_bfs_work_guard(monkeypatch):
 
     monkeypatch.setattr(analysis, "orbit_row_map", counting)
     bfs_distances(spec)
-    assert 0 < sum(mapped) <= 200_000
+    assert 0 < sum(mapped) <= 34_000  # 32 586, one least row per Frobenius cycle
 
 
 def test_bfs_block_budget(monkeypatch):
@@ -420,12 +433,13 @@ def test_bfs_block_budget(monkeypatch):
     assert sizes and max(sizes) <= BLOCK_PAIRS
 
 
-@pytest.mark.parametrize("key, mib", [((2, 4, 5), 3), ((2, 2, 16), 24)])
+@pytest.mark.parametrize("key, mib", [((2, 4, 5), 2), ((2, 2, 16), 10)])
 def test_bfs_memory(key, mib):
-    # blocks of BLOCK_PAIRS digits, and on GR(4, 4^16), where one row's
-    # d * r = 2.1 M digits exceed that, the map's own walk over them: 2.0
-    # and 18.1 MiB with the ring's cached lookup tables built on this call;
-    # blocks of BLOCK_PAIRS neighbours, mapped at once, took 6.4 and 42.8
+    # blocks of at most BLOCK_PAIRS digits, also on GR(4, 4^16), where one
+    # row's d * r = 2.1 M digits are split by columns: 1.8 and 8.8 MiB with
+    # the ring's cached lookup tables (6.3 MiB on GR(4, 4^16)) built on this
+    # call; one row's block at a time took 2.0 and 18.1, and blocks of
+    # BLOCK_PAIRS neighbours, mapped at once, 6.4 and 42.8
     spec = graph_for(*key)
     tracemalloc.start()
     try:

@@ -410,8 +410,10 @@ def test_bfs_distances_property(key, seed, data):
     spec = build_graph(ctx, gamma)
     ref = nx.single_source_shortest_path_length(as_networkx(spec), 0)
     dist = bfs_distances(spec)
+    # entry k is the distance to gamma * O_k, read at gamma * rep(k)
     reps, _ = orbit_representatives(ctx)
-    assert dist.tolist() == [ref.get(int(v), -1) for v in ctx.indices_from_digits(reps)]
+    twisted = [(gamma * ctx.element(rep)).index for rep in reps.tolist()]
+    assert dist.tolist() == [ref.get(v, -1) for v in twisted]
     # each orbit but zero's holds p^r - 1 vertices at the same distance
     weights = np.where(np.arange(len(dist)) == 0, 1, ctx.p**ctx.r - 1)
     reached = dist >= 0

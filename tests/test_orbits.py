@@ -1,7 +1,8 @@
 """The G1-orbit reduction behind full_spectrum, wcu, bhk and the BFS: the
 zeta transform against the row sweep of tests/zeta_oracle.py, the checks
 against a brute-force sweep of that kernel over every ring element, and
-the orbit numbering and its inverse against tests/orbit_oracle.py."""
+the orbit numbering and its inverse against tests/orbit_oracle.py, and the
+Frobenius cycles of that numbering against tests/ring_oracle.py."""
 
 import dataclasses
 import functools
@@ -13,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import bfs_oracle
 from orbit_oracle import orbit_representatives, orbit_row_oracle
 from residue_oracle import residue_partition
-from ring_oracle import padic_coords
+from ring_oracle import frobenius, padic_coords
 from spectrum_oracle import ORACLE_TOL, group_values
 from test_acceptance import WCU_LIMIT, _instances
 from test_analysis import BFS_ORACLE_KEYS
+from test_cayley import RINGS_UP_TO_2_12
 from zeta_oracle import character_sums, row_zeta_sums, trace_basis_matrix
 from grcayley import (
     IntegrityError,
@@ -251,6 +254,58 @@ def test_full_spectrum_rejects_xi_unstable_connection_set():
     # full_spectrum reads only d of S; d = 2 is not the ring's 14
     with pytest.raises(IntegrityError, match="moment"):
         full_spectrum(unstable)
+
+
+def test_bfs_rejects_connection_set_not_headed_by_gamma():
+    # S = +-G1 is xi-stable, but it is +-gamma*G1 only for gamma in +-G1, so
+    # searching gamma^-1 S as +-G1 would search the wrong graph; a third
+    # orbit after the heads gamma and -gamma leaves no room for +-G1 either
+    for key in ((2, 2, 3), (3, 2, 2)):
+        ctx = make_ring(RingParams(*key))
+        plain = build_graph(ctx)
+        gamma = ctx.element([1, 1])
+        assert is_unit(gamma)
+        three = np.vstack([build_graph(ctx, gamma).s_digits, plain.s_digits])
+        for spec in (
+            dataclasses.replace(plain, gamma=gamma),
+            dataclasses.replace(
+                plain, gamma=gamma, d=len(three), s_digits=three,
+                s_indices=ctx.indices_from_digits(three),
+            ),
+        ):
+            analysis._require_xi_stable(spec)
+            for check in (bfs_distances, connectivity):
+                with pytest.raises(IntegrityError, match="gamma"):
+                    check(spec)
+
+
+@pytest.mark.parametrize("key", RINGS_UP_TO_2_12)
+def test_frobenius_cycles_match_scalar_images(key):
+    # the least row and the cycle length over sigma^i(rep(k)), i < r, from
+    # the definitional Frobenius and the scalar orbit lookup
+    ctx = make_ring(RingParams(*key))
+    digits, _ = orbit_representatives(ctx)
+    row = orbit_row_oracle(ctx)
+    cycles = [
+        {row(frobenius(ctx.element(rep), i)) for i in range(ctx.r)} for rep in digits.tolist()
+    ]
+    canon, lengths = spectrum.frobenius_cycles(ctx)
+    assert canon.dtype == np.int32 and lengths.dtype == np.uint8
+    assert canon.tolist() == [min(cycle) for cycle in cycles]
+    assert lengths.tolist() == [len(cycle) for cycle in cycles]
+
+
+@pytest.mark.parametrize("key", RINGS_UP_TO_2_12)
+def test_oracle_distances_constant_on_frobenius_cycles(key):
+    # sigma fixes 0 and maps +-G1 onto itself, an automorphism of the
+    # untwisted graph, which the oracle's distances must reflect
+    spec = build_graph(make_ring(RingParams(*key)))
+    ctx = spec.ctx
+    digits, _ = orbit_representatives(ctx)
+    row = orbit_row_oracle(ctx)
+    dist = bfs_oracle.bfs_distances(spec)
+    images = [row(frobenius(ctx.element(rep))) for rep in digits.tolist()]
+    assert np.array_equal(dist[images], dist)
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)
