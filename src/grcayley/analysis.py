@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .cayley import (
-    BLOCK_PAIRS, GraphSpec, _in_sorted, _sorted_image, spectral_interval_bound
+    BLOCK_PAIRS, GraphSpec, _in_sorted, _require_connection_set, spectral_interval_bound
 )
 from .errors import IntegrityError, ParameterError, SizeError
 from .ring import (
@@ -219,25 +219,10 @@ def girth(spec: GraphSpec) -> int:
 
     For a, b in S with b != +-a an abelian Cayley graph has the square
     0, a, a + b, b.  Such a pair exists once d >= 3, since S = -S, so the
-    girth is never above 4.  With d <= 2 the pair sums need not close any
-    cycle of length 3 or 4, and IntegrityError is raised.
+    girth is never above 4; triangle_count admits only the connection sets
+    of build_graph, whose d is at least 6.
     """
-    if spec.d <= 2:
-        raise IntegrityError(
-            f"with d = {spec.d} the pair sums need not close a cycle of length 3 or 4"
-        )
     return 3 if triangle_count(spec) else 4
-
-
-def _require_xi_stable(spec: GraphSpec) -> None:
-    """Raise IntegrityError unless xi*S = S, the G1-stability every orbit
-    reduction needs; xi is a unit, so it holds exactly when both sort the same.
-    The image of S is formed and indexed one block at a time."""
-    ctx = spec.ctx
-    by_xi = _multiplication_matrix(ctx.xi).T
-    image = _sorted_image(ctx, spec.s_digits, lambda rows: _matmul_mod(rows, by_xi, ctx.q))
-    if (image != np.sort(spec.s_indices)).any():
-        raise IntegrityError("connection set is not closed under multiplication by xi")
 
 
 def triangle_count(spec: GraphSpec) -> int:
@@ -254,11 +239,11 @@ def triangle_count(spec: GraphSpec) -> int:
     -gamma for p = 2, gamma for odd p.  The pairs number p^r - 1 times the
     (h, s_j) over those heads.  Each triangle has 3 vertices and 2 orders,
     hence n * count / 6.  The sums are formed one block of BLOCK_PAIRS
-    digits at a time.  Raises IntegrityError when S is not closed under
-    multiplication by xi.
+    digits at a time.  Raises IntegrityError unless S is the connection set
+    of build_graph (_require_connection_set).
     """
     ctx, s = spec.ctx, spec.s_digits
-    _require_xi_stable(spec)
+    _require_connection_set(spec)
     orbit = ctx.p**ctx.r - 1
     table = np.sort(spec.s_indices)
     hits = 0
@@ -273,23 +258,6 @@ def triangle_count(spec: GraphSpec) -> int:
     return total // 6
 
 
-def _require_gamma_g1(spec: GraphSpec) -> None:
-    """Raise IntegrityError unless gamma^-1 S = +-G1 (G1 for odd p): S is
-    xi-stable (_require_xi_stable), has d = 2(p^r - 1) rows (p^r - 1 for odd
-    p), and its heads, rows 0 and p^r - 1, are gamma and -gamma (row 0 alone,
-    gamma, for odd p).  S is then a union of G1-orbits with multiplicities
-    that holds the orbits of gamma and -gamma, disjoint for p = 2, and has
-    no room for more."""
-    _require_xi_stable(spec)
-    ctx = spec.ctx
-    orbit = ctx.p**ctx.r - 1
-    gamma = np.array(spec.gamma.coeffs)
-    heads = np.array([gamma, -gamma % ctx.q] if ctx.p == 2 else [gamma])
-    d = len(heads) * orbit
-    if spec.d != d or len(spec.s_digits) != d or (spec.s_digits[::orbit] != heads).any():
-        raise IntegrityError("connection set is not +-gamma*G1 headed by gamma and -gamma")
-
-
 def bfs_distances(spec: GraphSpec) -> np.ndarray:
     """Distance from vertex 0 to gamma*O_k for each G1-orbit O_k, one int32
     per orbit row k in orbit_row_map's numbering, -1 where unreachable; for
@@ -297,7 +265,7 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
 
     x -> gamma^-1 x is an isomorphism from Cay(R, S), S = +-gamma*G1, onto
     Cay(R, S1), S1 = +-G1 (G1 for odd p), that fixes 0, so the search runs
-    on the untwisted graph; _require_gamma_g1 checks gamma^-1 S = S1 first.
+    on the untwisted graph; _require_connection_set checks gamma^-1 S = S1 first.
     Multiplication by a Teichmuller unit and the Frobenius sigma both fix 0
     and map S1 onto itself, so the distance is constant on each sigma-cycle
     of orbits, and the search holds one row per cycle, its least row
@@ -324,12 +292,12 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
     reads no distance but those of the previous level, so the blocks give
     the same distances in any order.  The search stops once the reached
     rows hold all n vertices, and each row then takes the distance of its
-    cycle's least row.  Raises IntegrityError unless gamma^-1 S = S1, and
-    SizeError before allocating when the orbit rows exceed
-    spectrum.ORBIT_CUTOFF.
+    cycle's least row.  Raises IntegrityError unless S is the connection
+    set of build_graph (_require_connection_set), and SizeError before
+    allocating when the orbit rows exceed spectrum.ORBIT_CUTOFF.
     """
     ctx = spec.ctx
-    _require_gamma_g1(spec)
+    _require_connection_set(spec)
     d, r, q, orbit = spec.d, ctx.r, ctx.q, ctx.p**ctx.r - 1
     count = (ctx.size - 1) // orbit + 1
     if count > _spectrum.ORBIT_CUTOFF:
@@ -535,11 +503,14 @@ def verify_graph(
     checks: Optional[Sequence[str]] = None,
 ) -> dict:
     """Run the selected claims of CLAIMS, all by default, and assemble the
-    JSON-ready report.  One zeta_sums transform serves the spectrum, wcu
-    and bhk; it runs only when one of them is selected, and the spectrum is
-    built, and summarised, only for a claim of SPECTRUM_CLAIMS."""
+    JSON-ready report; an empty selection raises ParameterError.  One
+    zeta_sums transform serves the spectrum, wcu and bhk; it runs only when
+    one of them is selected, and the spectrum is built, and summarised,
+    only for a claim of SPECTRUM_CLAIMS."""
     ctx = spec.ctx
     selected = sorted(set(DEFAULT_CHECKS if checks is None else checks))
+    if not selected:
+        raise ParameterError("no checks selected: a report would claim nothing")
     unknown = [c for c in selected if c not in CLAIMS]
     if unknown:
         raise ParameterError(f"unknown checks: {unknown}")

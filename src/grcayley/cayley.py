@@ -44,8 +44,12 @@ from .ring import (
 @dataclass(frozen=True, eq=False)
 class GraphSpec:
     """A built graph: context, twist gamma, and the connection set as flat
-    indices s_indices and (d, r) int32 digit rows s_digits, in the same order:
-    gamma*xi^k for k = 0..p^r-2, then -gamma*xi^k when p = 2."""
+    indices s_indices and (d, r) int32 digit rows s_digits, in the same order.
+
+    The row order is a contract that the orbit algorithms read and
+    _require_connection_set checks: row k is gamma*xi^k for k = 0..p^r-2,
+    and for p = 2 row p^r - 1 + k is -gamma*xi^k, so gamma^-1 S = +-G1 (G1
+    for odd p) row by row."""
 
     ctx: RingContext
     gamma: RingElement
@@ -102,13 +106,20 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
     return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
 
 
-def _sorted_image(ctx: RingContext, digits: np.ndarray, f) -> np.ndarray:
-    """Sorted flat indices of f(rows), mapped one block of digit rows at a time."""
-    out = np.empty(len(digits), dtype=np.int64)
-    for block in _row_blocks(len(digits), ctx.r):
-        out[block] = ctx.indices_from_digits(f(digits[block]))
-    out.sort()
-    return out
+def _require_connection_set(spec: GraphSpec) -> None:
+    """Raise IntegrityError unless d and the digit rows are those build_graph
+    writes (GraphSpec): gamma*G1 = teich_digits @ M(gamma)^T mod q, then its
+    negation for p = 2, compared a block of rows at a time.  Such an S is
+    xi-stable and gamma^-1 S = +-G1 (G1 for odd p), as the orbit algorithms need."""
+    ctx, q, h = spec.ctx, spec.ctx.q, len(spec.ctx.teich_digits)
+    half, rest = spec.s_digits[:h], spec.s_digits[h:]
+    by_gamma = _multiplication_matrix(spec.gamma).T
+    if spec.d != len(spec.s_digits) or len(rest) != (h if ctx.p == 2 else 0) or any(
+        not np.array_equal(_matmul_mod(ctx.teich_digits[rows], by_gamma, q), half[rows])
+        or (ctx.p == 2 and not np.array_equal(_negate(half[rows], q), rest[rows]))
+        for rows in _row_blocks(h, ctx.r)
+    ):
+        raise IntegrityError("connection set rows are not gamma*xi^k, then -gamma*xi^k for p = 2")
 
 
 def _negate(digits: np.ndarray, q: int, out: Optional[np.ndarray] = None) -> np.ndarray:

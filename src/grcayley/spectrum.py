@@ -358,48 +358,51 @@ def full_spectrum(spec: GraphSpec, zeta: Optional[ZetaSums] = None) -> Spectrum:
     given as zeta.
 
     Each nonzero orbit's eigenvalue, 2 Re zeta for p = 2 and zeta for odd
-    p, counts once per element of the orbit, after d once for beta = 0; of
-    the connection set only d is read.
+    p, counts p^r - 1 times, once per element of the orbit, after d once for
+    beta = 0; of the connection set only d is read.  The eigenvalues are
+    sorted in place and grouped by _merge_numeric.
     Exact for p^e = 4 (int64 moments: n*d < 2^49), tolerance MERGE_TOL and
     at most 2^24 vertices otherwise.  Raises IntegrityError when the moments
     disagree with n and d by more than tol*n*d.
     """
     _require_spectrum_size(spec)
     ctx = spec.ctx
-    n, d = spec.n, spec.d
+    n, d, weight = spec.n, spec.d, ctx.p**ctx.r - 1
     tol = 0 if ctx.q == 4 else MERGE_TOL
     blocks = zeta_sums(ctx) if zeta is None else zeta
     eig = np.concatenate([[d]] + [2 * re if ctx.p == 2 else re for re, _ in blocks])
-    weights = np.full(eig.size, ctx.p**ctx.r - 1)
-    weights[0] = 1
-    first = eig @ weights
-    second = (eig * eig) @ weights
+    first = weight * (eig.sum() - d) + d
+    second = weight * (eig @ eig - d * d) + d * d
     if abs(first) > tol * n * d or abs(second - n * d) > tol * n * d:
         raise IntegrityError(
             f"moment check failed: sum {first}, sum of squares {second} != {n * d}"
         )
-    return Spectrum(*_merge_numeric(eig, tol, weights), n=n, d=d)
+    eig.sort()
+    return Spectrum(*_merge_numeric(eig, tol, weight, d), n=n, d=d)
 
 
 def _merge_numeric(
-    values: np.ndarray, tol: float, weights: np.ndarray
+    values: np.ndarray, tol: float, weight: int, d: Union[int, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group sorted values whose consecutive gaps stay within tol, each value
-    counting weights[i] times, as (values, total weights), descending.
+    """Group ascending values whose consecutive gaps stay within tol, each
+    value counting weight times but for one entry equal to d, which counts
+    once, as (values, total counts), descending.
 
-    A group's value is the one value it holds when tol is 0, else its
-    weighted mean; bincount sums each group in ascending order, as a loop
-    would.  The sort need not be stable: in full_spectrum's input equal
-    values carry equal weights p^r - 1, but for d, whose products with its
-    weight are exact integers, so the order of equal values changes no bit.
+    A group's count is its run length times weight, less weight - 1 in the
+    group of d, so no per-value weight or sort order is built.  A group's
+    value is the one value it holds when tol is 0, else its weighted mean:
+    bincount sums the products value * weight (d * 1 at the first entry
+    equal to d) of each group in ascending order, as a loop would.
     """
-    order = np.argsort(values)
-    values, weights = values[order], weights[order]
     first = np.concatenate(([True], np.diff(values) > tol))
     starts = np.flatnonzero(first)
-    mults = np.add.reduceat(weights, starts)
+    mults = np.diff(starts, append=values.size) * weight
+    at = np.searchsorted(values, d)
+    mults[np.searchsorted(starts, at, side="right") - 1] -= weight - 1
     if tol:
-        values = np.bincount(np.cumsum(first) - 1, values * weights) / mults
+        products = values * weight
+        products[at] = values[at]
+        values = np.bincount(np.cumsum(first), products)[1:] / mults
     else:
         values = values[starts]
     return values[::-1], mults[::-1]

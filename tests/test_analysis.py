@@ -453,14 +453,15 @@ def test_bfs_memory(key, mib):
 
 def test_girth_without_short_cycle_raises():
     # S = {1, -1} in GR(8, 8^2) spans 8-cycles, so no pair sum closes a
-    # triangle or a square; build_graph never builds a set this small
+    # triangle or a square; build_graph never builds a set this small, and
+    # the check of its rows, run by triangle_count, rejects it
     spec = graph_for(2, 3, 2)
     ctx = spec.ctx
     pair = (ctx.one, -ctx.one)
     idx = np.array([s.index for s in pair], dtype=np.int64)
     cycle = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
     assert pair_sum_oracle.girth(cycle) is None
-    with pytest.raises(IntegrityError, match="pair sums"):
+    with pytest.raises(IntegrityError, match="xi"):
         girth(cycle)
 
 
@@ -596,6 +597,12 @@ def test_verify_graph_checks_subset(h16):
 def test_verify_graph_unknown_check(h16):
     with pytest.raises(ParameterError):
         verify_graph(h16, checks=["interval", "nope"])
+
+
+def test_verify_graph_rejects_empty_selection(h16):
+    # a report with no claims would read as a verify that passed
+    with pytest.raises(ParameterError, match="no checks"):
+        verify_graph(h16, checks=[])
 
 
 def test_verify_graph_calls_checks_through_module_attributes(monkeypatch):

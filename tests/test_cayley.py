@@ -1,5 +1,6 @@
 """Graph construction, neighbours, export format, and families."""
 
+import dataclasses
 import io
 import logging
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from connection_oracle import connection_rows, connection_set, neighbors
 import export_oracle
 from orbit_oracle import orbit_representatives, vertex_distances
+from test_acceptance import WCU_LIMIT, _instances
 
 from grcayley import (
     ContextMismatchError,
@@ -121,6 +123,32 @@ def test_build_graph_integrity_failures(monkeypatch, key, edit, message):
     monkeypatch.setattr(ctx, "teich_digits", edit(ctx.teich_digits))
     with pytest.raises(IntegrityError, match=message):
         build_graph(ctx)
+
+
+def test_connection_set_check_passes_every_built_graph():
+    # the rows build_graph writes are the rows _require_connection_set
+    # expects, for a random unit gamma on every catalog ring
+    for key in _instances(WCU_LIMIT):
+        ctx = make_ring(RingParams(*key))
+        cayley._require_connection_set(build_graph(ctx, random_unit(ctx, sum(key))))
+
+
+@pytest.mark.parametrize("key", [(2, 2, 3), (3, 2, 2)])
+def test_connection_set_check_rejects_rows_permuted_in_orbit(key):
+    # rows 1 and 2 of gamma*G1, and of -gamma*G1 for p = 2, swapped: the
+    # same set, xi-stable and headed by gamma and -gamma, but not the row
+    # order that the BFS and triangle_count read
+    ctx = make_ring(RingParams(*key))
+    spec = build_graph(ctx, random_unit(ctx, sum(key)))
+    order = np.arange(spec.d)
+    for head in range(0, spec.d, ctx.p**ctx.r - 1):
+        order[head + 1 : head + 3] = head + 2, head + 1
+    permuted = dataclasses.replace(
+        spec, s_digits=spec.s_digits[order], s_indices=spec.s_indices[order]
+    )
+    for check in (cayley._require_connection_set, bfs_distances, triangle_count):
+        with pytest.raises(IntegrityError, match="xi"):
+            check(permuted)
 
 
 def test_setup_and_default_verify_build_no_unit_elements():

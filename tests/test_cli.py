@@ -280,6 +280,16 @@ def test_verify_unknown_check(capsys):
     assert err.startswith("error:")
 
 
+def test_verify_empty_check_list(capsys):
+    # "--checks ," names no check: exit 2 and no report, not an empty pass
+    code, out, err = run_cli(
+        capsys, ["verify", "-p", "2", "-e", "2", "-r", "2", "--checks", ","]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no checks")
+
+
 def test_verify_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(

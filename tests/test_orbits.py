@@ -38,7 +38,7 @@ from grcayley import (
     make_ring,
     triangle_count,
 )
-from grcayley import analysis, ring, spectrum
+from grcayley import analysis, cayley, ring, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import parse_coeff_string
 from grcayley.spectrum import (
@@ -242,13 +242,14 @@ def test_orbit_wcu_and_bhk_match_sweep(key):
 
 
 def test_full_spectrum_rejects_xi_unstable_connection_set():
-    # {1, -1} is negation-closed but not closed under multiplication by xi
+    # {1, -1} is negation-closed but not closed under multiplication by xi,
+    # so not the connection set of build_graph
     spec = build_graph(make_ring(RingParams(2, 2, 3)))
     ctx = spec.ctx
     pair = (ctx.one, -ctx.one)
     idx = np.array([s.index for s in pair], dtype=np.int64)
     unstable = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
-    for check in (bfs_distances, connectivity, triangle_count):
+    for check in (cayley._require_connection_set, bfs_distances, connectivity, triangle_count):
         with pytest.raises(IntegrityError, match="xi"):
             check(unstable)
     # full_spectrum reads only d of S; d = 2 is not the ring's 14
@@ -259,7 +260,10 @@ def test_full_spectrum_rejects_xi_unstable_connection_set():
 def test_bfs_rejects_connection_set_not_headed_by_gamma():
     # S = +-G1 is xi-stable, but it is +-gamma*G1 only for gamma in +-G1, so
     # searching gamma^-1 S as +-G1 would search the wrong graph; a third
-    # orbit after the heads gamma and -gamma leaves no room for +-G1 either
+    # orbit after the heads gamma and -gamma leaves no room for +-G1 either.
+    # Both are xi-stable by the scalar product, and the check of the rows
+    # rejects both, so triangle_count, which needs xi-stability only, now
+    # rejects +-gamma*G1 with +-G1 adjoined too
     for key in ((2, 2, 3), (3, 2, 2)):
         ctx = make_ring(RingParams(*key))
         plain = build_graph(ctx)
@@ -273,8 +277,10 @@ def test_bfs_rejects_connection_set_not_headed_by_gamma():
                 s_indices=ctx.indices_from_digits(three),
             ),
         ):
-            analysis._require_xi_stable(spec)
-            for check in (bfs_distances, connectivity):
+            by_xi = {(ctx.element(row) * ctx.xi).index for row in spec.s_digits.tolist()}
+            assert by_xi == set(spec.s_indices.tolist())
+            checks = (cayley._require_connection_set, bfs_distances, connectivity, triangle_count)
+            for check in checks:
                 with pytest.raises(IntegrityError, match="gamma"):
                     check(spec)
 

@@ -4,6 +4,7 @@ eigensolver oracle."""
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,15 +243,14 @@ def test_degree_tolerance_only_when_numeric():
 
 @functools.lru_cache(maxsize=None)
 def merge_input(key):
-    """The (values, tol, weights) that full_spectrum groups on one ring."""
+    """The (values, tol, weight, d) that full_spectrum groups on one ring,
+    values unsorted with d first."""
     spec = graph_of(key)
     ctx = spec.ctx
     blocks = spectrum.zeta_sums(ctx)
     eig = np.concatenate([[spec.d]] + [2 * re if ctx.p == 2 else re for re, _ in blocks])
     tol = 0 if ctx.q == 4 else spectrum.MERGE_TOL
-    weights = np.full(eig.size, ctx.p**ctx.r - 1)
-    weights[0] = 1
-    return eig, tol, weights
+    return eig, tol, ctx.p**ctx.r - 1, spec.d
 
 
 # hand-built spectra sit on graphs of three sizes; check_interval reads the
@@ -320,23 +320,46 @@ def test_reductions_match_loops_property(ring, case):
 def test_merge_matches_loop_property(ring, case, data):
     # _merge_numeric against the per-group loop it replaced: the same cuts
     # and multiplicities, and numeric means within 1e-12, on the values
-    # full_spectrum groups on a ring, or on hand-built values, shuffled
+    # full_spectrum groups on a ring, or on hand-built values, shuffled,
+    # under a drawn weight with a drawn value as d; the loop reads one
+    # weight per value, 1 for the first value equal to d
     if case is None:
-        values, tol, weights = merge_input(ring)
+        values, tol, weight, d = merge_input(ring)
     else:
         _, entries, exact = case
         values = np.array([v for v, _ in entries], dtype=np.int64 if exact else np.float64)
-        weights = np.array([m for _, m in entries], dtype=np.int64)
-        order = data.draw(st.permutations(range(values.size)), label="order")
-        values, weights = values[order], weights[order]
+        values = values[data.draw(st.permutations(range(values.size)), label="order")]
+        weight = data.draw(st.integers(1, 50), label="weight")
+        d = values[data.draw(st.integers(0, values.size - 1), label="d")].item()
         tol = 0 if exact else spectrum.MERGE_TOL
-    got_values, got_mults = spectrum._merge_numeric(values, tol, weights)
+    weights = np.full(values.size, weight)
+    weights[np.flatnonzero(values == d)[0]] = 1
+    got_values, got_mults = spectrum._merge_numeric(np.sort(values), tol, weight, d)
     want = spectrum_oracle.reference_merge(values, tol, weights)
     assert got_mults.tolist() == [m for _, m in want]
     if tol:
         assert np.abs(got_values - [v for v, _ in want]).max() <= 1e-12
     else:
         assert got_values.tolist() == [v for v, _ in want]
+
+
+@pytest.mark.parametrize("key, per_value", [((2, 6, 4), 40), ((2, 2, 16), 24)])
+def test_full_spectrum_peak_per_orbit_value(key, per_value):
+    # the tracemalloc peak of grouping the orbit eigenvalues, the zeta sums
+    # given, in bytes per value: 35.0 (numeric, 1.1 M values) and 17.0
+    # (exact, 65 538 values), against 60.0 and 49.0 with a sort order and a
+    # weight per value
+    spec = build_graph(make_ring(RingParams(*key)))
+    zeta = spectrum.zeta_sums(spec.ctx)
+    values = 1 + sum(re.size for re, _ in zeta)
+    tracemalloc.start()
+    try:
+        sp = full_spectrum(spec, zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(sp.mults.sum()) == spec.n
+    assert peak <= per_value * values
 
 
 def test_spectrum_integrity_guard():
