@@ -25,9 +25,11 @@ index arrays for the vectorised kernels.
 Every (m, r) digit array the package holds or returns is int32: G1
 (teich_digits), the connection set, the rows of _matmul_mod, digits_of and
 orbit_digits.  Digits lie below q <= 2^16, so int32 holds each digit and
-any sum of two.  Flat indices and products stay wide, in int64 or in
-exact float64, and are formed one block of BLOCK_PAIRS digits at a time,
-so no (m, r) int64 array is made beyond one block.
+any sum of two.  Flat indices stay wide, in int64 or exact float64;
+digit-row products run in float32 where every sum stays below 2^24
+(r*(q - 1)^2 < 2^24) and in float64 otherwise, exact either way
+(_matmul_mod).  Both are formed one block of BLOCK_PAIRS digits at a
+time, so no (m, r) int64 or float array is made beyond one block.
 """
 
 from __future__ import annotations
@@ -383,15 +385,19 @@ class RingContext:
 
     @cached_property
     def _orbit_slots(self) -> np.ndarray:
-        """(e - 1, r, p^r) int32: column [i - 1, :, j] holds the digits of
+        """(e - 1, r, p^r) uint16: column [i - 1, :, j] holds the digits of
         p^i * b mod q for b = 0 at j = 0 and b = xi^(j-1) otherwise, the
-        terms spectrum.orbit_digits adds up."""
+        terms spectrum.orbit_digits adds up.  Digits are below q <= 2^16,
+        so uint16 holds them (2 MiB on GR(4, 4^16)); p^i * t is formed in
+        int32 one block of rows at a time."""
         p, q, r = self.p, self.q, self.r
-        slots = np.zeros((self.e - 1, r, p**r), dtype=np.int32)
+        units = self.teich_digits
+        slots = np.zeros((self.e - 1, r, p**r), dtype=np.uint16)
         for i in range(1, self.e):
-            # p^i * t < q^2 / p <= 2^31
-            np.multiply(self.teich_digits.T, p**i, out=slots[i - 1, :, 1:])
-            np.remainder(slots[i - 1], q, out=slots[i - 1])  # in place: 4 MiB on GR(4, 4^16)
+            for block in _row_blocks(len(units), r):
+                term = units[block] * p**i  # p^i * t < q^2 / p <= 2^31
+                term %= q
+                slots[i - 1, :, 1:][:, block] = term.T
         return slots
 
     @cached_property
@@ -476,23 +482,41 @@ def _matmul_mod(
     """rows @ m mod q as int32, for (k, r) digit rows and an (r, r) matrix
     below q, written into `out` when given.
 
-    The float64 product runs in BLAS (int64 would not), one block of
-    BLOCK_PAIRS digits at a time, and is reduced in float64 as
-    prod - floor(prod / q) * q, written straight into the int32 rows.  Both
-    steps are exact: every product is an integer below r*q^2 <= 2^37, so
-    prod / q, correctly rounded, is off by far less than 1/q and floors to
-    the true quotient.  (prod * (1/q) is not exact: 1/q rounds, and a
-    multiple of q can floor one below its quotient.)"""
-    m = m.astype(np.float64)
+    The product runs in BLAS (int64 would not), one block of BLOCK_PAIRS
+    digits at a time, in float32 when r*(q - 1)^2 < 2^24 and in float64
+    otherwise, and is reduced as prod - floor(prod / q) * q.  Two (block, r)
+    buffers serve every block: the cast rows, then the quotient, in one;
+    the product in the other.  Both steps are exact in either precision,
+    whose significand holds every integer below 2^t (t = 24 or 53):
+    - every partial sum of the product is an integer <= r*(q - 1)^2 < 2^t
+      (below 2^37 in float64, as q <= 2^16 and r <= 16), so it is exact
+      whatever the BLAS summation order or FMA;
+    - prod / q < 2^t / q, so its correctly rounded value errs by at most
+      2^-t * prod / q < 1/q, while the next integer above the true
+      quotient is at least 1/q away: the floor is the true quotient, and
+      quotient * q <= prod and the difference are exact.
+    (prod * (1/q) is not exact: 1/q rounds, and a multiple of q can floor
+    one below its quotient.)  float64 is kept for r = 2 rings with
+    q >= 2898, such as (2, 12, 2) and (251, 2, 2); every ring within 2^32
+    with r >= 3 stays in float32."""
+    r = len(m)
+    dtype = np.float32 if r * (q - 1) ** 2 < 1 << 24 else np.float64
+    m = m.astype(dtype)
     if out is None:
         out = np.empty(rows.shape, dtype=np.int32)
-    for block in _row_blocks(len(rows), len(m)):
-        prod = rows[block].astype(np.float64) @ m
-        quot = prod / q
+    step = max(1, BLOCK_PAIRS // r)  # as in _row_blocks
+    quot_buf = np.empty((min(len(rows), step), r), dtype=dtype)
+    prod_buf = np.empty_like(quot_buf)
+    for lo in range(0, len(rows), step):
+        dst = out[lo : lo + step]
+        quot, prod = quot_buf[: len(dst)], prod_buf[: len(dst)]
+        quot[...] = rows[lo : lo + step]  # the cast rows
+        np.matmul(quot, m, out=prod)
+        np.divide(prod, q, out=quot)
         np.floor(quot, out=quot)
         quot *= q
-        np.subtract(prod, quot, out=out[block], casting="unsafe")
-        del prod, quot  # before the next block's are formed
+        prod -= quot
+        dst[...] = prod
     return out
 
 

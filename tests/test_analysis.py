@@ -433,13 +433,14 @@ def test_bfs_block_budget(monkeypatch):
     assert sizes and max(sizes) <= BLOCK_PAIRS
 
 
-@pytest.mark.parametrize("key, mib", [((2, 4, 5), 2), ((2, 2, 16), 10)])
+@pytest.mark.parametrize("key, mib", [((2, 4, 5), 2), ((2, 2, 16), 8)])
 def test_bfs_memory(key, mib):
     # blocks of at most BLOCK_PAIRS digits, also on GR(4, 4^16), where one
-    # row's d * r = 2.1 M digits are split by columns: 1.8 and 8.8 MiB with
-    # the ring's cached lookup tables (6.3 MiB on GR(4, 4^16)) built on this
-    # call; one row's block at a time took 2.0 and 18.1, and blocks of
-    # BLOCK_PAIRS neighbours, mapped at once, 6.4 and 42.8
+    # row's d * r = 2.1 M digits are split by columns: 1.8 and 6.8 MiB with
+    # the ring's cached lookup tables (4.3 MiB on GR(4, 4^16), 2 of them the
+    # uint16 orbit slots) built on this call, so the bound leaves 1.2 MiB;
+    # int32 slots took 8.8, one row's block at a time 2.0 and 18.1, and
+    # blocks of BLOCK_PAIRS neighbours, mapped at once, 6.4 and 42.8
     spec = graph_for(*key)
     tracemalloc.start()
     try:

@@ -98,7 +98,9 @@ def random_unit(ctx, seed):
             return gamma
 
 
-@pytest.mark.parametrize("key", [(2, 2, 12), (3, 2, 7)])
+# (2, 11, 2) and (2, 12, 2) lie on either side of the float32 bound of
+# ring._matmul_mod: 2 * 2047^2 < 2^24 < 2 * 4095^2
+@pytest.mark.parametrize("key", [(2, 2, 12), (3, 2, 7), (2, 11, 2), (2, 12, 2)])
 def test_connection_set_matches_oracle_on_large_rings(key):
     ctx = make_ring(RingParams(*key))
     for gamma in (ctx.one, random_unit(ctx, sum(key))):
@@ -263,6 +265,21 @@ def test_setup_on_largest_char4_ring_stays_small():
     assert graph_peak < 24 * 2**20
     assert pairs_peak < 8 * 2**20
     assert count > 0
+
+
+def test_twisted_connection_set_on_largest_char4_ring():
+    # GR(4, 4^16) with gamma = 3 + x: the 65 535 rows of gamma*G1, a float32
+    # product in blocks, against an int64 product with the rows gamma * x^j,
+    # each formed by one scalar RingElement product
+    ctx = make_ring(RingParams(2, 2, 16))
+    gamma = ctx.element([3, 1])
+    spec = build_graph(ctx, gamma)
+    by_gamma = np.array([(gamma * ctx.element([0] * j + [1])).coeffs for j in range(ctx.r)])
+    half = ctx.teich_digits.astype(np.int64) @ by_gamma % ctx.q
+    h = len(half)
+    assert spec.s_digits.dtype == np.int32
+    assert np.array_equal(spec.s_digits[:h], half)
+    assert np.array_equal(spec.s_digits[h:], -half % ctx.q)
 
 
 def test_export_on_large_q_ring_keeps_first_block_small():

@@ -464,43 +464,61 @@ def test_matmul_mod_exact_at_largest_moduli_property(key, data):
 
 
 def test_matmul_mod_across_blocks_into_out():
-    # 3 * BLOCK_PAIRS // r + 5 rows: four blocks, the last one partial
-    p, e, r = 2, 16, 2
-    q = p**e
+    # 3 * BLOCK_PAIRS // r + 5 rows: four blocks, the last one partial, in
+    # float64 (q = 2^16, r = 2) and in float32 (q = 2^10, r = 16)
     rng = np.random.default_rng(7)
-    rows = rng.integers(0, q, (3 * ring.BLOCK_PAIRS // r + 5, r)).astype(np.int32)
-    rows[-1] = q - 1
-    m = np.full((r, r), q - 1, dtype=np.int64)
-    m[0, 1] = 12345
-    out = np.full(rows.shape, -1, dtype=np.int32)
-    assert ring._matmul_mod(rows, m, q, out=out) is out
-    assert np.array_equal(out, rows.astype(np.int64) @ m % q)
+    for q, r in [(2**16, 2), (2**10, 16)]:
+        rows = rng.integers(0, q, (3 * ring.BLOCK_PAIRS // r + 5, r)).astype(np.int32)
+        rows[-1] = q - 1
+        m = np.full((r, r), q - 1, dtype=np.int64)
+        m[0, 1] = 12345 % q
+        out = np.full(rows.shape, -1, dtype=np.int32)
+        assert ring._matmul_mod(rows, m, q, out=out) is out
+        assert out.dtype == np.int32
+        assert np.array_equal(out, rows.astype(np.int64) @ m % q)
 
 
-@pytest.mark.parametrize("q,r", [(2**16, 16), (251**2, 2)])
+# r*(q - 1)^2 against 2^24, where the product leaves float32 for float64:
+# (1024, 16) is the float32 edge, 16 * 1023^2 = 16 744 464, and (2048, 16),
+# (3125, 2), (2^16, 16) and (251^2, 2) lie above it, (2197, 2) below
+@pytest.mark.parametrize(
+    "q,r", [(2**16, 16), (251**2, 2), (1024, 16), (2048, 16), (2197, 2), (3125, 2)]
+)
 def test_matmul_mod_at_top_digits(q, r):
     # all-(q - 1) rows and matrices give the largest product, r*(q - 1)^2
-    # (2^36 at q = 2^16, r = 16), which the float64 reduction must still
-    # take mod q exactly; random rows fill three blocks, the last partial
+    # (2^36 at q = 2^16, r = 16), which the reduction must still take mod q
+    # exactly; random rows fill three blocks, the last partial, and a call
+    # on a few rows runs one partial block
     rng = np.random.default_rng(q)
     rows = rng.integers(0, q, (2 * ring.BLOCK_PAIRS // r + 3, r)).astype(np.int32)
     rows[::5] = q - 1
     for m in (np.full((r, r), q - 1), rng.integers(0, q, (r, r))):
-        got = ring._matmul_mod(rows, m, q)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, rows.astype(np.int64) @ m % q)
+        want = rows.astype(np.int64) @ m % q
+        for k in (len(rows), 7):
+            got = ring._matmul_mod(rows[:k], m, q)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want[:k])
 
 
 def test_matmul_mod_on_multiples_of_q():
-    # q = 49: every pair of digits against q - 1 and 1 sums to every
-    # multiple of q up to 48 * 49, each of which must reduce to 0 (rounding
-    # prod * (1/q) in place of prod / q floors some of them one too low)
-    q = 49
-    rows = np.stack(np.meshgrid(np.arange(q), np.arange(q)), axis=-1).reshape(-1, 2)
-    m = np.array([[q - 1, 1], [1, q - 1]])
-    got = ring._matmul_mod(rows.astype(np.int32), m, q)
-    assert np.array_equal(got, rows @ m % q)
-    assert (got == 0).sum() == 2 * q  # the rows a = b, in both columns
+    # rows (a, b, q - 1, ..., q - 1) against rows q - 1, 1, q - 1, ... of m:
+    # each column sums to a(q - 1) + b + (r - 2)(q - 1)^2 = b - a + r - 2
+    # mod q, so b = a - (r - 2) + delta, delta = -1, 0, 1, gives q multiples
+    # of q and the integers beside them.  q = 121 runs in float32 and 3721
+    # in float64; at each, rounding prod * (1/q) in place of prod / q
+    # floors some of the multiples one too low
+    for q in (121, 3721):
+        a = np.tile(np.arange(q), 3)
+        delta = np.repeat([-1, 0, 1], q)
+        for r in (2, 16):
+            rows = np.full((3 * q, r), q - 1, dtype=np.int32)
+            rows[:, 0] = a
+            rows[:, 1] = (a - (r - 2) + delta) % q
+            m = np.full((r, r), q - 1)
+            m[1] = 1
+            got = ring._matmul_mod(rows, m, q)
+            assert np.array_equal(got, rows.astype(np.int64) @ m % q)
+            assert np.array_equal(got, np.repeat(delta % q, r).reshape(-1, r))
 
 
 def test_coeff_string_roundtrip(ctx22):
