@@ -1,18 +1,15 @@
 """Cayley graphs on Galois ring additive groups, exact spectra, and claim checks."""
 
 from .errors import (
-    ContextMismatchError,
     GrCayleyError,
     IntegrityError,
     ModulusError,
     ParameterError,
-    RangeError,
     SizeError,
 )
 from .ring import (
     ModulusPoly,
     RingContext,
-    RingElement,
     RingParams,
     find_basic_irreducible,
     is_unit,
@@ -43,16 +40,13 @@ from .analysis import (
 
 __all__ = [
     "ClaimReport",
-    "ContextMismatchError",
     "GrCayleyError",
     "GraphSpec",
     "IntegrityError",
     "ModulusError",
     "ModulusPoly",
     "ParameterError",
-    "RangeError",
     "RingContext",
-    "RingElement",
     "RingParams",
     "SizeError",
     "Spectrum",

@@ -24,7 +24,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .errors import ContextMismatchError, IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError
 from .ring import (
     BLOCK_PAIRS,
     MAX_RING_SIZE,
@@ -41,6 +41,11 @@ from .ring import (
 )
 
 
+# the most decimal digits of n a family row prints: Python's default
+# limit on int-to-str conversion (sys.get_int_max_str_digits)
+FAMILY_MAX_DIGITS = 4300
+
+
 @dataclass(frozen=True, eq=False)
 class GraphSpec:
     """A built graph: context, twist gamma, and the connection set as flat
@@ -49,7 +54,8 @@ class GraphSpec:
     The row order is a contract that the orbit algorithms read and
     _require_connection_set checks: row k is gamma*xi^k for k = 0..p^r-2,
     and for p = 2 row p^r - 1 + k is -gamma*xi^k, so gamma^-1 S = +-G1 (G1
-    for odd p) row by row."""
+    for odd p) row by row.  gamma stays a RingElement record because
+    perfbench/check.py reads spec.gamma.coeffs."""
 
     ctx: RingContext
     gamma: RingElement
@@ -60,12 +66,13 @@ class GraphSpec:
 
 
 def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphSpec:
-    """Construct Cay(GR+, gamma*G1 (union -gamma*G1 for p = 2))."""
+    """Construct Cay(GR+, gamma*G1 (union -gamma*G1 for p = 2)).  gamma is a
+    RingElement, not digits, also because perfbench/workloads.py passes one."""
     start = time.perf_counter()
     if gamma is None:
         gamma = ctx.one
     if gamma.ctx.key != ctx.key:
-        raise ContextMismatchError("gamma belongs to a different ring")
+        raise ParameterError("gamma belongs to a different ring")
     if not is_unit(gamma):
         raise ParameterError(
             f"gamma = {coeff_string(gamma)} is not a unit; a zero-divisor "
@@ -292,7 +299,9 @@ def family_params(p: int, delta: Union[Fraction, str, int], r: int) -> dict:
 
     delta must be a rational in (0, 1/2] and delta*r an integer >= 2.
     Returns p, e, r, n, d and the eigenvalue bound; `params` is a ready
-    RingParams when the ring fits the supported size, else None.
+    RingParams when the ring fits the supported size, else None.  Raises
+    ParameterError when n has more than FAMILY_MAX_DIGITS decimal digits
+    or the bound is not a finite float.
     """
     _require_prime(p)
     delta = parse_delta(delta)
@@ -305,9 +314,19 @@ def family_params(p: int, delta: Union[Fraction, str, int], r: int) -> dict:
     if e < 2:
         raise ParameterError(f"delta*r = {e} is below 2 at r = {r}")
 
+    # n has floor(e*r*log10(p)) + 1 digits: decided before p^(e*r) is formed
+    if e * r * math.log10(p) >= FAMILY_MAX_DIGITS:
+        raise ParameterError(
+            f"n = {p}^{e * r} at r = {r} has more than {FAMILY_MAX_DIGITS} digits"
+        )
+    try:
+        bound = spectral_interval_bound(p, e, r)[3]
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ParameterError(f"the eigenvalue bound at r = {r} exceeds the float range")
     n = p ** (e * r)
     d = 2 * (p**r - 1) if p == 2 else p**r - 1
-    c, k, pr, bound = spectral_interval_bound(p, e, r)
     buildable = n <= MAX_RING_SIZE
     return {
         "p": p,

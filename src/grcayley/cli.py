@@ -16,13 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .analysis import verify_graph
 from .cayley import build_graph, export_edges, family_params, parse_delta
-from .errors import (
-    ContextMismatchError,
-    ModulusError,
-    ParameterError,
-    RangeError,
-    SizeError,
-)
+from .errors import ModulusError, ParameterError, SizeError
 from .ring import (
     ModulusPoly,
     RingParams,
@@ -33,13 +27,7 @@ from .ring import (
 )
 from .spectrum import full_spectrum
 
-USAGE_ERRORS = (
-    ParameterError,
-    ModulusError,
-    RangeError,
-    SizeError,
-    ContextMismatchError,
-)
+USAGE_ERRORS = (ParameterError, ModulusError, SizeError)
 
 
 def _context(args: argparse.Namespace):

@@ -13,14 +13,6 @@ class ModulusError(GrCayleyError, ValueError):
     """A modulus polynomial fails a required property (monic, irreducible, primitive)."""
 
 
-class ContextMismatchError(GrCayleyError):
-    """Elements from different rings were combined."""
-
-
-class RangeError(GrCayleyError, ValueError):
-    """An index or vertex id is outside its valid range."""
-
-
 class IntegrityError(GrCayleyError):
     """An internal cross-check failed; the computed structure is inconsistent."""
 

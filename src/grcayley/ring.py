@@ -4,23 +4,23 @@ A ring context fixes a modulus q = p^e and a monic degree-r polynomial f
 over Z_q whose reduction mod p is primitive: x has order p^r - 1 mod p.
 That is one test, on the companion matrix C of f, and it also makes the
 reduction irreducible, since F_p[x]/(f) has p^r - 1 units only when it is
-a field.  Elements are residue classes in Z_q[x]/(f), stored as
-coefficient tuples (c_0, ..., c_{r-1}) with 0 <= c_i < q, ascending
-powers of x.  Primitivity makes xi = x^(p^((e-1)r)) a generator of the
-cyclic group G1 of Teichmuller units (order p^r - 1); its multiplication
-matrix is C^(p^((e-1)r)) mod q.  The context holds G1 as one digit array,
-teich_digits, built by matrix doubling; the units are not enumerated as
-elements at construction, and teichmuller_units builds them on first read.
+a field.  Elements are residue classes in Z_q[x]/(f), held as coefficient
+vectors (c_0, ..., c_{r-1}) with 0 <= c_i < q, ascending powers of x.
+Primitivity makes xi = x^(p^((e-1)r)) a generator of the cyclic group G1
+of Teichmuller units (order p^r - 1); xi is the first column of its
+multiplication matrix C^(p^((e-1)r)) mod q.  The context holds G1 as one
+digit array, teich_digits, built by matrix doubling.
 
 Every ring map reads one table, C^0, ..., C^(2r-2) mod q, built per context:
-a = sum a_i x^i multiplies by M(a) = sum a_i C^i, and a^k is the first
-column of M(a)^k.  In a Galois ring the trace is T(a) = tr M(a), so T(x^k) =
-tr C^k: trace_form holds T(x^0), ..., T(x^(r-1)), and trace_gram[i, j] =
-T(x^(i+j)) is the trace form's Gram matrix, T(a*b) = a @ trace_gram @ b.
+a = sum a_i x^i multiplies by M(a) = sum a_i C^i.  In a Galois ring the
+trace is T(a) = tr M(a), so T(x^k) = tr C^k: trace_form holds T(x^0), ...,
+T(x^(r-1)), and trace_gram[i, j] = T(x^(i+j)) is the trace form's Gram
+matrix, T(a*b) = a @ trace_gram @ b.
 
-Every element has a flat index sum(c_i * q^i); the graph modules use that
-index as the vertex id.  digits_of / indices_from_digits convert whole
-index arrays for the vectorised kernels.
+Single elements (gamma, ctx.one, ctx.xi) are RingElement records with no
+arithmetic; every bulk set is a digit array, and the flat index
+sum(c_i * q^i) is the vertex id.  digits_of / indices_from_digits convert
+whole index arrays for the vectorised kernels.
 
 Every (m, r) digit array the package holds or returns is int32: G1
 (teich_digits), the connection set, the rows of _matmul_mod, digits_of and
@@ -44,13 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContextMismatchError,
-    IntegrityError,
-    ModulusError,
-    ParameterError,
-    RangeError,
-)
+from .errors import IntegrityError, ModulusError, ParameterError
 
 MAX_RING_SIZE = 2**32
 # digits per block of every digit sweep (_row_blocks, the orbit map, the
@@ -250,75 +244,14 @@ def find_basic_irreducible(params: RingParams) -> ModulusPoly:
 
 
 class RingElement:
-    """Residue class in Z_q[x]/(f), immutable coefficient tuple."""
+    """Residue class in Z_q[x]/(f) as its coefficient tuple, with no
+    arithmetic.  Slotted: len(ctx.teichmuller_units) builds p^r - 1 of these."""
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: "RingContext", coeffs: tuple[int, ...]):
         self.ctx = ctx
         self.coeffs = coeffs
-
-    def _check(self, other: "RingElement") -> None:
-        if not isinstance(other, RingElement):
-            raise TypeError(f"cannot combine RingElement with {type(other).__name__}")
-        if self.ctx is not other.ctx and self.ctx.key != other.ctx.key:
-            raise ContextMismatchError(
-                "elements belong to different rings: "
-                f"{self.ctx.describe()} vs {other.ctx.describe()}"
-            )
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        q = self.ctx.q
-        return RingElement(
-            self.ctx, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        q = self.ctx.q
-        return RingElement(
-            self.ctx, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "RingElement":
-        q = self.ctx.q
-        return RingElement(self.ctx, tuple((-a) % q for a in self.coeffs))
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        ctx = self.ctx
-        # row i of the inner product is x^i * other; entries stay below 2^50
-        prod = self.coeffs @ (ctx._cpow[: ctx.r] @ other.coeffs) % ctx.q
-        return RingElement(ctx, tuple(prod.tolist()))
-
-    def __pow__(self, exponent: int) -> "RingElement":
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
-            raise ParameterError(f"exponent must be an int, got {exponent!r}")
-        if exponent < 0:
-            raise ParameterError("negative exponents are not supported")
-        power = _matpow(_multiplication_matrix(self), exponent, self.ctx.q)
-        return RingElement(self.ctx, tuple(power[:, 0].tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.ctx.key == other.ctx.key
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.ctx.key))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    @property
-    def index(self) -> int:
-        """Flat vertex id sum(c_i * q^i)."""
-        return sum(c * w for c, w in zip(self.coeffs, self.ctx._weights))
-
-    def __repr__(self) -> str:
-        return f"RingElement({self.coeffs!r})"
 
 
 class RingContext:
@@ -348,13 +281,13 @@ class RingContext:
         self.trace_gram.flags.writeable = False
         self.trace_form: tuple[int, ...] = tuple(traces[:r])
 
-        self.zero = RingElement(self, (0,) * r)
         self.one = self.element([1])
-        self.x = self.element([0, 1])
-        self.xi = self.x ** (p ** ((e - 1) * r))
+        # M(xi) = M(x)^(p^((e-1)r)) = C^(p^((e-1)r)); xi is its column 0
+        m_xi = _matpow(comp, p ** ((e - 1) * r), q)
+        self.xi = RingElement(self, tuple(m_xi[:, 0].tolist()))
 
         group_order = p**r - 1
-        by_xi = _multiplication_matrix(self.xi).T  # a @ by_xi: the digits of a * xi
+        by_xi = m_xi.T  # a @ by_xi: the digits of a * xi
         # xi^0 .. xi^(p^r - 2) by doubling, in place: rows [k, 2k) are
         # rows [0, k) @ M(xi^k)^T
         teich = np.zeros((group_order, r), dtype=np.int32)
@@ -374,12 +307,14 @@ class RingContext:
         self.teich_digits: np.ndarray = teich
 
         # Always None: trace_form gives every trace, so no per-element table
-        # is built; the attribute stays because perfbench/workloads.py reads it.
+        # is built; the attribute stays only because perfbench/workloads.py reads it.
         self.trace_table: Optional[np.ndarray] = None
 
     @cached_property
     def teichmuller_units(self) -> tuple[RingElement, ...]:
-        """xi^0 .. xi^(p^r - 2) as elements, built from teich_digits on first read."""
+        """xi^0 .. xi^(p^r - 2) as records, built from teich_digits on first read.
+        It stays only because perfbench reads its len, until ROADMAP item 1
+        switches perfbench to len(ctx.teich_digits); no library code reads it."""
         rows = map(tuple, self.teich_digits.tolist())
         return tuple(RingElement(self, row) for row in rows)
 
@@ -420,6 +355,7 @@ class RingContext:
         return log, adj
 
     def element(self, coeffs: Iterable[int]) -> RingElement:
+        """Ascending coefficients, padded to r and reduced mod q; perfbench calls it too."""
         cs = [int(c) for c in coeffs]
         if len(cs) > self.r:
             raise ParameterError(
@@ -427,11 +363,6 @@ class RingContext:
             )
         cs += [0] * (self.r - len(cs))
         return RingElement(self, tuple(c % self.q for c in cs))
-
-    def from_index(self, index: int) -> RingElement:
-        if not (0 <= index < self.size):
-            raise RangeError(f"index {index} outside [0, {self.size})")
-        return RingElement(self, tuple(index // w % self.q for w in self._weights))
 
     def describe(self) -> str:
         return f"GR({self.q}, {self.q}^{self.r}) mod {self.modulus.serialize()}"
@@ -535,12 +466,14 @@ def make_ring(params: RingParams, modulus: Optional[ModulusPoly] = None) -> Ring
 
 
 def is_unit(a: RingElement) -> bool:
-    """True when a is invertible, i.e. its residue-field image is nonzero."""
+    """True when a is invertible, i.e. its residue-field image is nonzero.
+    A public name also because perfbench/workloads.py tests its gamma with it."""
     return any(c % a.ctx.p for c in a.coeffs)
 
 
 def coeff_string(a: RingElement) -> str:
-    """Comma-joined coefficient form, matching ModulusPoly.serialize."""
+    """Comma-joined coefficient form, matching ModulusPoly.serialize.
+    A public name also because perfbench/workloads.py reports its gamma with it."""
     return ",".join(str(c) for c in a.coeffs)
 
 

@@ -1,18 +1,18 @@
 """Scalar reference for the character-sum kernel.
 
-Sums omega^(T(gamma*s)) one element at a time, with RingElement
-multiplication and the scalar trace of ring_oracle, so it shares no code with the
+Sums omega^(T(gamma*s)) one element at a time, with the scalar Element
+product and trace of ring_oracle, so it shares no code with the
 vectorised trace-basis path it checks.
 """
 
 import math
 
-from ring_oracle import trace
+from ring_oracle import lift, trace
 
 
 def trace_counts(elements, gamma):
     """Histogram of T(gamma*s) over s in elements, indexed by residue mod q."""
-    counts = [0] * gamma.ctx.q
+    counts, gamma = [0] * gamma.ctx.q, lift(gamma)
     for s in elements:
         counts[trace(gamma * s)] += 1
     return counts

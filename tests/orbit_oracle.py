@@ -3,11 +3,11 @@
 orbit_representatives builds one element per G1-orbit, row by row in the
 numbering of spectrum.orbit_row_map, from nested sums over Teichmuller
 digits.  orbit_row_oracle finds the orbit of an element by dividing out its
-leading Teichmuller digit (from ring_oracle.padic_coords) with RingElement
-multiplication, then looking the quotient up among those rows.
+leading Teichmuller digit (from ring_oracle.padic_coords) with scalar
+Element multiplication, then looking the quotient up among those rows.
 twisted_rows finds the row of gamma times each representative in a table
 of the row of every element, each row times each Teichmuller unit; its
-products come from matrices whose columns are RingElement products.  None
+products come from matrices whose columns are scalar Element products.  None
 of it shares code with the vectorised digit-ratio map or its inverse,
 spectrum.orbit_digits.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from grcayley import RingContext, SizeError
 from grcayley.spectrum import ORBIT_CUTOFF
-from ring_oracle import padic_coords
+from ring_oracle import element, from_index, lift, padic_coords, units
 
 
 def orbit_representatives(ctx: RingContext) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +60,7 @@ def orbit_row_oracle(ctx):
         if coords.valuation == ctx.e:
             return 0
         lead = coords.digits[coords.valuation]
-        quotient = (a * lead ** (order - 1)).index
+        quotient = (lift(a) * lead ** (order - 1)).index
         found = by_index[np.searchsorted(index, quotient, sorter=by_index)]
         assert index[found] == quotient, "quotient is no orbit representative"
         return int(found)
@@ -70,9 +70,9 @@ def orbit_row_oracle(ctx):
 
 def multiplication_by(a):
     """(r, r) int64 matrix of b -> a*b on coefficient vectors: column i is
-    the RingElement product a * x^i."""
-    ctx = a.ctx
-    cols = [(a * ctx.element([0] * i + [1])).coeffs for i in range(ctx.r)]
+    the scalar product a * x^i."""
+    ctx, a = a.ctx, lift(a)
+    cols = [(a * element(ctx, [0] * i + [1])).coeffs for i in range(ctx.r)]
     return np.array(cols, dtype=np.int64).T
 
 
@@ -83,7 +83,7 @@ def twisted_rows(ctx, gamma):
     digits, _ = orbit_representatives(ctx)
     rows = np.arange(len(digits))
     table = np.full(ctx.size, -1, dtype=np.int64)
-    for unit in ctx.teichmuller_units:
+    for unit in units(ctx):
         table[ctx.indices_from_digits(digits @ multiplication_by(unit).T % ctx.q)] = rows
     assert (table >= 0).all(), "the orbits do not cover the ring"
     gamma_reps = digits @ multiplication_by(gamma).T % ctx.q
@@ -95,7 +95,7 @@ def vertex_distances(spec, dist):
     expanded to one distance per vertex: v lies in gamma * O_k for k the row
     of gamma^-1 v, gamma^-1 = gamma^(|R^x| - 1)."""
     ctx = spec.ctx
-    units = ctx.p ** ((ctx.e - 1) * ctx.r) * (ctx.p**ctx.r - 1)
-    inverse = spec.gamma ** (units - 1)
+    count = ctx.p ** ((ctx.e - 1) * ctx.r) * (ctx.p**ctx.r - 1)  # |R^x|
+    inverse = lift(spec.gamma) ** (count - 1)
     row = orbit_row_oracle(ctx)
-    return [int(dist[row(inverse * ctx.from_index(v))]) for v in range(spec.n)]
+    return [int(dist[row(inverse * from_index(ctx, v))]) for v in range(spec.n)]

@@ -1,12 +1,21 @@
-"""Scalar reference for the ring's structure maps.
+"""Scalar reference for the ring's elements and structure maps.
+
+Element is the scalar element arithmetic that the library does not carry:
++, -, *, ** and negation one element at a time, equality and hashing by
+coefficients and ring key, the flat index and is_zero.  Products read the
+ring's companion-power table and powers its multiplication matrix;
+test_multiplication_matches_reference checks both against schoolbook
+division.  Element subclasses the library's RingElement record, so
+is_unit, coeff_string, build_graph and the other entry points that take a
+gamma take an Element too.  lift turns the library's records (gamma,
+ctx.one, ctx.xi) into Elements; element, from_index, zero, x and units
+build them from coefficients, a flat index, or the digit rows of G1.
 
 The Teichmuller digit expansion a = sum(b_i p^i) (padic_coords) is read
-off the residues mod p through the scalar units ctx.teichmuller_units.
-The Frobenius automorphism sigma comes from its definition, b_i -> b_i^p
-on those digits (frobenius_by_digits), and the trace is the sum of the r
-conjugates sigma^k(a).  None of it reads trace_form or trace_gram.  Its
-products and powers are RingElement's * and **, which
-test_multiplication_matches_reference checks against schoolbook division.
+off the residues mod p through those scalar units.  The Frobenius
+automorphism sigma comes from its definition, b_i -> b_i^p on those
+digits (frobenius_by_digits), and the trace is the sum of the r
+conjugates sigma^k(a).  None of it reads trace_form or trace_gram.
 
 sigma is Z_q-linear, so frobenius_matrix builds its matrix once per ring
 from the r images sigma(x^i); frobenius and trace apply that matrix.
@@ -22,7 +31,97 @@ from dataclasses import dataclass
 import numpy as np
 
 from grcayley import ModulusPoly
-from grcayley.ring import _x_is_primitive
+from grcayley.ring import RingElement, _matpow, _multiplication_matrix, _x_is_primitive
+
+
+class Element(RingElement):
+    """Residue class in Z_q[x]/(f) with scalar arithmetic."""
+
+    __slots__ = ()
+
+    def _check(self, other):
+        if not isinstance(other, RingElement):
+            raise TypeError(f"cannot combine Element with {type(other).__name__}")
+        if self.ctx is not other.ctx and self.ctx.key != other.ctx.key:
+            raise ValueError(
+                "elements belong to different rings: "
+                f"{self.ctx.describe()} vs {other.ctx.describe()}"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        q = self.ctx.q
+        return Element(self.ctx, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        self._check(other)
+        q = self.ctx.q
+        return Element(self.ctx, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return Element(self.ctx, tuple((-a) % self.ctx.q for a in self.coeffs))
+
+    def __mul__(self, other):
+        self._check(other)
+        ctx = self.ctx
+        # row i of the inner product is x^i * other; entries stay below 2^50
+        prod = self.coeffs @ (ctx._cpow[: ctx.r] @ other.coeffs) % ctx.q
+        return Element(ctx, tuple(prod.tolist()))
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
+            raise ValueError(f"exponent must be an int >= 0, got {exponent!r}")
+        power = _matpow(_multiplication_matrix(self), exponent, self.ctx.q)
+        return Element(self.ctx, tuple(power[:, 0].tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.ctx.key == other.ctx.key
+
+    def __hash__(self):
+        return hash((self.coeffs, self.ctx.key))
+
+    @property
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    @property
+    def index(self):
+        """Flat vertex id sum(c_i * q^i)."""
+        return sum(c * w for c, w in zip(self.coeffs, self.ctx._weights))
+
+    def __repr__(self):
+        return f"Element({self.coeffs!r})"
+
+
+def lift(a):
+    """The Element with a's ring and coefficients, for any RingElement a."""
+    return Element(a.ctx, tuple(a.coeffs))
+
+
+def element(ctx, coeffs):
+    """ctx.element(coeffs) as an Element: padded to r, reduced mod q."""
+    return lift(ctx.element(coeffs))
+
+
+def from_index(ctx, index):
+    """The element with flat index sum(c_i * q^i) = index."""
+    return Element(ctx, tuple(index // w % ctx.q for w in ctx._weights))
+
+
+def zero(ctx):
+    return Element(ctx, (0,) * ctx.r)
+
+
+def x(ctx):
+    return element(ctx, [0, 1])
+
+
+@functools.lru_cache(maxsize=16)
+def units(ctx):
+    """xi^0 .. xi^(p^r - 2) as Elements, from the rows of ctx.teich_digits."""
+    return tuple(Element(ctx, tuple(row)) for row in ctx.teich_digits.tolist())
 
 
 def unfiltered_modulus(params):
@@ -54,10 +153,10 @@ def project_residue(a):
 
 
 @functools.lru_cache(maxsize=16)
-def _lift(ctx):
+def _unit_over_residue(ctx):
     """Residue vector -> the Teichmuller unit over it, and zero over zero."""
-    table = {project_residue(u): u for u in ctx.teichmuller_units}
-    table[project_residue(ctx.zero)] = ctx.zero
+    table = {project_residue(u): u for u in units(ctx)}
+    table[project_residue(zero(ctx))] = zero(ctx)
     return table
 
 
@@ -68,10 +167,10 @@ def padic_coords(a):
     it leaves a multiple of p, divided out coefficientwise mod q/p^(i+1).
     """
     ctx = a.ctx
-    lift = _lift(ctx)
+    table = _unit_over_residue(ctx)
     digits, vec, mod = [], list(a.coeffs), ctx.q
     for _ in range(ctx.e):
-        digit = lift[tuple(c % ctx.p for c in vec)]
+        digit = table[tuple(c % ctx.p for c in vec)]
         digits.append(digit)
         vec = [((c - d) % mod) // ctx.p for c, d in zip(vec, digit.coeffs)]
         mod //= ctx.p
@@ -82,9 +181,9 @@ def padic_coords(a):
 def frobenius_by_digits(a, k=1):
     """sigma^k(a) from the definition: b_i -> b_i^(p^k) on the digits of a."""
     ctx = a.ctx
-    out = ctx.zero
+    out = zero(ctx)
     for i, digit in enumerate(padic_coords(a).digits):
-        out = out + digit ** (ctx.p**k) * ctx.element([ctx.p**i])
+        out = out + digit ** (ctx.p**k) * element(ctx, [ctx.p**i])
     return out
 
 
@@ -97,7 +196,7 @@ def frobenius_matrix(ctx, k=1):
     elif k > 1:
         out = frobenius_matrix(ctx, 1) @ frobenius_matrix(ctx, k - 1) % ctx.q
     else:
-        cols = [frobenius_by_digits(ctx.x**i).coeffs for i in range(ctx.r)]
+        cols = [frobenius_by_digits(x(ctx) ** i).coeffs for i in range(ctx.r)]
         out = np.array(cols, dtype=np.int64).T
     out.flags.writeable = False
     return out
@@ -106,7 +205,7 @@ def frobenius_matrix(ctx, k=1):
 def frobenius(a, k=1):
     """sigma^k(a), k >= 0, through frobenius_matrix."""
     coeffs = frobenius_matrix(a.ctx, k) @ np.array(a.coeffs, dtype=np.int64)
-    return a.ctx.element(coeffs.tolist())
+    return element(a.ctx, coeffs.tolist())
 
 
 @functools.lru_cache(maxsize=16)

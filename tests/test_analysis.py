@@ -15,6 +15,7 @@ from connection_oracle import neighbors
 from orbit_oracle import twisted_rows
 from residue_oracle import residue_partition
 from ring_oracle import padic_coords
+import ring_oracle as scalar
 from spectrum_oracle import make_spectrum, oracle_spectrum
 from grcayley import (
     ClaimReport,
@@ -68,7 +69,7 @@ def graph_for(p, e, r):
 def random_unit(ctx, seed):
     rng = np.random.default_rng(seed)
     while True:
-        gamma = ctx.from_index(int(rng.integers(1, ctx.size)))
+        gamma = scalar.from_index(ctx, int(rng.integers(1, ctx.size)))
         if is_unit(gamma):
             return gamma
 
@@ -158,22 +159,22 @@ def wcu_bound(ctx, gamma):
 
 def test_wcu_frozen_values(h16):
     ctx = h16.ctx
-    g1 = ctx.teichmuller_units
+    g1 = scalar.units(ctx)
     for gamma, bound, normsq in ((1, 3.0, 5), (2, 1.0, 1)):  # 2 is a non-unit
-        z = character_sum(g1, ctx.from_index(gamma))
+        z = character_sum(g1, scalar.from_index(ctx, gamma))
         assert z[0] ** 2 + z[1] ** 2 == normsq
-        assert wcu_bound(ctx, ctx.from_index(gamma)) == pytest.approx(bound)
-        cap = 2 ** (2 - 1 - padic_coords(ctx.from_index(gamma)).valuation)
+        assert wcu_bound(ctx, scalar.from_index(ctx, gamma)) == pytest.approx(bound)
+        cap = 2 ** (2 - 1 - padic_coords(scalar.from_index(ctx, gamma)).valuation)
         assert _wcu_norm_within_bound(np.array([normsq]), cap, 4).all()
 
 
 @pytest.mark.parametrize("key", SMALL_KEYS)
 def test_wcu_exhaustive_and_summary_agree(key):
     ctx = make_ring(RingParams(*key))
-    g1 = ctx.teichmuller_units
+    g1 = scalar.units(ctx)
     holds = [
         math.hypot(*character_sum(g1, gamma)) <= wcu_bound(ctx, gamma) + 1e-9
-        for gamma in map(ctx.from_index, range(1, ctx.size))
+        for gamma in (scalar.from_index(ctx, i) for i in range(1, ctx.size))
     ]
     summary = check_wcu_summary(ctx)
     assert all(holds) == summary.holds
@@ -286,8 +287,11 @@ def test_residue_partition_guards(h16, h81):
         check_residue_partition(h16.ctx, h16.ctx.element([2, 0]))
     with pytest.raises(ParameterError):
         check_residue_partition(h81.ctx)
-    with pytest.raises(ParameterError):
-        check_residue_partition(h16.ctx, h81.ctx.one)
+    # a gamma from another ring, of another q or of another r, is a usage
+    # error, as in build_graph
+    for other in (h81.ctx, make_ring(RingParams(2, 2, 3))):
+        with pytest.raises(ParameterError, match="different ring"):
+            check_residue_partition(h16.ctx, other.one)
 
 
 def test_ramanujan_frozen(h16):
@@ -458,7 +462,8 @@ def test_girth_without_short_cycle_raises():
     # the check of its rows, run by triangle_count, rejects it
     spec = graph_for(2, 3, 2)
     ctx = spec.ctx
-    pair = (ctx.one, -ctx.one)
+    one = scalar.lift(ctx.one)
+    pair = (one, -one)
     idx = np.array([s.index for s in pair], dtype=np.int64)
     cycle = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
     assert pair_sum_oracle.girth(cycle) is None

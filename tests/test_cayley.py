@@ -18,12 +18,11 @@ from connection_oracle import connection_rows, connection_set, neighbors
 import export_oracle
 from orbit_oracle import orbit_representatives, vertex_distances
 from test_acceptance import WCU_LIMIT, _instances
+import ring_oracle as scalar
 
 from grcayley import (
-    ContextMismatchError,
     IntegrityError,
     ParameterError,
-    RangeError,
     RingParams,
     bfs_distances,
     build_graph,
@@ -64,7 +63,7 @@ def test_h16_frozen_structure(h16):
     assert h16.d == 6
     assert sorted(int(i) for i in h16.s_indices) == [1, 3, 4, 5, 12, 15]
     assert neighbors(h16, 0) == [1, 3, 4, 5, 12, 15]
-    with pytest.raises(RangeError):
+    with pytest.raises(IndexError):
         neighbors(h16, 16)
 
 
@@ -74,7 +73,7 @@ def test_h81_structure(h81):
     s = {int(i) for i in h81.s_indices}
     assert len(s) == 8
     for i in h81.s_indices:
-        assert (-h81.ctx.from_index(int(i))).index in s
+        assert (-scalar.from_index(h81.ctx, int(i))).index in s
 
 
 @pytest.mark.parametrize("r,expected_d", [(2, 6), (3, 14), (4, 30)])
@@ -168,9 +167,12 @@ def test_nonunit_gamma_rejected(h16):
 
 
 def test_gamma_from_other_ring_rejected(h16):
+    # a usage error, as check_residue_partition reports the same mistake
     other = make_ring(RingParams(2, 3, 2))
-    with pytest.raises(ContextMismatchError):
+    with pytest.raises(ParameterError, match="different ring"):
         build_graph(h16.ctx, other.one)
+    # equal-keyed contexts interoperate
+    assert build_graph(h16.ctx, make_ring(RingParams(2, 2, 2)).one).d == h16.d
 
 
 def test_twisted_graph_same_degree(h16):
@@ -186,7 +188,7 @@ def test_neighbors_match_adjacency(h81):
         s = connection_set(spec.ctx, spec.gamma)
         for v in range(0, spec.n, 7):
             assert sorted(g.neighbors(v)) == neighbors(spec, v)
-            u = spec.ctx.from_index(v)
+            u = scalar.from_index(spec.ctx, v)
             assert sorted((u + t).index for t in s) == neighbors(spec, v)
 
 
@@ -270,11 +272,12 @@ def test_setup_on_largest_char4_ring_stays_small():
 def test_twisted_connection_set_on_largest_char4_ring():
     # GR(4, 4^16) with gamma = 3 + x: the 65 535 rows of gamma*G1, a float32
     # product in blocks, against an int64 product with the rows gamma * x^j,
-    # each formed by one scalar RingElement product
+    # each formed by one scalar product of the oracle
     ctx = make_ring(RingParams(2, 2, 16))
-    gamma = ctx.element([3, 1])
+    gamma = scalar.element(ctx, [3, 1])
     spec = build_graph(ctx, gamma)
-    by_gamma = np.array([(gamma * ctx.element([0] * j + [1])).coeffs for j in range(ctx.r)])
+    x_j = (scalar.element(ctx, [0] * j + [1]) for j in range(ctx.r))
+    by_gamma = np.array([(gamma * x).coeffs for x in x_j])
     half = ctx.teich_digits.astype(np.int64) @ by_gamma % ctx.q
     h = len(half)
     assert spec.s_digits.dtype == np.int32
@@ -450,14 +453,14 @@ RINGS_UP_TO_2_12 = [
 )
 def test_bfs_distances_property(key, seed, data):
     ctx = make_ring(RingParams(*key, seed=seed))
-    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
-    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    units = [i for i in range(ctx.size) if is_unit(scalar.from_index(ctx, i))]
+    gamma = scalar.from_index(ctx, data.draw(st.sampled_from(units), label="gamma"))
     spec = build_graph(ctx, gamma)
     ref = nx.single_source_shortest_path_length(as_networkx(spec), 0)
     dist = bfs_distances(spec)
     # entry k is the distance to gamma * O_k, read at gamma * rep(k)
     reps, _ = orbit_representatives(ctx)
-    twisted = [(gamma * ctx.element(rep)).index for rep in reps.tolist()]
+    twisted = [(gamma * scalar.element(ctx, rep)).index for rep in reps.tolist()]
     assert dist.tolist() == [ref.get(v, -1) for v in twisted]
     # each orbit but zero's holds p^r - 1 vertices at the same distance
     weights = np.where(np.arange(len(dist)) == 0, 1, ctx.p**ctx.r - 1)
@@ -474,8 +477,8 @@ def test_bfs_distances_property(key, seed, data):
 )
 def test_connection_set_matches_oracle_property(key, seed, data):
     ctx = make_ring(RingParams(*key, seed=seed))
-    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
-    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    units = [i for i in range(ctx.size) if is_unit(scalar.from_index(ctx, i))]
+    gamma = scalar.from_index(ctx, data.draw(st.sampled_from(units), label="gamma"))
     assert_matches_connection_oracle(build_graph(ctx, gamma))
 
 
@@ -487,8 +490,8 @@ def test_connection_set_matches_oracle_property(key, seed, data):
 )
 def test_export_matches_oracle_property(key, seed, data):
     ctx = make_ring(RingParams(*key, seed=seed))
-    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
-    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    units = [i for i in range(ctx.size) if is_unit(scalar.from_index(ctx, i))]
+    gamma = scalar.from_index(ctx, data.draw(st.sampled_from(units), label="gamma"))
     assert_export_matches_oracle(build_graph(ctx, gamma))
 
 
@@ -532,3 +535,13 @@ def test_family_rejections():
         family_params(2, "nope", 4)
     fam = family_params(2, Fraction(1, 3), 6)
     assert fam["e"] == 2 and fam["n"] == 2**12
+    # n = 2^14112 has 4249 digits and prints; n = 2^14450 has 4350, past
+    # FAMILY_MAX_DIGITS, and is refused before it is formed, as is
+    # 2^(5*10^9), which would take 600 MB
+    assert len(str(family_params(2, "1/2", 168)["n"])) == 4249
+    for r in (170, 100_000):
+        with pytest.raises(ParameterError, match="digits"):
+            family_params(2, "1/2", r)
+    # e = 2, r = 2000: n has 1205 digits, but sqrt(2^2000) is no float
+    with pytest.raises(ParameterError, match="float range"):
+        family_params(2, "1/1000", 2000)

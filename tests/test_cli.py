@@ -351,6 +351,12 @@ def test_family_observes_every_buildable_exact_member(capsys, delta, r, row):
         ["family", "-p", "2", "--delta", "1/7", "--r-max", "6"],
         # p = 2^89 - 1 is rejected by size before any trial division
         ["family", "-p", "618970019642690137449562111"],
+        # n past the digits a row can print, at r = 170 and at r = 10^5,
+        # where 2^(5*10^9) is refused before it is formed
+        ["family", "-p", "2", "--r-max", "200"],
+        ["family", "-p", "2", "--r-min", "100000", "--r-max", "100000"],
+        # sqrt(2^2000) overflows a float
+        ["family", "-p", "2", "--delta", "1/1000", "--r-min", "2000", "--r-max", "2000"],
     ],
 )
 def test_family_usage_errors(capsys, argv):

@@ -18,6 +18,7 @@ import bfs_oracle
 from orbit_oracle import orbit_representatives, orbit_row_oracle
 from residue_oracle import residue_partition
 from ring_oracle import frobenius, padic_coords
+import ring_oracle as scalar
 from spectrum_oracle import ORACLE_TOL, group_values
 from test_acceptance import WCU_LIMIT, _instances
 from test_analysis import BFS_ORACLE_KEYS
@@ -82,7 +83,7 @@ def sweep_valuations(ctx):
 
 
 def sweep_spectrum(spec):
-    re, _ = sweep(spec.ctx, [spec.ctx.from_index(int(i)) for i in spec.s_indices])
+    re, _ = sweep(spec.ctx, [scalar.from_index(spec.ctx, int(i)) for i in spec.s_indices])
     if spec.ctx.q == 4:
         values, counts = np.unique(re, return_counts=True)
         return tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
@@ -92,7 +93,7 @@ def sweep_spectrum(spec):
 def sweep_wcu(ctx):
     """(holds, worst excess) of the wcu claim over every nonzero gamma."""
     p, e, r = ctx.p, ctx.e, ctx.r
-    re, im = sweep(ctx, ctx.teichmuller_units)
+    re, im = sweep(ctx, scalar.units(ctx))
     val = sweep_valuations(ctx)
     re, im, val = re[1:], im[1:], val[1:]
     bounds = (np.power(p, e - 1 - val) - 1) * math.sqrt(p**r) + 1.0
@@ -110,7 +111,7 @@ def sweep_wcu(ctx):
 def sweep_bhk(ctx):
     """(holds, worst deviation) of the p^e = 4 identities over every gamma."""
     pr = 2**ctx.r
-    re, im = sweep(ctx, ctx.teichmuller_units)
+    re, im = sweep(ctx, scalar.units(ctx))
     unit = sweep_valuations(ctx) == 0
     dev = np.where(unit, np.abs((re + 1) ** 2 + im**2 - pr), np.abs(re + 1) + np.abs(im))
     dev[0] = abs(re[0] - (pr - 1)) + abs(im[0])
@@ -127,9 +128,9 @@ def test_representatives_partition_the_ring(key):
     covered = np.zeros(ctx.size, dtype=np.int64)
     covered[0] += 1
     for row, v in zip(digits[1:], val[1:]):
-        rep = ctx.element(row)
+        rep = scalar.element(ctx, row)
         assert padic_coords(rep).valuation == v
-        covered[[(rep * u).index for u in ctx.teichmuller_units]] += 1
+        covered[[(rep * u).index for u in scalar.units(ctx)]] += 1
     assert (covered == 1).all()
 
 
@@ -160,8 +161,8 @@ def test_orbit_spectrum_matches_sweep(key):
 def test_zeta_spectrum_matches_sweep_property(key, seed, data):
     # the spectrum never reads S, so a twisted S checks the gamma-invariance
     ctx = make_ring(RingParams(*key, seed=seed))
-    units = [i for i in range(ctx.size) if is_unit(ctx.from_index(i))]
-    gamma = ctx.from_index(data.draw(st.sampled_from(units), label="gamma"))
+    units = [i for i in range(ctx.size) if is_unit(scalar.from_index(ctx, i))]
+    gamma = scalar.from_index(ctx, data.draw(st.sampled_from(units), label="gamma"))
     assert_spectrum_matches_sweep(build_graph(ctx, gamma))
 
 
@@ -246,7 +247,8 @@ def test_full_spectrum_rejects_xi_unstable_connection_set():
     # so not the connection set of build_graph
     spec = build_graph(make_ring(RingParams(2, 2, 3)))
     ctx = spec.ctx
-    pair = (ctx.one, -ctx.one)
+    one = scalar.lift(ctx.one)
+    pair = (one, -one)
     idx = np.array([s.index for s in pair], dtype=np.int64)
     unstable = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
     for check in (cayley._require_connection_set, bfs_distances, connectivity, triangle_count):
@@ -277,7 +279,8 @@ def test_bfs_rejects_connection_set_not_headed_by_gamma():
                 s_indices=ctx.indices_from_digits(three),
             ),
         ):
-            by_xi = {(ctx.element(row) * ctx.xi).index for row in spec.s_digits.tolist()}
+            rows = spec.s_digits.tolist()
+            by_xi = {(scalar.element(ctx, row) * ctx.xi).index for row in rows}
             assert by_xi == set(spec.s_indices.tolist())
             checks = (cayley._require_connection_set, bfs_distances, connectivity, triangle_count)
             for check in checks:
@@ -318,7 +321,7 @@ def test_oracle_distances_constant_on_frobenius_cycles(key):
 def test_orbit_row_map_matches_scalar_oracle(key):
     ctx = make_ring(RingParams(*key))
     oracle = orbit_row_oracle(ctx)
-    want = [oracle(ctx.from_index(i)) for i in range(ctx.size)]
+    want = [oracle(scalar.from_index(ctx, i)) for i in range(ctx.size)]
     assert orbit_row_map(ctx)(ctx.digits_of(np.arange(ctx.size))).tolist() == want
 
 
@@ -457,7 +460,7 @@ def test_residue_partition_witness(monkeypatch):
     assert not rep.holds
     assert rep.bound_value == 12
     assert rep.observed_value == 9  # the cosets of 1, -1 and 1 - xi
-    assert rep.witness == (ctx.one - ctx.xi).index
+    assert rep.witness == (scalar.lift(ctx.one) - ctx.xi).index
     assert not residue_partition(ctx, ctx.one).holds
     # every row read as 1: each (1 - xi^t)*1 is 0
     monkeypatch.setattr(ctx, "teich_digits", np.array([one, one, one]))

@@ -17,6 +17,7 @@ from orbit_oracle import orbit_representatives
 import spectrum_oracle
 from spectrum_oracle import make_spectrum, oracle_spectrum, spectral_deviation
 from zeta_oracle import character_sums, trace_basis_matrix
+import ring_oracle as scalar
 from grcayley import (
     IntegrityError,
     ParameterError,
@@ -80,8 +81,8 @@ def test_trace_counts_frozen(h16):
     }
     re, im = sweep(ctx, s, 0, h16.n)
     for gamma, (counts, eig) in frozen.items():
-        assert tuple(trace_counts(s, ctx.from_index(gamma))) == counts
-        assert character_sum(s, ctx.from_index(gamma)) == (eig, 0)
+        assert tuple(trace_counts(s, scalar.from_index(ctx, gamma))) == counts
+        assert character_sum(s, scalar.from_index(ctx, gamma)) == (eig, 0)
         assert (re[gamma], im[gamma]) == (eig, 0)
 
 
@@ -97,30 +98,32 @@ def test_eigenvalue_guards(h16):
 def test_kernel_matches_scalar_oracle_on_char4(h16, h64):
     for spec in (h16, h64):
         ctx = spec.ctx
-        for elements in (connection_set(ctx, spec.gamma), ctx.teichmuller_units):
+        for elements in (connection_set(ctx, spec.gamma), scalar.units(ctx)):
             re, im = sweep(ctx, elements, 0, spec.n)
             assert re.dtype == im.dtype == np.int64
-            oracle = [character_sum(elements, ctx.from_index(g)) for g in range(spec.n)]
+            oracle = [character_sum(elements, scalar.from_index(ctx, g)) for g in range(spec.n)]
             assert list(zip(re.tolist(), im.tolist())) == oracle
 
 
 def test_zeta_frozen(h16):
     ctx = h16.ctx
-    g1 = ctx.teichmuller_units
-    frozen = ((ctx.zero, (3, 0)), (ctx.one, (-1, -2)), (ctx.element([2, 0]), (-1, 0)))
+    g1 = scalar.units(ctx)
+    one = scalar.lift(ctx.one)
+    two = scalar.element(ctx, [2, 0])
+    frozen = ((scalar.zero(ctx), (3, 0)), (one, (-1, -2)), (two, (-1, 0)))
     for gamma, z in frozen:
         assert kernel_at(ctx, g1, gamma.index) == z
         assert character_sum(g1, gamma) == z
-    re, im = kernel_at(ctx, g1, ctx.one.index)
+    re, im = kernel_at(ctx, g1, one.index)
     assert (1 + re) ** 2 + im**2 == 4
 
 
 def test_zeta_odd_p_is_real(h81):
     ctx = h81.ctx
-    gamma = ctx.element([3, 0])  # nonzero non-unit
-    re, im = kernel_at(ctx, ctx.teichmuller_units, gamma.index)
+    gamma = scalar.element(ctx, [3, 0])  # nonzero non-unit
+    re, im = kernel_at(ctx, scalar.units(ctx), gamma.index)
     assert (re, im) == pytest.approx((-1.0, 0.0), abs=1e-9)
-    assert character_sum(ctx.teichmuller_units, gamma) == pytest.approx(
+    assert character_sum(scalar.units(ctx), gamma) == pytest.approx(
         (-1.0, 0.0), abs=1e-9
     )
 
@@ -149,7 +152,7 @@ def graph_of(key):
 def test_kernel_matches_scalar_oracle_property(key, use_g1, use_rep, data):
     spec = graph_of(key)
     ctx = spec.ctx
-    elements = ctx.teichmuller_units if use_g1 else connection_set(ctx, spec.gamma)
+    elements = scalar.units(ctx) if use_g1 else connection_set(ctx, spec.gamma)
     if use_rep:
         reps, _ = orbit_representatives(ctx)
         i = data.draw(st.integers(min_value=0, max_value=len(reps) - 1), label="rep")
@@ -187,10 +190,11 @@ def test_full_spectrum_matches_scalar_path(h64, h81):
         sp = full_spectrum(spec)
         expanded = sorted(sp.expanded().tolist())
         elements = connection_set(spec.ctx, spec.gamma)
-        scalar = [
-            character_sum(elements, spec.ctx.from_index(gamma))[0] for gamma in range(spec.n)
+        per_gamma = [
+            character_sum(elements, scalar.from_index(spec.ctx, gamma))[0]
+            for gamma in range(spec.n)
         ]
-        assert np.allclose(sorted(scalar), expanded, atol=1e-9)
+        assert np.allclose(sorted(per_gamma), expanded, atol=1e-9)
 
 
 @pytest.mark.parametrize(
