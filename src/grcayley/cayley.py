@@ -192,25 +192,44 @@ def _decimal_chunks() -> np.ndarray:
     return table.view(np.uint32).ravel()
 
 
-def _decimal(x: np.ndarray, words: int, chunks: np.ndarray) -> np.ndarray:
-    """(words, m) uint32 chunk words of the decimal ASCII of m integers in
-    [0, min(10^(4*words), 2^32)), word-major: row k holds chunk k of every
-    number, right aligned, NUL bytes in place of leading zeros.
+def _chunk_words(
+    x: np.ndarray, width: int, least: int, chunks: np.ndarray, out: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """(words, m) chunk words, lowest first, of m uint32 ids x in [least,
+    10^width), written into out, (words + 1, >= m), with the intp buffer at.
 
-    Each chunk is split off as x - 10^4 * (x // 10^4), as numpy divides by
-    a scalar far faster than it takes a remainder, and gathered with
-    mode="clip", which writes into out unbuffered; every index is below
-    3 * 10^4 already."""
-    low = x.astype(np.uint32)
-    high = np.empty_like(low)
-    out = np.empty((words, len(low)), dtype=np.uint32)
-    for k in range(words - 1, -1, -1):
-        np.floor_divide(low, np.uint32(10_000), out=high)
-        low -= high * np.uint32(10_000)
-        low += (high == 0) * np.uint32(20_000 if k == words - 1 else 10_000)
-        np.take(chunks, low, out=out[k], mode="clip")
-        low, high = high, low
-    return out
+    A chunk below the top is x - 10^4 * (x // 10^4): one divide, as numpy
+    divides by a scalar far faster than it takes a remainder; the top one is
+    what is left.  Chunk k can have none above it only if least < 10^(4k+4).
+    np.take gets intp indices, and mode="clip" writes into out unbuffered."""
+    m, words = len(x), -(-width // 4)
+    at, spare = at[:m], out[words, :m]
+    for k in range(words - 1):
+        low, high = out[k, :m], out[k + 1, :m]
+        np.floor_divide(x, np.uint32(10_000), out=high)
+        np.multiply(high, np.uint32(10_000), out=spare)
+        np.subtract(x, spare, out=low)
+        if least < 10 ** (4 * k + 4):
+            low += (high == 0) * np.uint32(20_000 if k == 0 else 10_000)
+        np.copyto(at, low)
+        np.take(chunks, at, out=low, mode="clip")
+        x = high
+    np.copyto(at, x)
+    np.take(chunks[20_000 if words == 1 else 10_000 :], at, out=out[words - 1, :m], mode="clip")
+    return out[:words, :m]
+
+
+def _fill(field: np.ndarray, words: np.ndarray) -> None:
+    """Write (words, m) chunk words right aligned into the (m, w) byte columns
+    field of a line array: each whole word through an unaligned uint32 view
+    of four columns, the partial top word byte by byte."""
+    for k, word in enumerate(words):
+        right = field.shape[1] - 4 * k
+        if right >= 4:
+            field[:, right - 4 : right].view(np.uint32)[:, 0] = word
+        else:
+            for j in range(right):
+                field[:, j] = word.view(np.uint8)[4 - right + j :: 4]
 
 
 def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
@@ -218,51 +237,59 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
 
     One header line `# p e r gamma n d`, then one `u v` line per edge with
     u < v, sorted by u then v.  The edges are formed, sorted and formatted
-    a block of about BLOCK_PAIRS neighbours at a time: each line is laid
-    out at a fixed width with NUL bytes for leading zeros, which are then
-    dropped, so no Python code runs per edge.  The numbers are formatted
-    word-major (one row of chunk words per decimal chunk), and each line
-    is filled one byte column at a time from byte b of those rows, u's
-    words repeated once per edge.  Neighbours come by translation: l = u
-    mod q^k and h = u - l share no nonzero digit, so idx(u + s) = idx(l +
-    s) + idx(h + s) - idx(s).  One (q^k, d) table of idx(l + s) - idx(s)
-    serves every block, which forms h + S for its high parts h only and
-    adds the table: one uint32 add per edge.  The table wraps mod 2^32,
+    a block of about BLOCK_PAIRS neighbours at a time, with no Python code
+    per edge.  Blocks are split where u reaches a power of ten, so u's field
+    is as wide as u; v's is as wide as n - 1, its leading zeros NUL bytes
+    that are dropped unless u, and so every v > u, has that width too.
+
+    Neighbours come by translation: l = u mod q^k and h = u - l share no
+    nonzero digit, so idx(u + s) = idx(l + s) + idx(h + s) - idx(s).  One
+    (q^k, d) table of idx(l + s) - idx(s) is added to h + S, formed for as
+    many blocks' high parts h as fit BLOCK_PAIRS at once; it wraps mod 2^32,
     harmlessly, as every true index is below n <= 2^32.
     """
-    ctx = spec.ctx
-    sink.write(
-        f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {spec.n} {spec.d}\n"
-    )
+    ctx, n, d = spec.ctx, spec.n, spec.d
+    sink.write(f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {n} {d}\n")
     chunks = _decimal_chunks()
-    width = len(str(spec.n - 1))
-    words = -(-width // 4)
-    # byte column j of a number's field is byte b of its chunk word k
-    columns = [divmod(4 * words - width + j, 4) for j in range(width)]
-    count = 0
+    width = len(str(n - 1))
     rows = 1  # q^k, the largest with q^k * q * d <= BLOCK_PAIRS and q^k <= n
-    while rows < spec.n and rows * ctx.q * ctx.q * spec.d <= BLOCK_PAIRS:
+    while rows < n and rows * ctx.q * ctx.q * d <= BLOCK_PAIRS:
         rows *= ctx.q
     low = _neighbour_indices(spec, ctx.digits_of(np.arange(rows)))
     low -= spec.s_indices.astype(np.uint32)
-    step = rows * max(1, BLOCK_PAIRS // (rows * spec.d))
-    for lo in range(0, spec.n, step):
-        block = np.arange(lo, min(lo + step, spec.n), dtype=np.uint32)
-        high = _neighbour_indices(spec, ctx.digits_of(block[::rows]))
-        targets = (high[:, None, :] + low).reshape(-1, spec.d)
-        targets.sort(axis=1)
-        later = targets > block[:, None]
-        ws = _decimal(targets[later], words, chunks)
-        us = np.repeat(_decimal(block, words, chunks), later.sum(axis=1), axis=1)
-        line = np.empty((ws.shape[1], 2 * width + 2), dtype=np.uint8)
-        for j, (k, b) in enumerate(columns):
-            line[:, j] = us[k].view(np.uint8)[b::4]
-            line[:, width + 1 + j] = ws[k].view(np.uint8)[b::4]
-        line[:, width] = ord(" ")
-        line[:, -1] = ord("\n")
-        sink.write(line.tobytes().translate(None, b"\0").decode("ascii"))
-        count += len(line)
-    expected = spec.n * spec.d // 2
+    highs = max(1, BLOCK_PAIRS // (rows * d))  # high parts a block
+    step = rows * highs
+    batch = step * max(1, BLOCK_PAIRS // (highs * d))
+    targets = np.empty((step, d), dtype=np.uint32)  # reused by every block
+    words = np.empty((-(-width // 4) + 1, step * d), dtype=np.uint32)
+    at = np.empty(step * d, dtype=np.intp)
+    text = np.empty(step * d * (2 * width + 2), dtype=np.uint8)
+    count = 0
+    for top in range(0, n, batch):
+        high = _neighbour_indices(spec, ctx.digits_of(np.arange(top, min(top + batch, n), rows)))
+        for lo in range(top, min(top + batch, n), step):
+            h = high[(lo - top) // rows :][:highs]
+            block = targets[: len(h) * rows]
+            np.add(h[:, None, :], low, out=block.reshape(len(h), rows, d))
+            block.sort(axis=1)
+            later = block > np.arange(lo, lo + len(block), dtype=np.uint32)[:, None]
+            vs = block[later]
+            per_u = later.sum(axis=1)
+            cuts = [lo] + [10**k for k in range(1, width) if lo < 10**k < lo + len(block)]
+            for a, b in zip(cuts, cuts[1:] + [lo + len(block)]):
+                first = int(per_u[: a - lo].sum())
+                m, wu = int(per_u[a - lo : b - lo].sum()), len(str(a))
+                line = text[: m * (wu + width + 2)].reshape(m, wu + width + 2)
+                us = _chunk_words(np.arange(a, b, dtype=np.uint32), wu, a, chunks, words, at)
+                _fill(line[:, :wu], np.repeat(us, per_u[a - lo : b - lo], axis=1))
+                line[:, wu] = ord(" ")
+                vw = _chunk_words(vs[first : first + m], width, a + 1, chunks, words, at)
+                _fill(line[:, wu + 1 : -1], vw)
+                line[:, -1] = ord("\n")
+                out = line.tobytes()
+                sink.write((out if wu == width else out.translate(None, b"\0")).decode("ascii"))
+                count += m
+    expected = n * d // 2
     if count != expected:
         raise IntegrityError(f"wrote {count} edges, expected {expected}")
     return count

@@ -326,8 +326,35 @@ def test_export_forms_high_parts_and_one_low_table():
 
     with mock.patch.object(cayley, "_neighbour_indices", counting):
         assert export_edges(spec, io.StringIO()) == spec.n * spec.d // 2
-    assert seen[0] == 64
-    assert sum(seen) == 64 + 256
+    # the 256 * 254 high-part pairs fit BLOCK_PAIRS, so they are one batch
+    assert seen == [64, 256]
+
+
+def test_export_on_large_ring_keeps_memory_bounded():
+    # (2,12,2): n = 16.7 M, d = 6, q^2 d > BLOCK_PAIRS, so rows = 1 and each
+    # block is BLOCK_PAIRS // d vertices; one n-sized uint32 table would take
+    # 64 MiB, and the export's buffers are sized by the block budget only
+    spec = build_graph(make_ring(RingParams(2, 12, 2)))
+
+    class Stop(Exception):
+        pass
+
+    class FirstBlocksOnly:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+            if self.lines > 100_000:  # about three blocks of 32 766 lines
+                raise Stop
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            export_edges(spec, FirstBlocksOnly())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("p,e,r,edges", [(2, 2, 2, 48), (2, 2, 4, 3840), (3, 2, 2, 324)])
@@ -398,23 +425,71 @@ def test_export_matches_oracle_past_four_digits(key):
     assert_export_matches_oracle(build_graph(ctx, random_unit(ctx, 1)), (5, None))
 
 
-def test_decimal_words_match_str():
-    # word-major: row k holds chunk k of every number; the chunk boundaries
-    # 0, 9, 9 999, 10^4, 99 999 999, 10^8 and 2^32 - 1 wherever they fit
+def test_fill_matches_str():
+    # every field width from 1 to 10 at byte offsets 0 to 3 of a line, so the
+    # uint32 views of whole chunk words are unaligned; ids at the chunk
+    # boundaries wherever they fit, with NUL bytes for leading zeros, and
+    # with a lower bound least that skips the NUL test on the lower chunks
     chunks = cayley._decimal_chunks()
-    x = np.array([0, 1, 9, 10, 999, 1000, 9999, 10_000, 10_001, 99_999_999,
-                  100_000_000, 100_000_001, 2**32 - 1], dtype=np.int64)
-    for words in (1, 2, 3):
-        for dtype in (np.int64, np.uint32):
-            fits = x[x < 10 ** (4 * words)].astype(dtype)
-            kept = fits.copy()
-            out = cayley._decimal(fits, words, chunks)
-            assert out.shape == (words, len(fits)) and out.dtype == np.uint32
-            np.testing.assert_array_equal(fits, kept)
-            text = np.ascontiguousarray(out.T).view(np.uint8)
-            assert [bytes(t).replace(b"\0", b"").decode() for t in text] == [
-                str(v) for v in fits.tolist()
-            ]
+    ids = np.array([0, 9, 10, 99_999_999, 10**8, 2**32 - 1], dtype=np.uint32)
+    for width in range(1, 11):
+        fits = ids[ids < 10**width]
+        words = np.empty((-(-width // 4) + 1, len(fits)), dtype=np.uint32)
+        at = np.empty(len(fits), dtype=np.intp)
+        for least in (0, int(fits.min())):
+            for offset in range(4):
+                line = np.full((len(fits), offset + width + 1), ord("#"), dtype=np.uint8)
+                field = line[:, offset : offset + width]
+                cayley._fill(field, cayley._chunk_words(fits, width, least, chunks, words, at))
+                assert (line[:, :offset] == ord("#")).all() and (line[:, -1] == ord("#")).all()
+                assert [bytes(f) for f in field] == [
+                    str(v).rjust(width, "\0").encode() for v in fits.tolist()
+                ]
+
+
+def assert_export_parts(spec, budget=None, first_u=()):
+    """The export equals the oracle's text at the budget (None: the
+    default), and each write after the header holds one part: lines whose u
+    all have the same number of digits.  Every u in first_u starts a write."""
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    ref, buf = io.StringIO(), Recorder()
+    count = export_oracle.export_edges(spec, ref)
+    with mock.patch.object(cayley, "BLOCK_PAIRS", budget or cayley.BLOCK_PAIRS):
+        assert export_edges(spec, buf) == count
+    assert_same_text(buf.getvalue(), ref.getvalue())
+    firsts = [int(text.split(" ", 1)[0]) for text in writes[1:] if text]
+    for text in writes[1:]:
+        assert len({len(line.split()[0]) for line in text.splitlines()}) <= 1
+    assert set(first_u) <= set(firsts)
+
+
+def test_export_part_starts_a_block_at_a_power_of_ten():
+    # budget 80 d on GR(4,4^7): 16 low rows, 5 high parts, 80-row blocks, of
+    # which one starts exactly at u = 10 000 and three hold 10, 100 and 1000
+    spec = build_graph(make_ring(RingParams(2, 2, 7)))
+    assert_export_parts(spec, 80 * spec.d, first_u=(10, 100, 1000, 10_000))
+
+
+def test_export_parts_in_one_block():
+    # GR(4,4^5) at the default budget: its n = 1024 vertices are one block,
+    # split at 10, 100 and 1000
+    spec = build_graph(make_ring(RingParams(2, 2, 5)))
+    assert_export_parts(spec, first_u=(10, 100, 1000))
+
+
+def test_export_top_width_part_with_few_lines():
+    # (2,5,2), n = 1024, d = 6: the full-width part is u = 1000..1023, whose
+    # lines skip the NUL deletion: 23 of them for gamma = 1, none for this
+    # twisted gamma, whose S has no element in 1..121
+    ctx = make_ring(RingParams(2, 5, 2))
+    assert_export_parts(build_graph(ctx), first_u=(1000,))
+    assert_export_parts(build_graph(ctx, random_unit(ctx, 2)))
 
 
 def test_decimal_chunks_table():
