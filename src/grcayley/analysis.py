@@ -19,9 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cayley import (
-    BLOCK_PAIRS, GraphSpec, _in_sorted, _require_connection_set, spectral_interval_bound
-)
+from .cayley import BLOCK_PAIRS, GraphSpec, spectral_interval_bound
 from .errors import IntegrityError, ParameterError, SizeError
 from .ring import (
     RingContext, RingElement, _matmul_mod, _multiplication_matrix, _row_blocks, coeff_string,
@@ -218,41 +216,45 @@ def girth(spec: GraphSpec) -> int:
     """Length of a shortest cycle: 3 when the graph has a triangle, else 4.
 
     For a, b in S with b != +-a an abelian Cayley graph has the square
-    0, a, a + b, b.  Such a pair exists once d >= 3, since S = -S, so the
-    girth is never above 4; triangle_count admits only the connection sets
-    of build_graph, whose d is at least 6.
+    0, a, a + b, b.  Such a pair exists once d >= 3, since S = -S, and
+    r >= 2 makes d at least 6, so the girth is never above 4.
     """
     return 3 if triangle_count(spec) else 4
 
 
-def triangle_count(spec: GraphSpec) -> int:
-    """Number of triangles, from the ordered pairs (s_i, s_j) whose sum lies
-    in S.
+def _heads(ctx: RingContext) -> np.ndarray:
+    """Digit rows of 1 and, for p = 2, -1: one per G1-orbit of S1 = +-G1."""
+    heads = np.zeros((2 if ctx.p == 2 else 1, ctx.r), dtype=np.int32)
+    heads[:, 0] = (1, ctx.q - 1)[: len(heads)]
+    return heads
 
-    The triangles through vertex 0, as ordered pairs (a, b) of adjacent
-    neighbours, are the pairs with b - a in S; a = s_i and b = s_i + s_j
-    match them one to one with those pair sums.  G1 acts freely on the
-    ordered pairs by multiplying both entries and keeps their sum in S, and
-    each orbit of pairs has one pair whose first entry is the head of its
-    G1-orbit of S.  S lists gamma*xi^k, then -gamma*xi^k for p = 2
-    (GraphSpec), so the heads are every (p^r - 1)-th row of S: gamma and
-    -gamma for p = 2, gamma for odd p.  The pairs number p^r - 1 times the
-    (h, s_j) over those heads.  Each triangle has 3 vertices and 2 orders,
-    hence n * count / 6.  The sums are formed one block of BLOCK_PAIRS
-    digits at a time.  Raises IntegrityError unless S is the connection set
-    of build_graph (_require_connection_set).
+
+def triangle_count(spec: GraphSpec) -> int:
+    """Number of triangles, counted on Cay(R, S1), S1 = +-G1 (G1 for odd p),
+    onto which x -> gamma^-1 x maps the graph (GraphSpec).
+
+    The triangles through 0, as ordered pairs (a, b) of adjacent neighbours,
+    match the pairs (s, t) of S1 with s + t in S1: a = s, b = s + t.  G1
+    acts freely on those pairs and each orbit has one pair headed by 1 or,
+    for p = 2, -1; negation maps the pairs headed by 1 onto those headed by
+    -1.  So they number p^r - 1 times the heads times #{t in S1 : 1 + t in
+    S1}, a sum being in S1 when orbit_row_map gives it a head's row.  The
+    unreduced sums 1 + t and, for p = 2, 1 + q - t, t in G1, are mapped one
+    block of rows at a time.  A triangle has 3 vertices and 2 orders, hence
+    n * count / 6.
     """
-    ctx, s = spec.ctx, spec.s_digits
-    _require_connection_set(spec)
-    orbit = ctx.p**ctx.r - 1
-    table = np.sort(spec.s_indices)
+    ctx = spec.ctx
+    g1, q, orbit = ctx.teich_digits, ctx.q, ctx.p**ctx.r - 1
+    orbit_of = orbit_row_map(ctx)
+    heads = _heads(ctx)
+    one, head_rows = heads[0], orbit_of(heads)
     hits = 0
-    for head in s[::orbit]:
-        for block in _row_blocks(spec.d, ctx.r):
-            sums = s[block] + head
-            np.subtract(sums, ctx.q, out=sums, where=sums >= ctx.q)
-            hits += int(_in_sorted(ctx.indices_from_digits(sums), table).sum())
-    total = spec.n * orbit * hits
+    for block in _row_blocks(orbit, ctx.r):
+        t = g1[block]
+        for sums in (t + one, q + one - t) if ctx.p == 2 else (t + one,):
+            rows = orbit_of(sums)
+            hits += sum(int(np.count_nonzero(rows == h)) for h in head_rows)
+    total = spec.n * orbit * len(heads) * hits
     if total % 6:
         raise IntegrityError(f"triangle count {total} is not divisible by 6")
     return total // 6
@@ -263,9 +265,8 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
     per orbit row k in orbit_row_map's numbering, -1 where unreachable; for
     gamma = 1 that is the distance to O_k.
 
-    x -> gamma^-1 x is an isomorphism from Cay(R, S), S = +-gamma*G1, onto
-    Cay(R, S1), S1 = +-G1 (G1 for odd p), that fixes 0, so the search runs
-    on the untwisted graph; _require_connection_set checks gamma^-1 S = S1 first.
+    The search runs on Cay(R, S1), S1 = +-G1 (G1 for odd p), onto which
+    x -> gamma^-1 x maps the graph, fixing 0 (GraphSpec).
     Multiplication by a Teichmuller unit and the Frobenius sigma both fix 0
     and map S1 onto itself, so the distance is constant on each sigma-cycle
     of orbits, and the search holds one row per cycle, its least row
@@ -292,12 +293,10 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
     reads no distance but those of the previous level, so the blocks give
     the same distances in any order.  The search stops once the reached
     rows hold all n vertices, and each row then takes the distance of its
-    cycle's least row.  Raises IntegrityError unless S is the connection
-    set of build_graph (_require_connection_set), and SizeError before
-    allocating when the orbit rows exceed spectrum.ORBIT_CUTOFF.
+    cycle's least row.  Raises SizeError before allocating when the orbit
+    rows exceed spectrum.ORBIT_CUTOFF.
     """
     ctx = spec.ctx
-    _require_connection_set(spec)
     d, r, q, orbit = spec.d, ctx.r, ctx.q, ctx.p**ctx.r - 1
     count = (ctx.size - 1) // orbit + 1
     if count > _spectrum.ORBIT_CUTOFF:
@@ -338,9 +337,7 @@ def bfs_distances(spec: GraphSpec) -> np.ndarray:
         return orbit * int(lengths.take(rows).sum())
 
     # level 1 is S1: the orbit of 1 and, for p = 2, that of -1
-    heads = np.zeros((d // orbit, r), dtype=np.int32)
-    heads[:, 0] = (1, q - 1)[: len(heads)]
-    frontier = canon.take(orbit_of(heads))
+    frontier = canon.take(orbit_of(_heads(ctx)))
     dist[frontier] = level = 1
     unseen -= 1 + frontier.size
     frontier_vertices = vertices(frontier)

@@ -8,10 +8,10 @@ unique order-2 element of the cyclic group G1.  Vertices are the ring
 elements under their flat index, so the graph on p^(er) vertices is
 d-regular with d = 2(p^r - 1) or p^r - 1.
 
-The connection set is only ever held as int32 digit rows: gamma*G1 is
-teich_digits @ M(gamma)^T mod q, M(gamma) the multiplication matrix of
-gamma, and -gamma*G1 follows it for p = 2, both written straight into one
-(d, r) array.
+A graph is held as its ring and gamma (GraphSpec).  The connection set is
+formed only when read, as int32 digit rows: gamma*G1 is teich_digits @
+M(gamma)^T mod q, M(gamma) the multiplication matrix of gamma, and
+-gamma*G1 follows it for p = 2, both written straight into one (d, r) array.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import IO, Optional, Union
 
@@ -48,21 +49,66 @@ FAMILY_MAX_DIGITS = 4300
 
 @dataclass(frozen=True, eq=False)
 class GraphSpec:
-    """A built graph: context, twist gamma, and the connection set as flat
-    indices s_indices and (d, r) int32 digit rows s_digits, in the same order.
+    """A built graph: its ring and the twist gamma, a unit.  n, d and the
+    connection set S = +-gamma*G1 (gamma*G1 for odd p) follow from them.
 
-    The row order is a contract that the orbit algorithms read and
-    _require_connection_set checks: row k is gamma*xi^k for k = 0..p^r-2,
-    and for p = 2 row p^r - 1 + k is -gamma*xi^k, so gamma^-1 S = +-G1 (G1
-    for odd p) row by row.  gamma stays a RingElement record because
-    perfbench/check.py reads spec.gamma.coeffs."""
+    x -> gamma^-1 x is an isomorphism from Cay(R, S) onto Cay(R, +-G1) that
+    fixes 0, so every claim but the residue partition is decided on +-G1
+    from ctx alone.  S is formed only when read: s_digits, (d, r) int32
+    digit rows gamma*xi^k for k = 0..p^r-2, then -gamma*xi^k for p = 2, and
+    s_indices, their flat indices in the same order.  gamma stays a
+    RingElement record because perfbench/check.py reads spec.gamma.coeffs."""
 
     ctx: RingContext
     gamma: RingElement
-    n: int
-    d: int
-    s_indices: np.ndarray
-    s_digits: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.ctx.size
+
+    @property
+    def d(self) -> int:
+        h = len(self.ctx.teich_digits)
+        return 2 * h if self.ctx.p == 2 else h
+
+    @cached_property
+    def s_digits(self) -> np.ndarray:
+        """gamma*G1 = teich_digits @ M(gamma)^T mod q, then its negation for
+        p = 2, in one (d, r) array; checked for repeats, zero, -S = S and d."""
+        ctx, q, h = self.ctx, self.ctx.q, len(self.ctx.teich_digits)
+        s_digits = np.empty((self.d, ctx.r), dtype=np.int32)
+        by_gamma = _multiplication_matrix(self.gamma).T
+        half = _matmul_mod(ctx.teich_digits, by_gamma, q, out=s_digits[:h])
+        if ctx.p == 2:
+            _negate(half, q, out=s_digits[h:])
+        s_indices = ctx.indices_from_digits(s_digits)
+        ordered = np.sort(s_indices)
+        if (ordered[1:] == ordered[:-1]).any():
+            if ctx.p == 2 and _in_sorted(s_indices[h:], np.sort(s_indices[:h])).any():
+                raise IntegrityError("gamma*G1 meets its own negation in characteristic 2^e")
+            raise IntegrityError("connection set has repeated elements")
+        if ordered[0] == 0:
+            raise IntegrityError("connection set contains zero")
+        # -S = S when row k + m of the 2m rows negates to row k: for p = 2 the
+        # second half is -gamma*G1; for odd p, -1 = xi^(h/2), so row k + h/2 is
+        # -gamma*xi^k.  Negation is an involution, so each pair holds both ways.
+        m, odd = divmod(len(s_digits), 2)
+        if odd or any(
+            not np.array_equal(_negate(s_digits[m:][rows], q), s_digits[:m][rows])
+            for rows in _row_blocks(m, ctx.r)
+        ):
+            raise IntegrityError("connection set is not closed under negation")
+
+        expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
+        if len(s_indices) != expected_d:
+            raise IntegrityError(
+                f"connection set has {len(s_indices)} elements, expected {expected_d}"
+            )
+        return s_digits
+
+    @cached_property
+    def s_indices(self) -> np.ndarray:
+        return self.ctx.indices_from_digits(self.s_digits)
 
 
 def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphSpec:
@@ -79,54 +125,9 @@ def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphS
             "multiple collapses the Teichmuller set and the construction "
             "degenerates to a directed multigraph, which is unsupported"
         )
-
-    q, h = ctx.q, len(ctx.teich_digits)
-    s_digits = np.empty((2 * h if ctx.p == 2 else h, ctx.r), dtype=np.int32)
-    half = _matmul_mod(ctx.teich_digits, _multiplication_matrix(gamma).T, q, out=s_digits[:h])
-    if ctx.p == 2:
-        _negate(half, q, out=s_digits[h:])
-    s_indices = ctx.indices_from_digits(s_digits)
-    ordered = np.sort(s_indices)
-    if (ordered[1:] == ordered[:-1]).any():
-        if ctx.p == 2 and _in_sorted(s_indices[h:], np.sort(s_indices[:h])).any():
-            raise IntegrityError("gamma*G1 meets its own negation in characteristic 2^e")
-        raise IntegrityError("connection set has repeated elements")
-    if ordered[0] == 0:
-        raise IntegrityError("connection set contains zero")
-    # -S = S when row k + m of the 2m rows negates to row k: for p = 2 the
-    # second half is -gamma*G1; for odd p, -1 = xi^(h/2), so row k + h/2 is
-    # -gamma*xi^k.  Negation is an involution, so each pair holds both ways.
-    m, odd = divmod(len(s_digits), 2)
-    if odd or any(
-        not np.array_equal(_negate(s_digits[m:][rows], q), s_digits[:m][rows])
-        for rows in _row_blocks(m, ctx.r)
-    ):
-        raise IntegrityError("connection set is not closed under negation")
-
-    expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
-    if len(s_indices) != expected_d:
-        raise IntegrityError(
-            f"connection set has {len(s_indices)} elements, expected {expected_d}"
-        )
-
-    log.debug("build_graph d = %d: %.4f s", expected_d, time.perf_counter() - start)
-    return GraphSpec(ctx, gamma, ctx.size, expected_d, s_indices, s_digits)
-
-
-def _require_connection_set(spec: GraphSpec) -> None:
-    """Raise IntegrityError unless d and the digit rows are those build_graph
-    writes (GraphSpec): gamma*G1 = teich_digits @ M(gamma)^T mod q, then its
-    negation for p = 2, compared a block of rows at a time.  Such an S is
-    xi-stable and gamma^-1 S = +-G1 (G1 for odd p), as the orbit algorithms need."""
-    ctx, q, h = spec.ctx, spec.ctx.q, len(spec.ctx.teich_digits)
-    half, rest = spec.s_digits[:h], spec.s_digits[h:]
-    by_gamma = _multiplication_matrix(spec.gamma).T
-    if spec.d != len(spec.s_digits) or len(rest) != (h if ctx.p == 2 else 0) or any(
-        not np.array_equal(_matmul_mod(ctx.teich_digits[rows], by_gamma, q), half[rows])
-        or (ctx.p == 2 and not np.array_equal(_negate(half[rows], q), rest[rows]))
-        for rows in _row_blocks(h, ctx.r)
-    ):
-        raise IntegrityError("connection set rows are not gamma*xi^k, then -gamma*xi^k for p = 2")
+    spec = GraphSpec(ctx, gamma)
+    log.debug("build_graph d = %d: %.4f s", spec.d, time.perf_counter() - start)
+    return spec
 
 
 def _negate(digits: np.ndarray, q: int, out: Optional[np.ndarray] = None) -> np.ndarray:

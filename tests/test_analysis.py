@@ -1,6 +1,5 @@
 """Claim checks against frozen values and independent graph oracles."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -454,21 +453,6 @@ def test_bfs_memory(key, mib):
         tracemalloc.stop()
     assert (dist >= 0).all()
     assert peak <= mib << 20
-
-
-def test_girth_without_short_cycle_raises():
-    # S = {1, -1} in GR(8, 8^2) spans 8-cycles, so no pair sum closes a
-    # triangle or a square; build_graph never builds a set this small, and
-    # the check of its rows, run by triangle_count, rejects it
-    spec = graph_for(2, 3, 2)
-    ctx = spec.ctx
-    one = scalar.lift(ctx.one)
-    pair = (one, -one)
-    idx = np.array([s.index for s in pair], dtype=np.int64)
-    cycle = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
-    assert pair_sum_oracle.girth(cycle) is None
-    with pytest.raises(IntegrityError, match="xi"):
-        girth(cycle)
 
 
 @pytest.mark.parametrize("key", PAIR_SUM_KEYS)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from connection_oracle import connection_rows, connection_set, neighbors
 import export_oracle
 from orbit_oracle import orbit_representatives, vertex_distances
-from test_acceptance import WCU_LIMIT, _instances
 import ring_oracle as scalar
 
 from grcayley import (
@@ -122,41 +121,24 @@ def test_connection_set_matches_oracle_on_large_rings(key):
 def test_build_graph_integrity_failures(monkeypatch, key, edit, message):
     ctx = make_ring(RingParams(*key))
     monkeypatch.setattr(ctx, "teich_digits", edit(ctx.teich_digits))
+    # S is formed, and checked, on first read, not by build_graph
+    spec = build_graph(ctx)
     with pytest.raises(IntegrityError, match=message):
-        build_graph(ctx)
-
-
-def test_connection_set_check_passes_every_built_graph():
-    # the rows build_graph writes are the rows _require_connection_set
-    # expects, for a random unit gamma on every catalog ring
-    for key in _instances(WCU_LIMIT):
-        ctx = make_ring(RingParams(*key))
-        cayley._require_connection_set(build_graph(ctx, random_unit(ctx, sum(key))))
-
-
-@pytest.mark.parametrize("key", [(2, 2, 3), (3, 2, 2)])
-def test_connection_set_check_rejects_rows_permuted_in_orbit(key):
-    # rows 1 and 2 of gamma*G1, and of -gamma*G1 for p = 2, swapped: the
-    # same set, xi-stable and headed by gamma and -gamma, but not the row
-    # order that the BFS and triangle_count read
-    ctx = make_ring(RingParams(*key))
-    spec = build_graph(ctx, random_unit(ctx, sum(key)))
-    order = np.arange(spec.d)
-    for head in range(0, spec.d, ctx.p**ctx.r - 1):
-        order[head + 1 : head + 3] = head + 2, head + 1
-    permuted = dataclasses.replace(
-        spec, s_digits=spec.s_digits[order], s_indices=spec.s_indices[order]
-    )
-    for check in (cayley._require_connection_set, bfs_distances, triangle_count):
-        with pytest.raises(IntegrityError, match="xi"):
-            check(permuted)
+        spec.s_digits
 
 
 def test_setup_and_default_verify_build_no_unit_elements():
     ctx = make_ring(RingParams(2, 2, 4))
-    verify_graph(build_graph(ctx))
+    spec = build_graph(ctx)
+    verify_graph(spec)
     assert "teichmuller_units" not in vars(ctx)
     assert not hasattr(ctx, "_teich_by_residue")
+    # nor the connection set, twisted or not: every default claim is decided
+    # on +-G1 and gamma
+    odd = make_ring(RingParams(3, 2, 2))
+    for spec in (spec, build_graph(ctx, random_unit(ctx, 7)), build_graph(odd, random_unit(odd, 7))):
+        verify_graph(spec)
+        assert "s_digits" not in vars(spec) and "s_indices" not in vars(spec)
     # gamma = 1 makes the oracle's first p^r - 1 elements the scalar xi powers
     assert list(ctx.teichmuller_units) == connection_set(ctx, ctx.one)[: ctx.p**ctx.r - 1]
 
@@ -173,6 +155,16 @@ def test_gamma_from_other_ring_rejected(h16):
         build_graph(h16.ctx, other.one)
     # equal-keyed contexts interoperate
     assert build_graph(h16.ctx, make_ring(RingParams(2, 2, 2)).one).d == h16.d
+
+
+def test_graph_spec_is_ring_and_gamma(h16):
+    # n, d and S follow from the ring and gamma, so a spec holding another
+    # S cannot be built
+    assert [f.name for f in dataclasses.fields(h16)] == ["ctx", "gamma"]
+    ctx = make_ring(RingParams(3, 2, 2))
+    spec = cayley.GraphSpec(ctx, ctx.element([1, 1]))
+    assert (spec.n, spec.d) == (81, 8)
+    assert_matches_connection_oracle(spec)
 
 
 def test_twisted_graph_same_degree(h16):
@@ -247,10 +239,11 @@ def test_phase_boundaries_logged_at_debug(caplog):
 
 
 def test_setup_on_largest_char4_ring_stays_small():
-    # GR(4,4^16), d = 131 070: G1 and S are held as int32 digit rows (4 and
-    # 8 MiB), and every product, index and pair sum beside them is formed a
-    # block at a time; as int64 rows with whole-array temporaries the peaks
-    # were 16.1, 58.0 and 45.3 MiB
+    # GR(4,4^16), d = 131 070: G1 is held as int32 digit rows (4 MiB), S is
+    # not formed until read, and every product, index and pair sum is formed
+    # a block at a time; as int64 rows with whole-array temporaries the peaks
+    # were 16.1, 58.0 and 45.3 MiB, and 24 MiB was build_graph's bound while
+    # it formed S
     def traced(fn, *args):
         tracemalloc.start()
         try:
@@ -264,7 +257,7 @@ def test_setup_on_largest_char4_ring_stays_small():
     assert ctx.teich_digits.dtype == spec.s_digits.dtype == np.int32
     assert ctx._residue_lift[1].dtype == np.uint16  # adj, 2 MiB here
     assert ring_peak < 8 * 2**20
-    assert graph_peak < 24 * 2**20
+    assert graph_peak < 2**20
     assert pairs_peak < 8 * 2**20
     assert count > 0
 

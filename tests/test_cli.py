@@ -113,8 +113,11 @@ def test_graph_export_stdout_matches_file(capsys, tmp_path):
          "fac1d18d0b8aa92b832cef10eb9b1f76d5d800b671093a07cf999b2768e7dbeb"),
         (["-p", "2", "-e", "4", "-r", "4"],
          "3bd50a2bfc1c6a794465de5273b73d67187993fde43ab2f6651fd63486a9ed3f"),
+        # p = 2 with gamma = 1 + x: S is +-gamma*G1, formed for the export only
+        (["-p", "2", "-e", "3", "-r", "4", "--gamma", "1,1"],
+         "b8020d04e39af4181798967638cb78a2b210644785f7951f4e9944b685fb3d10"),
     ],
-    ids=["gr4-7", "gr9-4-twisted", "gr25-3", "gr16-4"],
+    ids=["gr4-7", "gr9-4-twisted", "gr25-3", "gr16-4", "gr8-4-twisted"],
 )
 def test_graph_export_frozen_digest(capsys, tmp_path, args, digest):
     # both text sinks: a file and stdout

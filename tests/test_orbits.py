@@ -4,7 +4,6 @@ against a brute-force sweep of that kernel over every ring element, and
 the orbit numbering and its inverse against tests/orbit_oracle.py, and the
 Frobenius cycles of that numbering against tests/ring_oracle.py."""
 
-import dataclasses
 import functools
 import math
 
@@ -25,7 +24,6 @@ from test_analysis import BFS_ORACLE_KEYS
 from test_cayley import RINGS_UP_TO_2_12
 from zeta_oracle import character_sums, row_zeta_sums, trace_basis_matrix
 from grcayley import (
-    IntegrityError,
     RingParams,
     SizeError,
     bfs_distances,
@@ -33,13 +31,11 @@ from grcayley import (
     check_bhk,
     check_residue_partition,
     check_wcu_summary,
-    connectivity,
     full_spectrum,
     is_unit,
     make_ring,
-    triangle_count,
 )
-from grcayley import analysis, cayley, ring, spectrum
+from grcayley import analysis, ring, spectrum
 from grcayley.analysis import _wcu_norm_within_bound
 from grcayley.ring import parse_coeff_string
 from grcayley.spectrum import (
@@ -240,52 +236,6 @@ def test_orbit_wcu_and_bhk_match_sweep(key):
     if ctx.q == 4:
         rep = check_bhk(ctx)
         assert (rep.holds, rep.observed_value) == sweep_bhk(ctx)
-
-
-def test_full_spectrum_rejects_xi_unstable_connection_set():
-    # {1, -1} is negation-closed but not closed under multiplication by xi,
-    # so not the connection set of build_graph
-    spec = build_graph(make_ring(RingParams(2, 2, 3)))
-    ctx = spec.ctx
-    one = scalar.lift(ctx.one)
-    pair = (one, -one)
-    idx = np.array([s.index for s in pair], dtype=np.int64)
-    unstable = dataclasses.replace(spec, d=2, s_indices=idx, s_digits=ctx.digits_of(idx))
-    for check in (cayley._require_connection_set, bfs_distances, connectivity, triangle_count):
-        with pytest.raises(IntegrityError, match="xi"):
-            check(unstable)
-    # full_spectrum reads only d of S; d = 2 is not the ring's 14
-    with pytest.raises(IntegrityError, match="moment"):
-        full_spectrum(unstable)
-
-
-def test_bfs_rejects_connection_set_not_headed_by_gamma():
-    # S = +-G1 is xi-stable, but it is +-gamma*G1 only for gamma in +-G1, so
-    # searching gamma^-1 S as +-G1 would search the wrong graph; a third
-    # orbit after the heads gamma and -gamma leaves no room for +-G1 either.
-    # Both are xi-stable by the scalar product, and the check of the rows
-    # rejects both, so triangle_count, which needs xi-stability only, now
-    # rejects +-gamma*G1 with +-G1 adjoined too
-    for key in ((2, 2, 3), (3, 2, 2)):
-        ctx = make_ring(RingParams(*key))
-        plain = build_graph(ctx)
-        gamma = ctx.element([1, 1])
-        assert is_unit(gamma)
-        three = np.vstack([build_graph(ctx, gamma).s_digits, plain.s_digits])
-        for spec in (
-            dataclasses.replace(plain, gamma=gamma),
-            dataclasses.replace(
-                plain, gamma=gamma, d=len(three), s_digits=three,
-                s_indices=ctx.indices_from_digits(three),
-            ),
-        ):
-            rows = spec.s_digits.tolist()
-            by_xi = {(scalar.element(ctx, row) * ctx.xi).index for row in rows}
-            assert by_xi == set(spec.s_indices.tolist())
-            checks = (cayley._require_connection_set, bfs_distances, connectivity, triangle_count)
-            for check in checks:
-                with pytest.raises(IntegrityError, match="gamma"):
-                    check(spec)
 
 
 @pytest.mark.parametrize("key", RINGS_UP_TO_2_12)

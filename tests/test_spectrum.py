@@ -2,7 +2,6 @@
 spectra, against frozen values, the scalar oracle, and the dense
 eigensolver oracle."""
 
-import dataclasses
 import functools
 import tracemalloc
 
@@ -87,12 +86,13 @@ def test_trace_counts_frozen(h16):
 
 
 def test_eigenvalue_guards(h16):
-    # gamma*G1 without its negation: full_spectrum reads only d = 3 of S,
-    # which is not the ring's 6, so the second moment check fails
-    half = h16.d // 2
-    lopsided = dataclasses.replace(h16, d=half, s_digits=h16.s_digits[:half])
+    # one zeta value off by 1 moves the first moment by 2(p^r - 1), so the
+    # moment check fails
+    (re, im), *rest = spectrum.zeta_sums(h16.ctx)
+    re = re.copy()
+    re[0] += 1
     with pytest.raises(IntegrityError, match="moment"):
-        full_spectrum(lopsided)
+        full_spectrum(h16, [(re, im), *rest])
 
 
 def test_kernel_matches_scalar_oracle_on_char4(h16, h64):
