@@ -239,21 +239,24 @@ def triangle_count(spec: GraphSpec) -> int:
     for p = 2, -1; negation maps the pairs headed by 1 onto those headed by
     -1.  So they number p^r - 1 times the heads times #{t in S1 : 1 + t in
     S1}, a sum being in S1 when orbit_row_map gives it a head's row.  The
-    unreduced sums 1 + t and, for p = 2, 1 + q - t, t in G1, are mapped one
-    block of rows at a time.  A triangle has 3 vertices and 2 orders, hence
-    n * count / 6.
+    unreduced sums 1 + t, t in G1, are mapped one block of rows at a time.
+    A triangle has 3 vertices and 2 orders, hence n * count / 6.
+
+    For p = 2 no t in -G1 counts: 1 - t is never +-s for t, s in G1.  Reduce
+    mod 4, which maps G1 onto the G1 of GR(4, 4^r).  There each element is
+    a + 2b for unique Teichmuller a, b, and a + b = tau(a' + b') +
+    2 tau(sqrt(a'b')) for a, b in G1, tau lifting residues.  So 1 = t + s and
+    t = 1 + s fail on the second digit, 0 on the left and nonzero on the right.
     """
     ctx = spec.ctx
-    g1, q, orbit = ctx.teich_digits, ctx.q, ctx.p**ctx.r - 1
+    g1, orbit = ctx.teich_digits, ctx.p**ctx.r - 1
     orbit_of = orbit_row_map(ctx)
     heads = _heads(ctx)
     one, head_rows = heads[0], orbit_of(heads)
     hits = 0
     for block in _row_blocks(orbit, ctx.r):
-        t = g1[block]
-        for sums in (t + one, q + one - t) if ctx.p == 2 else (t + one,):
-            rows = orbit_of(sums)
-            hits += sum(int(np.count_nonzero(rows == h)) for h in head_rows)
+        rows = orbit_of(g1[block] + one)
+        hits += sum(int(np.count_nonzero(rows == h)) for h in head_rows)
     total = spec.n * orbit * len(heads) * hits
     if total % 6:
         raise IntegrityError(f"triangle count {total} is not divisible by 6")

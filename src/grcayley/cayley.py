@@ -9,7 +9,7 @@ elements under their flat index, so the graph on p^(er) vertices is
 d-regular with d = 2(p^r - 1) or p^r - 1.
 
 A graph is held as its ring and gamma (GraphSpec).  The connection set is
-formed only when read, as int32 digit rows: gamma*G1 is teich_digits @
+formed on each read, as int32 digit rows: gamma*G1 is teich_digits @
 M(gamma)^T mod q, M(gamma) the multiplication matrix of gamma, and
 -gamma*G1 follows it for p = 2, both written straight into one (d, r) array.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import IO, Optional, Union
 
@@ -54,10 +53,10 @@ class GraphSpec:
 
     x -> gamma^-1 x is an isomorphism from Cay(R, S) onto Cay(R, +-G1) that
     fixes 0, so every claim but the residue partition is decided on +-G1
-    from ctx alone.  S is formed only when read: s_digits, (d, r) int32
-    digit rows gamma*xi^k for k = 0..p^r-2, then -gamma*xi^k for p = 2, and
-    s_indices, their flat indices in the same order.  gamma stays a
-    RingElement record because perfbench/check.py reads spec.gamma.coeffs."""
+    from ctx alone.  S is formed on each read and cached nowhere: s_digits,
+    (d, r) int32 rows gamma*xi^k for k = 0..p^r-2, then -gamma*xi^k for p = 2,
+    and s_indices, their flat indices.  gamma stays a RingElement record
+    because perfbench/check.py reads spec.gamma.coeffs."""
 
     ctx: RingContext
     gamma: RingElement
@@ -71,44 +70,49 @@ class GraphSpec:
         h = len(self.ctx.teich_digits)
         return 2 * h if self.ctx.p == 2 else h
 
-    @cached_property
+    @property
     def s_digits(self) -> np.ndarray:
-        """gamma*G1 = teich_digits @ M(gamma)^T mod q, then its negation for
-        p = 2, in one (d, r) array; checked for repeats, zero, -S = S and d."""
-        ctx, q, h = self.ctx, self.ctx.q, len(self.ctx.teich_digits)
-        s_digits = np.empty((self.d, ctx.r), dtype=np.int32)
-        by_gamma = _multiplication_matrix(self.gamma).T
-        half = _matmul_mod(ctx.teich_digits, by_gamma, q, out=s_digits[:h])
-        if ctx.p == 2:
-            _negate(half, q, out=s_digits[h:])
-        s_indices = ctx.indices_from_digits(s_digits)
-        ordered = np.sort(s_indices)
-        if (ordered[1:] == ordered[:-1]).any():
-            if ctx.p == 2 and _in_sorted(s_indices[h:], np.sort(s_indices[:h])).any():
-                raise IntegrityError("gamma*G1 meets its own negation in characteristic 2^e")
-            raise IntegrityError("connection set has repeated elements")
-        if ordered[0] == 0:
-            raise IntegrityError("connection set contains zero")
-        # -S = S when row k + m of the 2m rows negates to row k: for p = 2 the
-        # second half is -gamma*G1; for odd p, -1 = xi^(h/2), so row k + h/2 is
-        # -gamma*xi^k.  Negation is an involution, so each pair holds both ways.
-        m, odd = divmod(len(s_digits), 2)
-        if odd or any(
-            not np.array_equal(_negate(s_digits[m:][rows], q), s_digits[:m][rows])
-            for rows in _row_blocks(m, ctx.r)
-        ):
-            raise IntegrityError("connection set is not closed under negation")
+        return _connection_set(self)[0]
 
-        expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
-        if len(s_indices) != expected_d:
-            raise IntegrityError(
-                f"connection set has {len(s_indices)} elements, expected {expected_d}"
-            )
-        return s_digits
-
-    @cached_property
+    @property
     def s_indices(self) -> np.ndarray:
-        return self.ctx.indices_from_digits(self.s_digits)
+        return _connection_set(self)[1]
+
+
+def _connection_set(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """S as (d, r) int32 digit rows, formed as the module docstring says, and
+    their int64 flat indices, in one pass; checked for repeats, zero, -S = S and d."""
+    ctx, q, h = spec.ctx, spec.ctx.q, len(spec.ctx.teich_digits)
+    s_digits = np.empty((spec.d, ctx.r), dtype=np.int32)
+    by_gamma = _multiplication_matrix(spec.gamma).T
+    half = _matmul_mod(ctx.teich_digits, by_gamma, q, out=s_digits[:h])
+    if ctx.p == 2:
+        _negate(half, q, out=s_digits[h:])
+    s_indices = ctx.indices_from_digits(s_digits)
+    # sorted as uint32, half an int64 copy: every index is below n <= 2^32
+    ordered = s_indices.astype(np.uint32)
+    ordered.sort()
+    if (ordered[1:] == ordered[:-1]).any():
+        if ctx.p == 2 and np.intersect1d(s_indices[:h], s_indices[h:]).size:
+            raise IntegrityError("gamma*G1 meets its own negation in characteristic 2^e")
+        raise IntegrityError("connection set has repeated elements")
+    if ordered[0] == 0:
+        raise IntegrityError("connection set contains zero")
+    del ordered  # so the closure check's blocks do not raise the peak
+    # -S = S when row k + m of the 2m rows negates to row k: for p = 2 the
+    # second half is -gamma*G1; for odd p, -1 = xi^(h/2), so row k + h/2 is
+    # -gamma*xi^k.  Negation is an involution, so each pair holds both ways.
+    m, odd = divmod(len(s_digits), 2)
+    if odd or any(
+        not np.array_equal(_negate(s_digits[m:][rows], q), s_digits[:m][rows])
+        for rows in _row_blocks(m, ctx.r)
+    ):
+        raise IntegrityError("connection set is not closed under negation")
+
+    expected_d = 2 * (ctx.p**ctx.r - 1) if ctx.p == 2 else ctx.p**ctx.r - 1
+    if len(s_indices) != expected_d:
+        raise IntegrityError(f"connection set has {len(s_indices)} elements, expected {expected_d}")
+    return s_digits, s_indices
 
 
 def build_graph(ctx: RingContext, gamma: Optional[RingElement] = None) -> GraphSpec:
@@ -141,28 +145,20 @@ def _negate(digits: np.ndarray, q: int, out: Optional[np.ndarray] = None) -> np.
     return out
 
 
-def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Elementwise membership of values in the sorted, nonempty 1-D table.
-
-    A searchsorted lookup: unlike np.isin, it does not import numpy.ma."""
-    at = np.searchsorted(table, values)
-    return table[np.minimum(at, len(table) - 1)] == values
-
-
-def _neighbour_indices(spec: GraphSpec, digits: np.ndarray) -> np.ndarray:
+def _neighbour_indices(ctx: RingContext, s: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """(m, d) uint32 flat indices of u + S, in connection-set order, for the
-    (m, r) digit rows of m vertices u.
+    (d, r) digit rows of S and the (m, r) digit rows of m vertices u.
 
     The sum is formed digit by digit on two (m, d) arrays, whatever q is;
     uint32 holds it, since every flat index is below n <= MAX_RING_SIZE =
     2^32 and every digit sum below 2q <= 2^17.
     """
-    q = np.uint32(spec.ctx.q)
+    q = np.uint32(ctx.q)
     u = digits.astype(np.uint32)
-    s = spec.s_digits.view(np.uint32)  # int32 digits below q, read in place
-    targets = np.zeros((len(u), spec.d), dtype=np.uint32)
+    s = s.view(np.uint32)  # int32 digits below q, read in place
+    targets = np.zeros((len(u), len(s)), dtype=np.uint32)
     digit = np.empty_like(targets)
-    for i, w in enumerate(spec.ctx._weights):
+    for i, w in enumerate(ctx._weights):
         np.add(u[:, i, None], s[:, i], out=digit)
         digit %= q
         digit *= np.uint32(w)
@@ -243,21 +239,22 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     is as wide as u; v's is as wide as n - 1, its leading zeros NUL bytes
     that are dropped unless u, and so every v > u, has that width too.
 
-    Neighbours come by translation: l = u mod q^k and h = u - l share no
-    nonzero digit, so idx(u + s) = idx(l + s) + idx(h + s) - idx(s).  One
-    (q^k, d) table of idx(l + s) - idx(s) is added to h + S, formed for as
-    many blocks' high parts h as fit BLOCK_PAIRS at once; it wraps mod 2^32,
-    harmlessly, as every true index is below n <= 2^32.
+    Neighbours come by translation from S, formed once per call: l = u mod
+    q^k and h = u - l share no nonzero digit, so idx(u + s) = idx(l + s) +
+    idx(h + s) - idx(s).  One (q^k, d) table of idx(l + s) - idx(s) is added
+    to h + S, formed for as many blocks' high parts h as fit BLOCK_PAIRS at
+    once; it wraps mod 2^32, harmlessly, as every true index is below n <= 2^32.
     """
     ctx, n, d = spec.ctx, spec.n, spec.d
+    s, s_indices = _connection_set(spec)
     sink.write(f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {n} {d}\n")
     chunks = _decimal_chunks()
     width = len(str(n - 1))
     rows = 1  # q^k, the largest with q^k * q * d <= BLOCK_PAIRS and q^k <= n
     while rows < n and rows * ctx.q * ctx.q * d <= BLOCK_PAIRS:
         rows *= ctx.q
-    low = _neighbour_indices(spec, ctx.digits_of(np.arange(rows)))
-    low -= spec.s_indices.astype(np.uint32)
+    low = _neighbour_indices(ctx, s, ctx.digits_of(np.arange(rows)))
+    low -= s_indices.astype(np.uint32)
     highs = max(1, BLOCK_PAIRS // (rows * d))  # high parts a block
     step = rows * highs
     batch = step * max(1, BLOCK_PAIRS // (highs * d))
@@ -267,7 +264,7 @@ def export_edges(spec: GraphSpec, sink: IO[str]) -> int:
     text = np.empty(step * d * (2 * width + 2), dtype=np.uint8)
     count = 0
     for top in range(0, n, batch):
-        high = _neighbour_indices(spec, ctx.digits_of(np.arange(top, min(top + batch, n), rows)))
+        high = _neighbour_indices(ctx, s, ctx.digits_of(np.arange(top, min(top + batch, n), rows)))
         for lo in range(top, min(top + batch, n), step):
             h = high[(lo - top) // rows :][:highs]
             block = targets[: len(h) * rows]

@@ -20,7 +20,8 @@ matrix, T(a*b) = a @ trace_gram @ b.
 Single elements (gamma, ctx.one, ctx.xi) are RingElement records with no
 arithmetic; every bulk set is a digit array, and the flat index
 sum(c_i * q^i) is the vertex id.  digits_of / indices_from_digits convert
-whole index arrays for the vectorised kernels.
+whole index arrays for the vectorised kernels.  ctx.one and ctx.xi are
+built on each read, so no context lies on a reference cycle.
 
 Every (m, r) digit array the package holds or returns is int32: G1
 (teich_digits), the connection set, the rows of _matmul_mod, digits_of and
@@ -244,8 +245,8 @@ def find_basic_irreducible(params: RingParams) -> ModulusPoly:
 
 
 class RingElement:
-    """Residue class in Z_q[x]/(f) as its coefficient tuple, with no
-    arithmetic.  Slotted: len(ctx.teichmuller_units) builds p^r - 1 of these."""
+    """Residue class in Z_q[x]/(f) as its coefficient tuple, slotted, with no
+    arithmetic; only single elements are records: gamma, ctx.one, ctx.xi."""
 
     __slots__ = ("ctx", "coeffs")
 
@@ -259,7 +260,6 @@ class RingContext:
 
     def __init__(self, params: RingParams, modulus: ModulusPoly):
         modulus.validate_for(params)
-        self.params = params
         self.modulus = modulus
         self.p = params.p
         self.e = params.e
@@ -281,10 +281,9 @@ class RingContext:
         self.trace_gram.flags.writeable = False
         self.trace_form: tuple[int, ...] = tuple(traces[:r])
 
-        self.one = self.element([1])
         # M(xi) = M(x)^(p^((e-1)r)) = C^(p^((e-1)r)); xi is its column 0
         m_xi = _matpow(comp, p ** ((e - 1) * r), q)
-        self.xi = RingElement(self, tuple(m_xi[:, 0].tolist()))
+        self._xi = tuple(m_xi[:, 0].tolist())
 
         group_order = p**r - 1
         by_xi = m_xi.T  # a @ by_xi: the digits of a * xi
@@ -306,17 +305,18 @@ class RingContext:
         teich.flags.writeable = False
         self.teich_digits: np.ndarray = teich
 
-        # Always None: trace_form gives every trace, so no per-element table
-        # is built; the attribute stays only because perfbench/workloads.py reads it.
+        # Both stay only because perfbench reads them: teich_digits under a second
+        # name for its unit count, and trace_table, None, as trace_form gives every trace.
+        self.teichmuller_units = teich
         self.trace_table: Optional[np.ndarray] = None
 
-    @cached_property
-    def teichmuller_units(self) -> tuple[RingElement, ...]:
-        """xi^0 .. xi^(p^r - 2) as records, built from teich_digits on first read.
-        It stays only because perfbench reads its len, until ROADMAP item 1
-        switches perfbench to len(ctx.teich_digits); no library code reads it."""
-        rows = map(tuple, self.teich_digits.tolist())
-        return tuple(RingElement(self, row) for row in rows)
+    @property
+    def one(self) -> RingElement:
+        return self.element([1])
+
+    @property
+    def xi(self) -> RingElement:
+        return RingElement(self, self._xi)
 
     @cached_property
     def _orbit_slots(self) -> np.ndarray:

@@ -17,7 +17,7 @@ def bfs_distances(spec):
     """One distance from 0 per orbit row in orbit_row_map's numbering, -1
     where unreachable; each row's digits come from the table of
     orbit_oracle.orbit_representatives, not from spectrum.orbit_digits."""
-    ctx = spec.ctx
+    ctx, s = spec.ctx, spec.s_digits
     digits, _ = orbit_representatives(ctx)
     orbit_of = orbit_row_map(ctx)
     dist = np.full(len(digits), -1, dtype=np.int64)
@@ -34,7 +34,7 @@ def bfs_distances(spec):
         source = unseen if upward else frontier
         for lo in range(0, source.size, block):
             part = source[lo : lo + block]
-            nb = digits[part, None, :] + spec.s_digits
+            nb = digits[part, None, :] + s
             nb %= ctx.q
             rows = orbit_of(nb.reshape(-1, ctx.r))
             if upward:

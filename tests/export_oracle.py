@@ -19,7 +19,7 @@ def export_edges(spec, sink):
     One header line `# p e r gamma n d`, then one `u v` line per edge with
     u < v, sorted by u then v.
     """
-    ctx = spec.ctx
+    ctx, s = spec.ctx, spec.s_digits
     sink.write(
         f"# {ctx.p} {ctx.e} {ctx.r} {coeff_string(spec.gamma)} {spec.n} {spec.d}\n"
     )
@@ -27,7 +27,7 @@ def export_edges(spec, sink):
     rows = max(1, BLOCK_PAIRS // spec.d)
     for lo in range(0, spec.n, rows):
         block = np.arange(lo, min(lo + rows, spec.n), dtype=np.int64)
-        nb = ctx.digits_of(block)[:, None, :] + spec.s_digits
+        nb = ctx.digits_of(block)[:, None, :] + s
         nb %= ctx.q
         targets = ctx.indices_from_digits(nb)
         targets.sort(axis=1)

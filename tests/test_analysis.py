@@ -464,6 +464,25 @@ def test_girth_and_triangles_match_pair_sum_oracle(key):
         assert triangle_count(spec) == pair_sum_oracle.triangle_count(spec)
 
 
+P2_KEYS_UP_TO_2_12 = [
+    (2, e, r) for e in range(2, 7) for r in range(2, 7) if 2 ** (e * r) <= 1 << 12
+]
+
+
+@pytest.mark.parametrize("key", P2_KEYS_UP_TO_2_12)
+def test_no_pair_sum_hits_across_the_halves(key):
+    # for p = 2 no sum of an element of gamma*G1 and one of -gamma*G1 lies
+    # in S (triangle_count's docstring proves it mod 4), so the count that
+    # maps only 1 + t, t in G1, loses nothing
+    ctx = make_ring(RingParams(*key))
+    h = ctx.p**ctx.r - 1
+    for gamma in (ctx.one, random_unit(ctx, sum(key))):
+        spec = build_graph(ctx, gamma)
+        _, hits = pair_sum_oracle.pair_hits(spec)
+        assert not hits[:h, h:].any() and not hits[h:, :h].any()
+        assert triangle_count(spec) == spec.n * int(hits.sum()) // 6
+
+
 @pytest.mark.parametrize("key", SMALL_KEYS)
 def test_girth_matches_edge_removal_oracle(key):
     spec = graph_for(*key)

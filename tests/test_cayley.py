@@ -1,9 +1,11 @@
 """Graph construction, neighbours, export format, and families."""
 
 import dataclasses
+import gc
 import io
 import logging
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -127,20 +129,29 @@ def test_build_graph_integrity_failures(monkeypatch, key, edit, message):
         spec.s_digits
 
 
-def test_setup_and_default_verify_build_no_unit_elements():
+def test_setup_and_default_verify_build_no_unit_elements(monkeypatch):
     ctx = make_ring(RingParams(2, 2, 4))
     spec = build_graph(ctx)
     verify_graph(spec)
-    assert "teichmuller_units" not in vars(ctx)
+    assert ctx.teichmuller_units is ctx.teich_digits
     assert not hasattr(ctx, "_teich_by_residue")
+
     # nor the connection set, twisted or not: every default claim is decided
     # on +-G1 and gamma
+    def no_connection_set(spec):
+        raise AssertionError("a default verify formed S")
+
     odd = make_ring(RingParams(3, 2, 2))
-    for spec in (spec, build_graph(ctx, random_unit(ctx, 7)), build_graph(odd, random_unit(odd, 7))):
-        verify_graph(spec)
-        assert "s_digits" not in vars(spec) and "s_indices" not in vars(spec)
+    specs = (spec, build_graph(ctx, random_unit(ctx, 7)), build_graph(odd, random_unit(odd, 7)))
+    with monkeypatch.context() as patch:
+        patch.setattr(cayley, "_connection_set", no_connection_set)
+        for spec in specs:
+            verify_graph(spec)
+        with pytest.raises(AssertionError, match="formed S"):
+            spec.s_digits
     # gamma = 1 makes the oracle's first p^r - 1 elements the scalar xi powers
-    assert list(ctx.teichmuller_units) == connection_set(ctx, ctx.one)[: ctx.p**ctx.r - 1]
+    teich = [list(u.coeffs) for u in connection_set(ctx, ctx.one)[: ctx.p**ctx.r - 1]]
+    assert ctx.teich_digits.tolist() == teich
 
 
 def test_nonunit_gamma_rejected(h16):
@@ -192,15 +203,16 @@ def test_neighbors_on_large_q_ring_stay_small():
     ctx = spec.ctx
     v = spec.n - 2
     vd = ctx.digits_of(np.array([v]))
+    s = spec.s_digits
     tracemalloc.start()
     try:
-        got = np.sort(cayley._neighbour_indices(spec, vd)[0]).tolist()
+        got = np.sort(cayley._neighbour_indices(ctx, s, vd)[0]).tolist()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
     weights = np.array(ctx._weights, dtype=np.int64)
-    expected = (ctx.digits_of(np.array([v])) + spec.s_digits) % ctx.q @ weights
+    expected = (ctx.digits_of(np.array([v])) + s) % ctx.q @ weights
     assert got == sorted(expected.tolist())
 
 
@@ -272,10 +284,53 @@ def test_twisted_connection_set_on_largest_char4_ring():
     x_j = (scalar.element(ctx, [0] * j + [1]) for j in range(ctx.r))
     by_gamma = np.array([(gamma * x).coeffs for x in x_j])
     half = ctx.teich_digits.astype(np.int64) @ by_gamma % ctx.q
-    h = len(half)
-    assert spec.s_digits.dtype == np.int32
-    assert np.array_equal(spec.s_digits[:h], half)
-    assert np.array_equal(spec.s_digits[h:], -half % ctx.q)
+    h, s = len(half), spec.s_digits
+    assert s.dtype == np.int32
+    assert np.array_equal(s[:h], half)
+    assert np.array_equal(s[h:], -half % ctx.q)
+
+
+def test_connection_set_lives_one_read():
+    # GR(4, 4^16): S (d = 131 070 rows of 16 int32 digits, 8 MiB) is formed
+    # on each read with one indices array (1 MiB) and cached nowhere, and the
+    # unit count perfbench reads is the length of the G1 digits, no records
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ctx = make_ring(RingParams(2, 2, 16))
+    spec = build_graph(ctx)
+    units, units_peak = traced(lambda: len(ctx.teichmuller_units))
+    assert units == 65_535
+    assert units_peak < 64 * 2**10
+    s, s_peak = traced(lambda: spec.s_digits)
+    assert s.shape == (131_070, 16)
+    assert s_peak < 10 * 2**20
+    assert len(spec.s_indices) == len(s)
+    assert set(vars(spec)) == {"ctx", "gamma"}
+
+
+@pytest.mark.parametrize("key", [(2, 2, 8), (7, 2, 3), (2, 4, 5)])
+def test_ring_freed_by_reference_counting(key):
+    # the context holds xi as a coefficient tuple and builds ctx.one and
+    # ctx.xi on read, so no reference cycle keeps a ring alive: with the
+    # cyclic collector off, the last del frees it
+    gc.disable()
+    try:
+        ctx = make_ring(RingParams(*key))
+        ring_ref = weakref.ref(ctx)
+        spec = build_graph(ctx)
+        verify_graph(spec)
+        if spec.n < 10**5:
+            export_edges(spec, io.StringIO())
+        len(ctx.teichmuller_units), spec.s_digits, spec.s_indices
+        del ctx, spec
+        assert ring_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_export_on_large_q_ring_keeps_first_block_small():
@@ -313,9 +368,9 @@ def test_export_forms_high_parts_and_one_low_table():
     seen = []
     original = cayley._neighbour_indices
 
-    def counting(spec, digits):
+    def counting(ctx, s_digits, digits):
         seen.append(len(digits))
-        return original(spec, digits)
+        return original(ctx, s_digits, digits)
 
     with mock.patch.object(cayley, "_neighbour_indices", counting):
         assert export_edges(spec, io.StringIO()) == spec.n * spec.d // 2
